@@ -9,6 +9,9 @@ scales sigma_e and per-view global pointmaps Xhat^n by minimizing
                                    - sigma_e P_n X^{n,i}_{wh} ||_2
 
 with first-order gradient descent on a good closed-form initialization.
+Line-search trials evaluate the objective only; the gradient is taken only
+at accepted points, from one 3x3 moment matrix per residual term. The
+result reports why the descent stopped (``stop_reason``).
 Gauge: P_1 = identity and sigma of the first edge = 1.
 """
 
@@ -49,6 +52,13 @@ class PairwisePrediction:
         }
         if len(shapes) != 1:
             raise InputError(f"pair ({self.n},{self.m}): inconsistent shapes {shapes}")
+        if not all(np.isfinite(a).all() for a in (
+            self.pointmap_self, self.pointmap_other,
+            self.confidence_self, self.confidence_other,
+        )):
+            raise InputError(
+                f"pair ({self.n},{self.m}): non-finite pointmap or confidence"
+            )
         if (self.confidence_self < 0).any() or (self.confidence_other < 0).any():
             raise InputError(f"pair ({self.n},{self.m}): negative confidence")
 
@@ -118,6 +128,7 @@ class AlignmentResult:
     objective: float
     objective_trace: np.ndarray
     converged: bool
+    stop_reason: str     # "floor", "tolerance", "line_search" or "budget"
     graph: PairGraph
 
 
@@ -243,74 +254,113 @@ def _initialize(preds, graph):
     return rotations, translations, sigmas, pointmaps, confidences
 
 
-def _objective_and_grads(preds, rotations, translations, log_sigmas,
-                         pointmaps, want_grads=True, norm_eps=1e-8):
-    """Objective sum C ||r||_2 (eps-smoothed) and gradients.
+def _terms(preds):
+    """Residual terms: (edge, reference view, target view, points, confidences).
 
-    Rotation gradients are taken w.r.t. a left-multiplied axis-angle
-    increment delta: R <- exp(delta) R.
+    Each edge contributes view n's self-map and view m's map, both in frame
+    n; points are (HW, 3) and confidences (HW,), as views of the inputs.
     """
-    nv = len(rotations)
-    obj = 0.0
-    if want_grads:
-        g_rot = [np.zeros(3) for _ in range(nv)]
-        g_trn = [np.zeros(3) for _ in range(nv)]
-        g_sig = np.zeros(len(preds))
-        g_pm = [np.zeros_like(pm) for pm in pointmaps]
+    terms = []
     for e, p in enumerate(preds):
-        sigma = np.exp(log_sigmas[e])
-        R, t = rotations[p.n], translations[p.n]
         for view, pm, conf in (
             (p.n, p.pointmap_self, p.confidence_self),
             (p.m, p.pointmap_other, p.confidence_other),
         ):
-            x = pm.reshape(-1, 3)
-            c = conf.reshape(-1)
-            y = x @ R.T  # rotated source points
-            pred = sigma * (y + t)
-            r = pointmaps[view].reshape(-1, 3) - pred
-            smooth = np.sqrt((r**2).sum(axis=1) + norm_eps**2)
-            obj += float((c * (smooth - norm_eps)).sum())
-            if not want_grads:
-                continue
-            rhat = r / smooth[:, None]
-            cw = c[:, None] * rhat  # d obj / d r per point
-            # d r / d Xhat = I
-            g_pm[view] += cw.reshape(pointmaps[view].shape)
-            # d r / d t = -sigma I
-            g_trn[p.n] += -sigma * cw.sum(0)
-            # pred = sigma (exp(delta) y + t); d(exp(delta) y)/d delta at
-            # delta=0 is -skew(y), so d r/d delta = sigma skew(y) and the
-            # chain rule gives -sigma sum_i y_i x (c_i rhat_i).
-            g_rot[p.n] += -sigma * np.cross(y, cw).sum(0)
-            # d r / d log sigma = -sigma (y + t)
-            g_sig[e] += float(-(cw * (sigma * (y + t))).sum())
-    if want_grads:
-        return obj, (g_rot, g_trn, g_sig, g_pm)
-    return obj, None
+            terms.append((e, p.n, view, pm.reshape(-1, 3), conf.reshape(-1)))
+    return terms
+
+
+def _residuals(term, rotations, translations, log_sigmas, pointmaps):
+    """(sigma, rotated points y, residuals Xhat - sigma (y + t)) of one term."""
+    e, n, view, x, _ = term
+    sigma = np.exp(log_sigmas[e])
+    y = x @ rotations[n].T
+    r = pointmaps[view].reshape(-1, 3) - sigma * (y + translations[n])
+    return sigma, y, r
+
+
+def _smoothed_norms(r, norm_eps):
+    return np.sqrt(np.einsum("ij,ij->i", r, r) + norm_eps**2)
+
+
+def _objective(terms, rotations, translations, log_sigmas, pointmaps,
+               norm_eps):
+    """Objective sum C (sqrt(|r|^2 + eps^2) - eps) over all terms."""
+    obj = 0.0
+    for term in terms:
+        _, _, r = _residuals(term, rotations, translations, log_sigmas,
+                             pointmaps)
+        obj += float(term[4] @ (_smoothed_norms(r, norm_eps) - norm_eps))
+    return obj
+
+
+def _gradients(terms, rotations, translations, log_sigmas, pointmaps,
+               norm_eps):
+    """Gradients of ``_objective`` w.r.t. (rotations, translations,
+    log sigmas, pointmaps).
+
+    Rotation gradients are taken w.r.t. a left-multiplied axis-angle
+    increment delta: R <- exp(delta) R. Per term, with w_i = c_i r_i /
+    smooth_i (d obj / d r_i) and the moment matrix M = sum_i y_i w_i^T:
+    d r_i / d delta = sigma skew(y_i), so the rotation gradient is
+    -sigma sum_i y_i x w_i, the axial vector of M - M^T; and
+    d r_i / d log sigma = -sigma (y_i + t), so that gradient is
+    -sigma (trace(M) + s . t) with s = sum_i w_i.
+    """
+    g_rot = np.zeros((len(rotations), 3))
+    g_trn = np.zeros((len(rotations), 3))
+    g_sig = np.zeros_like(log_sigmas)
+    g_pm = [np.zeros_like(pm) for pm in pointmaps]
+    for term in terms:
+        e, n, view, _, c = term
+        sigma, y, r = _residuals(term, rotations, translations, log_sigmas,
+                                 pointmaps)
+        w = r * (c / _smoothed_norms(r, norm_eps))[:, None]
+        g_pm[view] += w.reshape(pointmaps[view].shape)  # d r / d Xhat = I
+        s = w.sum(0)
+        M = y.T @ w
+        g_trn[n] -= sigma * s
+        g_rot[n] -= sigma * np.array(
+            [M[1, 2] - M[2, 1], M[2, 0] - M[0, 2], M[0, 1] - M[1, 0]]
+        )
+        g_sig[e] -= sigma * (np.trace(M) + s @ translations[n])
+    return g_rot, g_trn, g_sig, g_pm
 
 
 def align_global(preds, graph: PairGraph | None = None,
                  config: AlignConfig | None = None):
     """Recover globally consistent poses, scales, and pointmaps.
 
-    Returns an AlignmentResult; ``converged`` is False when the iteration
-    budget runs out while the objective is still moving by more than
-    100x the tolerance.
+    Each iteration takes the gradient at the current (accepted) point and
+    halves the step until a trial lowers the objective; trials evaluate the
+    objective only. ``stop_reason`` says why the loop ended: ``"floor"``
+    (objective at the noiseless floor), ``"tolerance"`` (relative decrease
+    below ``tol``), ``"line_search"`` (no trial lowered the objective) or
+    ``"budget"`` (``max_iters`` used up). ``converged`` is False when the
+    budget runs out while the objective is still moving by more than 100x
+    the tolerance.
+
+    Raises InputError for fewer than 2 views, two predictions for one edge,
+    or a graph edge without a prediction, and DisconnectedGraph when the
+    graph does not connect all views.
     """
     config = config or AlignConfig()
+    by_edge = {}
+    for p in preds:
+        if (p.n, p.m) in by_edge:
+            raise InputError(f"two predictions for edge ({p.n},{p.m})")
+        by_edge[(p.n, p.m)] = p
     if graph is None:
         num_views = max(max(p.n, p.m) for p in preds) + 1
-        graph = PairGraph(num_views, tuple((p.n, p.m) for p in preds))
+        graph = PairGraph(num_views, tuple(by_edge))
     if graph.num_views < 2:
         raise InputError("need at least 2 views")
-    have = {(p.n, p.m) for p in preds}
-    missing = [e for e in graph.edges if e not in have]
+    missing = [e for e in graph.edges if e not in by_edge]
     if missing:
         raise InputError(f"graph edges without predictions: {missing[:5]}")
     if not graph.is_connected():
         raise DisconnectedGraph("pair graph does not connect all views")
-    preds = [next(p for p in preds if (p.n, p.m) == e) for e in graph.edges]
+    preds = [by_edge[e] for e in graph.edges]
 
     rotations, translations, sigmas, pointmaps, confidences = _initialize(
         preds, graph
@@ -325,18 +375,22 @@ def align_global(preds, graph: PairGraph | None = None,
 
     n_terms = sum(2 * p.height * p.width for p in preds)
     floor = config.abs_floor_per_term * n_terms
+    terms = _terms(preds)
     step = config.step
-    obj, grads = _objective_and_grads(
-        preds, rotations, translations, log_sigmas, pointmaps,
-        norm_eps=config.norm_eps,
-    )
+    obj = _objective(terms, rotations, translations, log_sigmas, pointmaps,
+                     config.norm_eps)
     trace = [obj]
     converged = True
+    stop_reason = "budget"
     last_rel = 0.0
     for it in range(config.max_iters):
         if obj <= floor:
+            stop_reason = "floor"
             break
-        g_rot, g_trn, g_sig, g_pm = grads
+        g_rot, g_trn, g_sig, g_pm = _gradients(
+            terms, rotations, translations, log_sigmas, pointmaps,
+            config.norm_eps,
+        )
         accepted = False
         for _ in range(config.max_halvings):
             new_rot = list(rotations)
@@ -347,23 +401,23 @@ def align_global(preds, graph: PairGraph | None = None,
             new_ls = log_sigmas - step * g_sig
             new_ls[0] = log_sigmas[0]  # first edge pinned
             new_pm = [pm - step * g for pm, g in zip(pointmaps, g_pm)]
-            new_obj, new_grads = _objective_and_grads(
-                preds, new_rot, new_trn, new_ls, new_pm,
-                norm_eps=config.norm_eps,
-            )
+            new_obj = _objective(terms, new_rot, new_trn, new_ls, new_pm,
+                                 config.norm_eps)
             if new_obj < obj:
                 accepted = True
                 break
             step /= 2.0
         if not accepted:
+            stop_reason = "line_search"
             break
         last_rel = (obj - new_obj) / max(obj, 1e-300)
         rotations, translations = new_rot, new_trn
         log_sigmas, pointmaps = new_ls, new_pm
-        obj, grads = new_obj, new_grads
+        obj = new_obj
         trace.append(obj)
         step = min(step * 1.5, config.step)
         if last_rel < config.tol:
+            stop_reason = "tolerance"
             break
     else:
         if last_rel > 100.0 * config.tol:
@@ -372,6 +426,10 @@ def align_global(preds, graph: PairGraph | None = None,
                 "alignment hit max_iters=%d with relative change %.3g",
                 config.max_iters, last_rel,
             )
+    log.info(
+        "alignment stopped (%s) after %d iterations, objective %.6g",
+        stop_reason, len(trace) - 1, obj,
+    )
 
     # Re-orthonormalize after many small increments.
     poses = [
@@ -386,6 +444,7 @@ def align_global(preds, graph: PairGraph | None = None,
         objective=obj,
         objective_trace=np.array(trace),
         converged=converged,
+        stop_reason=stop_reason,
         graph=graph,
     )
 

@@ -135,6 +135,7 @@ def _stage_align(pairs, graph, cfg, out_dir, seed):
             "sigmas": result.sigmas.tolist(),
             "objective": result.objective,
             "converged": result.converged,
+            "stop_reason": result.stop_reason,
             "edges": [list(e) for e in result.graph.edges],
         },
         cfg,
@@ -364,6 +365,8 @@ def _load_alignment(align_dir):
         objective=float(meta["objective"]),
         objective_trace=np.array([]),
         converged=bool(meta["converged"]),
+        # Absent from alignment.json files written before it was recorded.
+        stop_reason=meta.get("stop_reason"),
         graph=PairGraph(len(poses), tuple(map(tuple, meta["edges"]))),
     )
 

@@ -1,18 +1,25 @@
 """Global alignment of pairwise pointmaps."""
 
+import logging
+
 import numpy as np
 import pytest
 
 from jcr.alignment import (
+    AlignConfig,
     PairGraph,
     PairwisePrediction,
+    _gradients,
+    _initialize,
+    _objective,
+    _terms,
     align_global,
     default_pair_graph,
     extract_point_cloud,
 )
 from jcr.errors import DisconnectedGraph, EmptyCloud, InputError
-from jcr.geometry import rotation_angle
-from jcr.synth import NoiseProfile
+from jcr.geometry import exp_map, rotation_angle
+from jcr.synth import CameraConfig, NoiseProfile
 
 from util import pose_dataset
 
@@ -44,6 +51,21 @@ class TestPairwisePrediction:
                 confidence_self=np.full((4, 4), -1.0),
                 confidence_other=np.zeros((4, 4)),
             )
+
+    @pytest.mark.parametrize("field", [
+        "pointmap_self", "pointmap_other", "confidence_self", "confidence_other",
+    ])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite(self, field, bad):
+        arrays = dict(
+            pointmap_self=np.zeros((4, 4, 3)),
+            pointmap_other=np.zeros((4, 4, 3)),
+            confidence_self=np.ones((4, 4)),
+            confidence_other=np.ones((4, 4)),
+        )
+        arrays[field][1, 2] = bad
+        with pytest.raises(InputError):
+            PairwisePrediction(n=0, m=1, **arrays)
 
 
 class TestPairGraph:
@@ -92,6 +114,7 @@ class TestAlignGlobal:
         assert np.allclose(result.sigmas, 1.0, atol=1e-6)
         n_terms = 2 * 2 * 6 * 8
         assert result.objective / n_terms < 1e-8
+        assert result.stop_reason == "floor"
 
     def test_four_view_noiseless_exact(self):
         ds = pose_dataset(seed=31, num_poses=4, with_pointmaps=True)
@@ -139,6 +162,27 @@ class TestAlignGlobal:
         trace = result.objective_trace
         assert (np.diff(trace) <= 1e-12).all()
 
+    @pytest.mark.parametrize("config, reason", [
+        (AlignConfig(), "tolerance"),
+        (AlignConfig(max_iters=2), "budget"),
+        (AlignConfig(max_halvings=0), "line_search"),
+    ])
+    def test_stop_reason(self, config, reason, caplog):
+        ds = pose_dataset(
+            seed=37, num_poses=4, with_pointmaps=True, noise=NoiseProfile(),
+            camera=CameraConfig(width=16, height=12),
+        )
+        with caplog.at_level(logging.INFO, logger="jcr.alignment"):
+            result = align_global(ds.pairs, ds.graph, config)
+        assert result.stop_reason == reason
+        assert result.converged == (reason != "budget")
+        assert f"alignment stopped ({reason})" in caplog.text
+
+    def test_duplicate_edge_prediction_raises(self):
+        ds = pose_dataset(seed=35, num_poses=3, with_pointmaps=True)
+        with pytest.raises(InputError, match="two predictions"):
+            align_global(ds.pairs + [ds.pairs[-1]], ds.graph)
+
     def test_disconnected_graph_raises(self):
         ds = pose_dataset(seed=34, num_poses=4, with_pointmaps=True)
         sub = [p for p in ds.pairs if {p.n, p.m} <= {0, 1} or {p.n, p.m} <= {2, 3}]
@@ -154,6 +198,89 @@ class TestAlignGlobal:
     def test_single_view_raises(self):
         with pytest.raises(InputError):
             align_global([], PairGraph(1, ()))
+
+
+class TestObjectiveGradients:
+    """``_gradients`` against central differences of ``_objective``."""
+
+    H = 1e-6
+
+    @pytest.fixture(scope="class")
+    def problem(self):
+        ds = pose_dataset(
+            seed=38, num_poses=3, with_pointmaps=True, noise=NoiseProfile(),
+            camera=CameraConfig(width=8, height=6),
+        )
+        preds = [next(p for p in ds.pairs if (p.n, p.m) == e)
+                 for e in ds.graph.edges]
+        rot, trn, sigmas, pms, _ = _initialize(preds, ds.graph)
+        rng = np.random.default_rng(0)
+        # Move off the initializer's point so no block sits at its optimum.
+        rot = [exp_map(rng.normal(scale=0.02, size=3)) @ R for R in rot]
+        trn = [t + rng.normal(scale=0.02, size=3) for t in trn]
+        log_sigmas = np.log(sigmas) + rng.normal(scale=0.05, size=len(sigmas))
+        pms = [pm + rng.normal(scale=0.01, size=pm.shape) for pm in pms]
+        return preds, _terms(preds), rot, trn, log_sigmas, pms
+
+    def _fd(self, problem, perturb):
+        """Central difference of the objective along ``perturb(args, h)``."""
+        _, terms, *args = problem
+        vals = []
+        for h in (self.H, -self.H):
+            moved = [list(a) if isinstance(a, list) else a.copy() for a in args]
+            perturb(moved, h)
+            vals.append(_objective(terms, *moved, norm_eps=1e-8))
+        return (vals[0] - vals[1]) / (2 * self.H)
+
+    def _check(self, analytic, numeric):
+        assert abs(analytic - numeric) <= 1e-5 * max(1.0, abs(numeric))
+
+    def test_objective_is_direct_sum(self, problem):
+        preds, terms, rot, trn, log_sigmas, pms = problem
+        eps = 1e-8
+        direct = 0.0
+        for e, p in enumerate(preds):
+            sigma = np.exp(log_sigmas[e])
+            for view, pm, conf in ((p.n, p.pointmap_self, p.confidence_self),
+                                   (p.m, p.pointmap_other, p.confidence_other)):
+                for h, w in np.ndindex(conf.shape):
+                    r = pms[view][h, w] - sigma * (rot[p.n] @ pm[h, w] + trn[p.n])
+                    direct += conf[h, w] * (np.sqrt(r @ r + eps**2) - eps)
+        obj = _objective(terms, rot, trn, log_sigmas, pms, norm_eps=eps)
+        assert obj == pytest.approx(direct, rel=1e-12)
+
+    def test_gradients_match_finite_differences(self, problem):
+        _, terms, rot, trn, log_sigmas, pms = problem
+        g_rot, g_trn, g_sig, g_pm = _gradients(
+            terms, rot, trn, log_sigmas, pms, norm_eps=1e-8
+        )
+        for v in range(len(rot)):
+            for k in range(3):
+                delta = np.eye(3)[k]
+
+                def turn(a, h, v=v, delta=delta):
+                    a[0][v] = exp_map(h * delta) @ a[0][v]
+
+                def shift(a, h, v=v, delta=delta):
+                    a[1][v] = a[1][v] + h * delta
+
+                self._check(g_rot[v][k], self._fd(problem, turn))
+                self._check(g_trn[v][k], self._fd(problem, shift))
+        for e in range(len(log_sigmas)):
+            def rescale(a, h, e=e):
+                a[2][e] += h
+
+            self._check(g_sig[e], self._fd(problem, rescale))
+        rng = np.random.default_rng(1)
+        for _ in range(6):
+            v = int(rng.integers(len(pms)))
+            idx = tuple(int(rng.integers(d)) for d in pms[v].shape)
+
+            def nudge(a, h, v=v, idx=idx):
+                a[3][v] = a[3][v].copy()
+                a[3][v][idx] += h
+
+            self._check(g_pm[v][idx], self._fd(problem, nudge))
 
 
 @pytest.fixture(scope="module")

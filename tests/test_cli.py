@@ -37,7 +37,9 @@ class TestRun:
         assert (out / "reconstruct" / "cloud.ply").exists()
         assert (out / "fields" / "field_occupancy.json").exists()
         # Artifacts embed their provenance.
-        assert "_provenance" in io.load_json(out / "align" / "alignment.json")
+        align = io.load_json(out / "align" / "alignment.json")
+        assert "_provenance" in align
+        assert align["stop_reason"] == "floor"
 
     def test_missing_manifest_file(self, tmp_path):
         code = main(["run", "--manifest", str(tmp_path / "nope.json")])
