@@ -10,7 +10,6 @@ from .calibration import (
     CalibrationConfig,
     CalibrationResult,
     MotionPair,
-    ScaleSearchConfig,
     calibrate,
     motion_pairs,
     residuals,
@@ -26,7 +25,7 @@ from .alignment import (
     default_pair_graph,
     extract_point_cloud,
 )
-from .geometry import Pose, exp_map, inv_sqrt_psd, log_map, relative_transform
+from .geometry import Pose, exp_map, inv_sqrt_psd, log_map
 from .reconstruction import (
     LabeledPointCloud,
     adaptive_confidence_threshold,

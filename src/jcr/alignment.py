@@ -340,11 +340,14 @@ def align_global(preds, graph: PairGraph | None = None,
     budget runs out while the objective is still moving by more than 100x
     the tolerance.
 
-    Raises InputError for fewer than 2 views, two predictions for one edge,
-    or a graph edge without a prediction, and DisconnectedGraph when the
-    graph does not connect all views.
+    Raises InputError for no predictions, fewer than 2 views, two
+    predictions for one edge, a graph that lists an edge twice or a graph
+    edge without a prediction, and DisconnectedGraph when the graph does
+    not connect all views.
     """
     config = config or AlignConfig()
+    if not preds:
+        raise InputError("no pairwise predictions")
     by_edge = {}
     for p in preds:
         if (p.n, p.m) in by_edge:
@@ -355,6 +358,8 @@ def align_global(preds, graph: PairGraph | None = None,
         graph = PairGraph(num_views, tuple(by_edge))
     if graph.num_views < 2:
         raise InputError("need at least 2 views")
+    if len(set(graph.edges)) != len(graph.edges):
+        raise InputError("pair graph lists an edge more than once")
     missing = [e for e in graph.edges if e not in by_edge]
     if missing:
         raise InputError(f"graph edges without predictions: {missing[:5]}")

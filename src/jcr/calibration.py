@@ -15,7 +15,7 @@ and multiplies the translation by lam.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,6 +33,7 @@ log = logging.getLogger(__name__)
 
 DEFAULT_TAU_T = 0.1   # meters, convergence gate on mean translation residual
 DEFAULT_TAU_R = 0.15  # Frobenius, convergence gate on mean rotation residual
+SCALE_RANGE = (1e-3, 1e3)  # meters per model unit; outside it is a failure
 
 
 @dataclass(frozen=True)
@@ -42,28 +43,9 @@ class MotionPair:
     T_E: Pose
     T_P: Pose
 
-    def angle_gap(self):
-        """|angle(T_E) - angle(T_P)|; a diagnostic, never enforced."""
-        from .geometry import rotation_angle
-
-        return abs(
-            rotation_angle(self.T_E.rotation) - rotation_angle(self.T_P.rotation)
-        )
-
-
-@dataclass(frozen=True)
-class ScaleSearchConfig:
-    lam_lo: float = 1e-3
-    lam_hi: float = 1e3
-    rel_tol: float = 1e-8
-    num_prescan: int = 20
-    bound_margin: float = 0.01  # raise if lam* within 1% of a bound
-    flat_rel_spread: float = 1e-10
-
 
 @dataclass(frozen=True)
 class CalibrationConfig:
-    scale_search: ScaleSearchConfig = field(default_factory=ScaleSearchConfig)
     tau_t: float = DEFAULT_TAU_T
     tau_r: float = DEFAULT_TAU_R
     all_pairs: bool = False  # use all (i, j) motions instead of consecutive
@@ -174,25 +156,6 @@ def solve_rotation(pairs, rank_tol=1e-8):
     return R
 
 
-def _golden_section(f, lo, hi, rel_tol):
-    """Golden-section minimum of a unimodal f on [lo, hi]."""
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > rel_tol * (abs(a) + abs(b)) / 2.0:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return (a + b) / 2.0
-
-
 def _stack_translation_system(pairs, R):
     """C (3k x 3), a (3k,), b (3k,) with C t = a - lam * b per pair."""
     C_blocks, a_parts, b_parts = [], [], []
@@ -203,14 +166,17 @@ def _stack_translation_system(pairs, R):
     return np.vstack(C_blocks), np.concatenate(a_parts), np.concatenate(b_parts)
 
 
-def solve_translation_scale(pairs, R, search: ScaleSearchConfig | None = None):
-    """Joint translation + scale: closed-form t for fixed lam, 1-D search on lam.
+def solve_translation_scale(pairs, R):
+    """Joint translation + scale by one linear least-squares solve.
 
-    For fixed lam the residual ||C t - d(lam)||^2 with d = t_E - lam R t_P
-    is minimized by t*(lam) = (C^T C)^-1 C^T d(lam); lam is found by a
-    log-domain pre-scan followed by golden-section search.
+    Per pair the translation block of T_E X = X T_P(lam) reads
+    (I - R_E) t + lam R t_P = t_E, linear in (t, lam) (Andreff, Horaud &
+    Espiau, IJRR 2001); stacking gives [C | b] [t; lam] = a.
+
+    Raises RankDeficientC when C is rank deficient, and ScaleAtBound when
+    b lies in the span of C (the residual is flat in lam) or lam falls
+    outside SCALE_RANGE.
     """
-    search = search or ScaleSearchConfig()
     C, a_vec, b_vec = _stack_translation_system(pairs, R)
     svals = np.linalg.svd(C, compute_uv=False)
     if svals[2] <= 1e-8 * max(svals[0], 1.0):
@@ -218,40 +184,18 @@ def solve_translation_scale(pairs, R, search: ScaleSearchConfig | None = None):
             "stacked (I - R_E) blocks are rank deficient "
             "(rotation axes share a direction); translation is unobservable"
         )
-    # Precompute the projector residual: r(lam) = Q (a - lam b) with
-    # Q = I - C (C^T C)^-1 C^T, so the 1-D objective is a cheap quadratic.
-    CtC_inv = np.linalg.inv(C.T @ C)
-    P_hat = C @ CtC_inv @ C.T
-
-    def t_star(lam):
-        return CtC_inv @ (C.T @ (a_vec - lam * b_vec))
-
-    def residual(lam):
-        d = a_vec - lam * b_vec
-        r = d - P_hat @ d
-        return float(r @ r)
-
-    probes = np.geomspace(search.lam_lo, search.lam_hi, search.num_prescan)
-    values = np.array([residual(l) for l in probes])
-    spread = values.max() - values.min()
-    if spread <= search.flat_rel_spread * (1.0 + values.max()):
+    b_off_span = b_vec - C @ np.linalg.lstsq(C, b_vec, rcond=None)[0]
+    if np.linalg.norm(b_off_span) <= 1e-8 * np.linalg.norm(b_vec):
         raise ScaleAtBound(
             "residual is flat in the scale factor (camera translations "
             "carry no scale information); scale is unidentifiable"
         )
-    k = int(np.argmin(values))
-    lo = probes[max(k - 1, 0)]
-    hi = probes[min(k + 1, len(probes) - 1)]
-    lam = _golden_section(residual, lo, hi, search.rel_tol)
-    if (
-        lam <= search.lam_lo * (1.0 + search.bound_margin)
-        or lam >= search.lam_hi / (1.0 + search.bound_margin)
-    ):
-        raise ScaleAtBound(
-            f"scale optimum {lam:.4g} sits at the search bound "
-            f"[{search.lam_lo:g}, {search.lam_hi:g}]"
-        )
-    return t_star(lam), float(lam)
+    sol = np.linalg.lstsq(np.column_stack([C, b_vec]), a_vec, rcond=None)[0]
+    t, lam = sol[:3], float(sol[3])
+    lo, hi = SCALE_RANGE
+    if not lo < lam < hi:
+        raise ScaleAtBound(f"scale {lam:.4g} outside ({lo:g}, {hi:g})")
+    return t, lam
 
 
 def residuals(pairs, R, t, lam):
@@ -282,7 +226,7 @@ def calibrate(end_effector, camera, config: CalibrationConfig | None = None):
     config = config or CalibrationConfig()
     pairs = motion_pairs(end_effector, camera, all_pairs=config.all_pairs)
     R = solve_rotation(pairs)
-    t, lam = solve_translation_scale(pairs, R, config.scale_search)
+    t, lam = solve_translation_scale(pairs, R)
     res = residuals(pairs, R, t, lam)
     res_t = np.array([r[0] for r in res])
     res_r = np.array([r[1] for r in res])

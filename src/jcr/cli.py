@@ -382,12 +382,6 @@ def cmd_run(args):
     manifest = _load_manifest(args) if args.manifest else {}
     out = Path(args.out or manifest.get("out", "jcr_out"))
     seed = args.seed if args.seed is not None else int(manifest.get("seed", 0))
-    stages = (
-        [args.stage]
-        if args.stage
-        else ["synth", "align", "calibrate", "reconstruct", "train-field"]
-    )
-
     stage = "input"
     try:
         if "synth" in manifest or not manifest.get("ee_poses"):
@@ -424,9 +418,8 @@ def cmd_run(args):
             color_images=colors, seg_images=segs,
             force=args.force_uncalibrated,
         )
-        if "train-field" in stages or not args.stage:
-            stage = "train-field"
-            _stage_fields(cloud, manifest.get("fields", {}), out / "fields", seed)
+        stage = "train-field"
+        _stage_fields(cloud, manifest.get("fields", {}), out / "fields", seed)
     except JCRError as exc:
         print(f"error in stage {stage}: {exc}", file=sys.stderr)
         return _exit_code_for(exc)
@@ -508,7 +501,6 @@ def build_parser():
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--manifest")
     p.add_argument("--out")
-    p.add_argument("--stage")
     p.add_argument("--force-uncalibrated", action="store_true")
 
     return parser

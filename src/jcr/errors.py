@@ -54,7 +54,7 @@ class RankDeficientC(DegenerateGeometry):
 
 
 class ScaleAtBound(RankDeficientC):
-    """The scale direction of the system is flat or pinned at a search bound."""
+    """The scale direction of the system is flat, or the scale is out of range."""
 
 
 class DisconnectedGraph(DegenerateGeometry):

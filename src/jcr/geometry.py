@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateMatrix
+from .errors import DegenerateMatrix, InputError
 
 # Frame tags used by the pipeline.
 ROBOT_BASE = "robot_base"
@@ -42,15 +42,6 @@ def project_to_rotation(M):
     if np.linalg.det(R) < 0:
         R = U @ np.diag([1.0, 1.0, -1.0]) @ Vt
     return R
-
-
-def is_rotation(R, tol=1e-9):
-    R = np.asarray(R)
-    return (
-        R.shape == (3, 3)
-        and np.linalg.norm(R.T @ R - np.eye(3)) < tol
-        and abs(np.linalg.det(R) - 1.0) < tol
-    )
 
 
 def exp_map(v):
@@ -145,9 +136,12 @@ class Pose:
         """Build from a 4x4 homogeneous matrix, re-orthonormalizing R.
 
         Serialized matrices accumulate rounding error, so ingestion goes
-        through a polar projection by default.
+        through a polar projection by default. Raises InputError for a
+        matrix with NaN or infinite entries.
         """
         M = np.asarray(M, dtype=float).reshape(4, 4)
+        if not np.isfinite(M).all():
+            raise InputError("pose matrix has non-finite entries")
         R = M[:3, :3]
         if renormalize:
             R = project_to_rotation(R)
@@ -181,11 +175,6 @@ class Pose:
     def scaled_translation(self, scale) -> "Pose":
         """Same rotation, translation multiplied by ``scale``."""
         return Pose(self.rotation, scale * self.translation, self.frame)
-
-
-def relative_transform(a: Pose, b: Pose) -> Pose:
-    """T with b == T.compose(a), i.e. T = b . a^-1."""
-    return b.compose(a.inverse())
 
 
 def random_rotation(rng, max_angle=np.pi):

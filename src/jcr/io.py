@@ -44,6 +44,8 @@ def load_poses(path):
         data = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read pose file {path}: {exc}") from exc
+    if not isinstance(data, list) or not all(isinstance(e, dict) for e in data):
+        raise InputError(f"{path}: expected a JSON list of pose objects")
     poses = []
     for i, entry in enumerate(data):
         m = entry.get("matrix")
@@ -117,6 +119,8 @@ def load_pair_set(manifest_path):
         manifest = json.loads(manifest_path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read pair manifest {manifest_path}: {exc}") from exc
+    if not isinstance(manifest, dict) or "pairs" not in manifest:
+        raise InputError(f'{manifest_path}: manifest lacks a "pairs" list')
     pairs = [
         load_pair(manifest_path.parent / e["file"]) for e in manifest["pairs"]
     ]

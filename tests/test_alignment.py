@@ -199,6 +199,16 @@ class TestAlignGlobal:
         with pytest.raises(InputError):
             align_global([], PairGraph(1, ()))
 
+    def test_no_predictions_raises(self):
+        with pytest.raises(InputError, match="no pairwise predictions"):
+            align_global([])
+
+    def test_repeated_graph_edge_raises(self):
+        ds = pose_dataset(seed=35, num_poses=3, with_pointmaps=True)
+        graph = PairGraph(3, ds.graph.edges + ds.graph.edges[-1:])
+        with pytest.raises(InputError, match="more than once"):
+            align_global(ds.pairs, graph)
+
 
 class TestObjectiveGradients:
     """``_gradients`` against central differences of ``_objective``."""

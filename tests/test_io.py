@@ -47,6 +47,24 @@ class TestPoses:
         with pytest.raises(InputError):
             io.load_poses(tmp_path / "missing.json")
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_matrix(self, tmp_path, bad):
+        m = np.eye(4).reshape(-1).tolist()
+        m[5] = bad
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps([{"frame": "x", "matrix": m}]))
+        with pytest.raises(InputError, match="non-finite"):
+            io.load_poses(path)
+
+    @pytest.mark.parametrize(
+        "data", [{"matrix": [0] * 16}, [[0] * 16], "poses", 3]
+    )
+    def test_not_a_list_of_objects(self, tmp_path, data):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(InputError, match="list of pose objects"):
+            io.load_poses(path)
+
 
 class TestPairContainers:
     def test_pair_round_trip(self, tmp_path):
@@ -84,6 +102,13 @@ class TestPairContainers:
         assert back_graph.num_views == 3
         assert back_graph.edges == ((0, 1), (1, 2))
         assert len(back_pairs) == 2
+
+    @pytest.mark.parametrize("manifest", [{"num_views": 3}, [], "pairs"])
+    def test_manifest_without_pairs(self, tmp_path, manifest):
+        path = tmp_path / "pairs.json"
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(InputError, match='"pairs"'):
+            io.load_pair_set(path)
 
 
 class TestPly:

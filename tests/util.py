@@ -57,6 +57,15 @@ def rotation_error(Ra, Rb):
     return rotation_angle(Ra @ Rb.T)
 
 
+def is_rotation(R, tol=1e-9):
+    R = np.asarray(R)
+    return (
+        R.shape == (3, 3)
+        and np.linalg.norm(R.T @ R - np.eye(3)) < tol
+        and abs(np.linalg.det(R) - 1.0) < tol
+    )
+
+
 def small_rotation(rng, max_deg=10.0):
     axis = rng.normal(size=3)
     axis /= np.linalg.norm(axis)
