@@ -10,8 +10,13 @@ scales sigma_e and per-view global pointmaps Xhat^n by minimizing
 
 with first-order gradient descent on a good closed-form initialization.
 Line-search trials evaluate the objective only; the gradient is taken only
-at accepted points, from one 3x3 moment matrix per residual term. The
-result reports why the descent stopped (``stop_reason``).
+at accepted points. Residual terms are grouped by target view i and stored
+pixels last, as (K, 3, HW): per group, r = Xhat^i - (A X + b) with
+A = sigma_e R_n and b = sigma_e t_n, one batched matmul. With the moment
+matrix M = (A X) w^T of the weighted residuals w and s = sum w, sigma folds
+into the pose and scale gradients: -axial(M) for the rotation and
+-(tr M + s . b) for log sigma. The result reports why the descent stopped
+(``stop_reason``).
 Gauge: P_1 = identity and sigma of the first edge = 1.
 """
 
@@ -255,42 +260,69 @@ def _initialize(preds, graph):
 
 
 def _terms(preds):
-    """Residual terms: (edge, reference view, target view, points, confidences).
+    """Residual terms grouped by target view, pixel axis last.
 
     Each edge contributes view n's self-map and view m's map, both in frame
-    n; points are (HW, 3) and confidences (HW,), as views of the inputs.
+    n. Returns one group per target view v: (v, points (K, 3, HW),
+    confidences (K, HW), reference views (K,), edges (K,)), for the K terms
+    that predict v. All of them have v's pixel count, so they stack.
     """
-    terms = []
+    by_view = {}
     for e, p in enumerate(preds):
         for view, pm, conf in (
             (p.n, p.pointmap_self, p.confidence_self),
             (p.m, p.pointmap_other, p.confidence_other),
         ):
-            terms.append((e, p.n, view, pm.reshape(-1, 3), conf.reshape(-1)))
-    return terms
+            by_view.setdefault(view, []).append(
+                (e, p.n, pm.reshape(-1, 3).T, conf.reshape(-1))
+            )
+    groups = []
+    for view in sorted(by_view):
+        edges, refs, pts, confs = zip(*by_view[view])
+        groups.append((view, np.ascontiguousarray(np.stack(pts)),
+                       np.stack(confs),
+                       np.array(refs), np.array(edges)))
+    return groups
 
 
-def _residuals(term, rotations, translations, log_sigmas, pointmaps):
-    """(sigma, rotated points y, residuals Xhat - sigma (y + t)) of one term."""
-    e, n, view, x, _ = term
-    sigma = np.exp(log_sigmas[e])
-    y = x @ rotations[n].T
-    r = pointmaps[view].reshape(-1, 3) - sigma * (y + translations[n])
-    return sigma, y, r
+def _group_residuals(group, rotations, translations, sigmas, xhat):
+    """(A, b, r) of one target-view group: A = sigma R as (K, 3, 3),
+    b = sigma t as (K, 3) and the residuals r = Xhat - (A X + b) as
+    (K, 3, HW)."""
+    _, x, _, refs, edges = group
+    sig = sigmas[edges]
+    A = sig[:, None, None] * rotations[refs]
+    b = sig[:, None] * translations[refs]
+    r = A @ x
+    r += b[:, :, None]
+    np.subtract(xhat, r, out=r)
+    return A, b, r
 
 
 def _smoothed_norms(r, norm_eps):
-    return np.sqrt(np.einsum("ij,ij->i", r, r) + norm_eps**2)
+    q = np.einsum("kip,kip->kp", r, r)
+    q += norm_eps**2
+    return np.sqrt(q, out=q)
+
+
+def _pixels_last(pointmaps):
+    """Per-view (H, W, 3) maps as contiguous (3, HW) arrays."""
+    return [np.ascontiguousarray(pm.reshape(-1, 3).T) for pm in pointmaps]
 
 
 def _objective(terms, rotations, translations, log_sigmas, pointmaps,
                norm_eps):
     """Objective sum C (sqrt(|r|^2 + eps^2) - eps) over all terms."""
+    rotations, translations = np.asarray(rotations), np.asarray(translations)
+    sigmas = np.exp(log_sigmas)
+    xhat = _pixels_last(pointmaps)
     obj = 0.0
-    for term in terms:
-        _, _, r = _residuals(term, rotations, translations, log_sigmas,
-                             pointmaps)
-        obj += float(term[4] @ (_smoothed_norms(r, norm_eps) - norm_eps))
+    for group in terms:
+        _, _, r = _group_residuals(group, rotations, translations, sigmas,
+                                   xhat[group[0]])
+        q = _smoothed_norms(r, norm_eps)
+        q -= norm_eps
+        obj += float(np.vdot(group[2], q))
     return obj
 
 
@@ -300,30 +332,37 @@ def _gradients(terms, rotations, translations, log_sigmas, pointmaps,
     log sigmas, pointmaps).
 
     Rotation gradients are taken w.r.t. a left-multiplied axis-angle
-    increment delta: R <- exp(delta) R. Per term, with w_i = c_i r_i /
-    smooth_i (d obj / d r_i) and the moment matrix M = sum_i y_i w_i^T:
-    d r_i / d delta = sigma skew(y_i), so the rotation gradient is
-    -sigma sum_i y_i x w_i, the axial vector of M - M^T; and
-    d r_i / d log sigma = -sigma (y_i + t), so that gradient is
-    -sigma (trace(M) + s . t) with s = sum_i w_i.
+    increment delta: R <- exp(delta) R. Per term, with Y_i = sigma R x_i,
+    b = sigma t, w_i = c_i r_i / smooth_i (d obj / d r_i), s = sum_i w_i
+    and the moment matrix M = sum_i Y_i w_i^T: d r_i / d delta =
+    skew(Y_i), so the rotation gradient is -sum_i Y_i x w_i = -axial(M),
+    the axial vector of M - M^T; d r_i / d t = -sigma I, so that gradient
+    is -sigma s; and d r_i / d log sigma = -(Y_i + b), so that gradient is
+    -(tr M + s . b). Every pixel of a view's group adds to that view's
+    pointmap gradient (d r / d Xhat = I); the pose and scale gradients
+    gather per term, never per pixel.
     """
+    rotations, translations = np.asarray(rotations), np.asarray(translations)
+    sigmas = np.exp(log_sigmas)
+    xhat = _pixels_last(pointmaps)
     g_rot = np.zeros((len(rotations), 3))
     g_trn = np.zeros((len(rotations), 3))
     g_sig = np.zeros_like(log_sigmas)
     g_pm = [np.zeros_like(pm) for pm in pointmaps]
-    for term in terms:
-        e, n, view, _, c = term
-        sigma, y, r = _residuals(term, rotations, translations, log_sigmas,
-                                 pointmaps)
-        w = r * (c / _smoothed_norms(r, norm_eps))[:, None]
-        g_pm[view] += w.reshape(pointmaps[view].shape)  # d r / d Xhat = I
-        s = w.sum(0)
-        M = y.T @ w
-        g_trn[n] -= sigma * s
-        g_rot[n] -= sigma * np.array(
-            [M[1, 2] - M[2, 1], M[2, 0] - M[0, 2], M[0, 1] - M[1, 0]]
-        )
-        g_sig[e] -= sigma * (np.trace(M) + s @ translations[n])
+    for group in terms:
+        view, x, c, refs, edges = group
+        A, b, w = _group_residuals(group, rotations, translations, sigmas,
+                                   xhat[view])
+        w *= (c / _smoothed_norms(w, norm_eps))[:, None, :]
+        g_pm[view] = w.sum(0).T.reshape(pointmaps[view].shape)
+        s = w.sum(2)
+        M = A @ (x @ w.transpose(0, 2, 1))  # Y w^T without forming Y
+        np.add.at(g_rot, refs, -np.stack(
+            [M[:, 1, 2] - M[:, 2, 1], M[:, 2, 0] - M[:, 0, 2],
+             M[:, 0, 1] - M[:, 1, 0]], axis=1))
+        np.add.at(g_trn, refs, -sigmas[edges][:, None] * s)
+        np.add.at(g_sig, edges,
+                  -(np.trace(M, axis1=1, axis2=2) + (s * b).sum(1)))
     return g_rot, g_trn, g_sig, g_pm
 
 

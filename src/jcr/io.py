@@ -40,18 +40,18 @@ def save_poses(path, poses):
 
 
 def load_poses(path):
-    try:
-        data = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read pose file {path}: {exc}") from exc
+    data = load_json(path)
     if not isinstance(data, list) or not all(isinstance(e, dict) for e in data):
         raise InputError(f"{path}: expected a JSON list of pose objects")
     poses = []
     for i, entry in enumerate(data):
-        m = entry.get("matrix")
-        if m is None or len(m) != 16:
+        try:
+            m = np.array(entry.get("matrix"), dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            m = None
+        if m is None or m.shape != (16,):
             raise InputError(f"{path}: entry {i} lacks a 16-number matrix")
-        poses.append(Pose.from_matrix(np.array(m), frame=entry.get("frame") or None))
+        poses.append(Pose.from_matrix(m, frame=entry.get("frame") or None))
     return poses
 
 
@@ -74,11 +74,21 @@ def save_pair(path, pair: PairwisePrediction):
 
 
 def load_pair(path):
-    raw = Path(path).read_bytes()
+    raw = _read_bytes(path)
     if raw[: len(PM_MAGIC)] != PM_MAGIC:
         raise InputError(f"{path}: bad magic, not a pointmap container")
-    w, h, n, m = struct.unpack_from("<4i", raw, len(PM_MAGIC))
     off = len(PM_MAGIC) + 16
+    if len(raw) < off:
+        raise InputError(f"{path}: header truncated ({len(raw)} of {off} bytes)")
+    w, h, n, m = struct.unpack_from("<4i", raw, len(PM_MAGIC))
+    if w <= 0 or h <= 0:
+        raise InputError(f"{path}: bad dimensions {w}x{h}")
+    body = 4 * 8 * w * h  # 3 + 3 + 1 + 1 float32 per pixel
+    if len(raw) - off != body:
+        raise InputError(
+            f"{path}: truncated or trailing data ({len(raw) - off} body bytes "
+            f"for {w}x{h}, expected {body})"
+        )
     sizes = [(h, w, 3), (h, w, 3), (h, w), (h, w)]
     arrays = []
     for shape in sizes:
@@ -86,8 +96,6 @@ def load_pair(path):
         arr = np.frombuffer(raw, dtype="<f4", count=count, offset=off)
         arrays.append(arr.reshape(shape).astype(float))
         off += count * 4
-    if off != len(raw):
-        raise InputError(f"{path}: trailing bytes ({len(raw) - off})")
     return PairwisePrediction(
         n=n,
         m=m,
@@ -115,19 +123,23 @@ def save_pair_set(directory, pairs, graph: PairGraph):
 
 def load_pair_set(manifest_path):
     manifest_path = Path(manifest_path)
-    try:
-        manifest = json.loads(manifest_path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read pair manifest {manifest_path}: {exc}") from exc
+    manifest = load_json(manifest_path)
     if not isinstance(manifest, dict) or "pairs" not in manifest:
         raise InputError(f'{manifest_path}: manifest lacks a "pairs" list')
-    pairs = [
-        load_pair(manifest_path.parent / e["file"]) for e in manifest["pairs"]
-    ]
-    graph = PairGraph(
-        int(manifest["num_views"]), tuple((p.n, p.m) for p in pairs)
-    )
-    return pairs, graph
+    entries, num_views = manifest["pairs"], manifest.get("num_views")
+    if not isinstance(entries, list) or not all(
+        isinstance(e, dict) and isinstance(e.get("file"), str) for e in entries
+    ):
+        raise InputError(f'{manifest_path}: "pairs" must list objects with a "file"')
+    if type(num_views) is not int or num_views < 1:
+        raise InputError(f'{manifest_path}: manifest lacks a positive "num_views"')
+    pairs = [load_pair(manifest_path.parent / e["file"]) for e in entries]
+    for p in pairs:
+        if not (0 <= p.n < num_views and 0 <= p.m < num_views):
+            raise InputError(
+                f"{manifest_path}: pair ({p.n},{p.m}) outside {num_views} views"
+            )
+    return pairs, PairGraph(num_views, tuple((p.n, p.m) for p in pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -175,28 +187,45 @@ def load_ply(path):
 
     Returns (points, colors or None, labels or None).
     """
-    raw = Path(path).read_bytes()
+    raw = _read_bytes(path)
     end = raw.find(b"end_header\n")
     if end < 0:
         raise InputError(f"{path}: missing PLY header terminator")
-    header = raw[:end].decode("ascii").splitlines()
+    try:
+        header = raw[:end].decode("ascii").splitlines()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: PLY header is not ASCII") from exc
     body = raw[end + len(b"end_header\n") :]
+    formats = [line.split() for line in header if line.split()[:1] == ["format"]]
+    if formats != [["format", "binary_little_endian", "1.0"]]:
+        raise InputError(f"{path}: only binary little-endian PLY 1.0 is read")
     n = None
     fields = []
     type_map = {"float": "<f4", "uchar": "u1", "int": "<i4"}
     for line in header:
         parts = line.split()
-        if parts[:2] == ["element", "vertex"]:
+        if parts[:1] == ["element"]:
+            if parts[1:2] != ["vertex"] or len(parts) != 3 or not parts[2].isdigit():
+                raise InputError(f"{path}: unsupported PLY element {line!r}")
             n = int(parts[2])
-        elif parts and parts[0] == "property":
+        elif parts[:1] == ["property"]:
+            if len(parts) != 3 or parts[1] not in type_map:
+                raise InputError(f"{path}: unsupported PLY property {line!r}")
             fields.append((parts[2], type_map[parts[1]]))
     if n is None:
         raise InputError(f"{path}: no vertex element")
-    rec = np.frombuffer(body, dtype=np.dtype(fields), count=n)
+    names = [name for name, _ in fields]
+    if len(set(names)) != len(names) or not {"x", "y", "z"} <= set(names):
+        raise InputError(f"{path}: PLY needs x, y, z properties, each once")
+    if 0 < len({"red", "green", "blue"} & set(names)) < 3:
+        raise InputError(f"{path}: PLY colors need red, green and blue")
+    dtype = np.dtype(fields)
+    if len(body) < n * dtype.itemsize:
+        raise InputError(f"{path}: truncated PLY body")
+    rec = np.frombuffer(body, dtype=dtype, count=n)
     points = np.column_stack([rec["x"], rec["y"], rec["z"]]).astype(float)
     colors = None
     labels = None
-    names = rec.dtype.names
     if "red" in names:
         colors = (
             np.column_stack([rec["red"], rec["green"], rec["blue"]]).astype(float)
@@ -218,5 +247,13 @@ def save_json(path, obj):
 def load_json(path):
     try:
         return json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    # ValueError: bad JSON or UTF-8; RecursionError: nesting too deep.
+    except (OSError, ValueError, RecursionError) as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
+
+
+def _read_bytes(path):
+    try:
+        return Path(path).read_bytes()
+    except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc

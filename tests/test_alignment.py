@@ -293,6 +293,33 @@ class TestObjectiveGradients:
             self._check(g_pm[v][idx], self._fd(problem, nudge))
 
 
+class TestObjectiveGradientsUneven(TestObjectiveGradients):
+    """The same checks on a 6-view graph with pair dropout, where the views
+    are targets of different numbers of residual terms."""
+
+    @pytest.fixture(scope="class")
+    def problem(self):
+        ds = pose_dataset(
+            seed=40, num_poses=6, with_pointmaps=True,
+            noise=NoiseProfile(dropout=0.3),
+            camera=CameraConfig(width=8, height=6),
+        )
+        preds = [next(p for p in ds.pairs if (p.n, p.m) == e)
+                 for e in ds.graph.edges]
+        rot, trn, sigmas, pms, _ = _initialize(preds, ds.graph)
+        rng = np.random.default_rng(2)
+        rot = [exp_map(rng.normal(scale=0.02, size=3)) @ R for R in rot]
+        trn = [t + rng.normal(scale=0.02, size=3) for t in trn]
+        log_sigmas = np.log(sigmas) + rng.normal(scale=0.05, size=len(sigmas))
+        pms = [pm + rng.normal(scale=0.01, size=pm.shape) for pm in pms]
+        return preds, _terms(preds), rot, trn, log_sigmas, pms
+
+    def test_target_views_have_uneven_term_counts(self, problem):
+        preds = problem[0]
+        counts = np.bincount([p.n for p in preds] + [p.m for p in preds])
+        assert len(counts) == 6 and len(set(counts)) > 1
+
+
 @pytest.fixture(scope="module")
 def result():
     ds = pose_dataset(seed=36, num_poses=4, with_pointmaps=True)

@@ -1,13 +1,16 @@
 """Serialization round trips for poses, pointmap containers, and PLY."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from jcr import io
 from jcr.alignment import PairGraph, PairwisePrediction
-from jcr.errors import InputError
+from jcr.errors import InputError, JCRError
 from jcr.geometry import Pose, random_rotation
 
 
@@ -54,6 +57,13 @@ class TestPoses:
         path = tmp_path / "nan.json"
         path.write_text(json.dumps([{"frame": "x", "matrix": m}]))
         with pytest.raises(InputError, match="non-finite"):
+            io.load_poses(path)
+
+    @pytest.mark.parametrize("matrix", [5, ["a"] * 16, [[0] * 4] * 4])
+    def test_matrix_not_16_numbers(self, tmp_path, matrix):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps([{"frame": "x", "matrix": matrix}]))
+        with pytest.raises(InputError, match="16-number matrix"):
             io.load_poses(path)
 
     @pytest.mark.parametrize(
@@ -110,6 +120,55 @@ class TestPairContainers:
         with pytest.raises(InputError, match='"pairs"'):
             io.load_pair_set(path)
 
+    def test_manifest_without_num_views(self, tmp_path):
+        rng = np.random.default_rng(5)
+        manifest = io.save_pair_set(
+            tmp_path, [_random_pair(rng)], PairGraph(2, ((0, 1),))
+        )
+        data = json.loads(manifest.read_text())
+        del data["num_views"]
+        manifest.write_text(json.dumps(data))
+        with pytest.raises(InputError, match='"num_views"'):
+            io.load_pair_set(manifest)
+
+    def test_pair_entry_without_file(self, tmp_path):
+        path = tmp_path / "pairs.json"
+        path.write_text(json.dumps({"num_views": 2, "pairs": [{"n": 0, "m": 1}]}))
+        with pytest.raises(InputError, match='"file"'):
+            io.load_pair_set(path)
+
+    def test_pair_outside_num_views(self, tmp_path):
+        rng = np.random.default_rng(5)
+        manifest = io.save_pair_set(
+            tmp_path, [_random_pair(rng, 0, 2)], PairGraph(3, ((0, 2),))
+        )
+        data = json.loads(manifest.read_text())
+        data["num_views"] = 2
+        manifest.write_text(json.dumps(data))
+        with pytest.raises(InputError, match="outside 2 views"):
+            io.load_pair_set(manifest)
+
+    def test_short_header(self, tmp_path):
+        path = tmp_path / "short.jcrpm"
+        path.write_bytes(io.PM_MAGIC + b"\x01" * 15)
+        with pytest.raises(InputError, match="header truncated"):
+            io.load_pair(path)
+
+    @pytest.mark.parametrize("w, h", [(-2, 3), (3, -1), (0, 3), (3, 0)])
+    def test_bad_dimensions(self, tmp_path, w, h):
+        path = tmp_path / "dims.jcrpm"
+        path.write_bytes(io.PM_MAGIC + struct.pack("<4i", w, h, 0, 1) + b"\x00" * 64)
+        with pytest.raises(InputError, match="bad dimensions"):
+            io.load_pair(path)
+
+    def test_truncated_body(self, tmp_path):
+        rng = np.random.default_rng(6)
+        path = tmp_path / "pair.jcrpm"
+        io.save_pair(path, _random_pair(rng))
+        path.write_bytes(path.read_bytes()[:-5])
+        with pytest.raises(InputError, match="truncated"):
+            io.load_pair(path)
+
 
 class TestPly:
     def test_full_round_trip(self, tmp_path):
@@ -138,6 +197,28 @@ class TestPly:
         with pytest.raises(InputError):
             io.load_ply(path)
 
+    def test_ascii_format_rejected(self, tmp_path):
+        path = tmp_path / "ascii.ply"
+        header = "\n".join([
+            "ply", "format ascii 1.0", "element vertex 2",
+            "property float x", "property float y", "property float z",
+            "end_header",
+        ])
+        path.write_bytes(header.encode("ascii") + b"\n1 2 3\n4 5 6\n" + b" " * 12)
+        with pytest.raises(InputError, match="binary little-endian"):
+            io.load_ply(path)
+
+    def test_unsupported_property_type(self, tmp_path):
+        path = tmp_path / "double.ply"
+        header = "\n".join([
+            "ply", "format binary_little_endian 1.0", "element vertex 1",
+            "property double x", "property double y", "property double z",
+            "end_header",
+        ])
+        path.write_bytes(header.encode("ascii") + b"\n" + b"\x00" * 24)
+        with pytest.raises(InputError, match="unsupported PLY property"):
+            io.load_ply(path)
+
 
 class TestJson:
     def test_round_trip(self, tmp_path):
@@ -150,3 +231,114 @@ class TestJson:
         path.write_text("{nope")
         with pytest.raises(InputError):
             io.load_json(path)
+
+    def test_nesting_too_deep(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        with pytest.raises(InputError):
+            io.load_json(path)
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing: whatever the bytes or JSON, the loaders raise JCRError or succeed.
+
+_FUZZ = settings(
+    derandomize=True, deadline=None, max_examples=150,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=20,
+)
+_matrix = _json | st.lists(
+    st.integers() | st.floats() | st.text(max_size=3), min_size=16, max_size=16
+)
+_poses = st.lists(
+    st.fixed_dictionaries({}, optional={"frame": _json, "matrix": _matrix}),
+    max_size=3,
+)
+_pair_files = ("good.jcrpm", "junk.jcrpm", "missing.jcrpm", "", ".")
+_manifest = st.fixed_dictionaries(
+    {"pairs": st.lists(
+        st.fixed_dictionaries({}, optional={
+            "file": st.sampled_from(_pair_files) | _json,
+            "n": _json,
+        }) | _json,
+        max_size=3,
+    )},
+    optional={"num_views": st.integers(-1, 3) | _json},
+)
+_pm_header = st.builds(
+    lambda dims, ids, body: (
+        io.PM_MAGIC + struct.pack("<4i", *dims, *ids) + bytes(body)
+    ),
+    st.tuples(st.integers(-2, 3), st.integers(-2, 3)),
+    st.tuples(st.integers(-2, 3), st.integers(-2, 3)),
+    st.integers(0, 300),
+)
+_pm_bytes = st.binary() | st.binary(max_size=24).map(io.PM_MAGIC.__add__) | _pm_header
+_ply_line = st.sampled_from([
+    "format ascii 1.0", "element vertex 2",
+    "element vertex -1", "element face 1", "element vertex",
+    "property float x", "property float y", "property float z",
+    "property uchar red", "property uchar green", "property uchar blue",
+    "property int label", "property double x", "property list uchar int f",
+    "property float", "comment hi",
+]) | st.text(max_size=12)
+_ply_bytes = st.binary() | st.builds(
+    lambda lines, body: (
+        "\n".join(["ply", "format binary_little_endian 1.0", *lines, "end_header"])
+        .encode("utf-8") + b"\n" + body
+    ),
+    st.lists(_ply_line, max_size=8),
+    st.binary(max_size=64),
+)
+
+
+def _only_jcr_errors(loader, path):
+    try:
+        loader(path)
+    except JCRError:
+        pass
+
+
+class TestLoaderFuzz:
+    @_FUZZ
+    @given(data=st.binary() | _json.map(lambda v: json.dumps(v).encode()))
+    def test_json_loaders(self, tmp_path, data):
+        path = tmp_path / "fuzz.json"
+        path.write_bytes(data)
+        for loader in (io.load_json, io.load_poses, io.load_pair_set):
+            _only_jcr_errors(loader, path)
+
+    @_FUZZ
+    @given(poses=_poses)
+    def test_pose_lists(self, tmp_path, poses):
+        path = tmp_path / "poses.json"
+        path.write_text(json.dumps(poses))
+        _only_jcr_errors(io.load_poses, path)
+
+    @_FUZZ
+    @given(manifest=_manifest)
+    def test_pair_manifests(self, tmp_path, manifest):
+        io.save_pair(tmp_path / "good.jcrpm", _random_pair(np.random.default_rng(7)))
+        (tmp_path / "junk.jcrpm").write_bytes(io.PM_MAGIC + b"\x07" * 30)
+        path = tmp_path / "pairs.json"
+        path.write_text(json.dumps(manifest))
+        _only_jcr_errors(io.load_pair_set, path)
+
+    @_FUZZ
+    @given(data=_pm_bytes)
+    def test_pair_containers(self, tmp_path, data):
+        path = tmp_path / "fuzz.jcrpm"
+        path.write_bytes(data)
+        _only_jcr_errors(io.load_pair, path)
+
+    @_FUZZ
+    @given(data=_ply_bytes)
+    def test_ply(self, tmp_path, data):
+        path = tmp_path / "fuzz.ply"
+        path.write_bytes(data)
+        _only_jcr_errors(io.load_ply, path)
