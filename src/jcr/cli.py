@@ -283,11 +283,12 @@ def cmd_train_field(args):
 
 def cmd_query(args):
     model = FieldModel.from_dict(io.load_json(args.model))
-    pts = np.loadtxt(args.points, delimiter=",", ndmin=2)
-    out = np.atleast_2d(query(model, pts))
-    if out.shape[0] != len(pts):
-        out = out.reshape(len(pts), -1)
-    np.savetxt(args.out, out, delimiter=",", fmt="%.8g")
+    try:
+        pts = np.loadtxt(args.points, delimiter=",", ndmin=2)
+    except ValueError as exc:
+        raise InputError(f"{args.points}: not a CSV of numbers: {exc}") from exc
+    # savetxt writes a 1-D result (occupancy) as one column.
+    np.savetxt(args.out, query(model, pts), delimiter=",", fmt="%.8g")
     return EXIT_OK
 
 

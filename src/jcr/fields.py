@@ -35,6 +35,12 @@ class PositionalEncoding:
     num_frequencies: int = 6
     include_raw: bool = True
 
+    def __post_init__(self):
+        nf = self.num_frequencies
+        if (not isinstance(nf, (int, np.integer)) or isinstance(nf, bool) or nf < 0
+                or self.include_raw not in (True, False) or self.output_dim < 1):
+            raise InputError(f"unusable encoding {self}")
+
     @property
     def output_dim(self):
         return 3 * self.include_raw + 6 * self.num_frequencies
@@ -93,7 +99,10 @@ class FieldModel:
     def forward(self, points):
         """Raw head output (pre-activation) for (N, 3) coordinates."""
         feat = self.encoding.encode(self.normalize(points))
-        h = np.maximum(feat @ self.W1 + self.b1, 0.0)
+        # In place: a grid query holds one (N, hidden) array, not two.
+        h = feat @ self.W1
+        h += self.b1
+        np.maximum(h, 0.0, out=h)
         return h @ self.W2 + self.b2
 
     def to_dict(self):
@@ -135,37 +144,71 @@ class FieldModel:
 
     @staticmethod
     def from_dict(d):
+        """Inverse of ``to_dict``; a malformed or inconsistent dict raises
+        ``InputError``."""
         def unblob(s, shape):
             a = np.frombuffer(base64.b64decode(s), dtype=np.float32)
             return a.reshape(shape).astype(float)
 
-        enc = PositionalEncoding(**d["encoding"])
-        w1_shape = d["shapes"]["W1"]
-        w2_shape = d["shapes"]["W2"]
-        cfg = d.get("train_config")
-        if cfg is not None:
-            if cfg.get("neg_bounds") is not None:
-                cfg = dict(cfg, neg_bounds=tuple(map(tuple, cfg["neg_bounds"])))
-            cfg = TrainConfig(**cfg)
-        return FieldModel(
-            head=d["head"],
-            encoding=enc,
-            W1=unblob(d["weights"]["W1"], w1_shape),
-            b1=unblob(d["weights"]["b1"], (w1_shape[1],)),
-            W2=unblob(d["weights"]["W2"], w2_shape),
-            b2=unblob(d["weights"]["b2"], (w2_shape[1],)),
-            norm_center=np.array(d["norm_center"], dtype=float),
-            norm_half=np.array(d["norm_half"], dtype=float),
-            num_classes=int(d["num_classes"]),
-            class_values=(
-                None
-                if d.get("class_values") is None
-                else np.array(d["class_values"])
-            ),
-            final_loss=float(d["final_loss"]),
-            initial_loss=float(d["initial_loss"]),
-            train_config=cfg,
-        )
+        try:
+            enc = PositionalEncoding(**d["encoding"])
+            w1_shape = d["shapes"]["W1"]
+            w2_shape = d["shapes"]["W2"]
+            cfg = d.get("train_config")
+            if cfg is not None:
+                if cfg.get("neg_bounds") is not None:
+                    cfg = dict(cfg, neg_bounds=tuple(map(tuple, cfg["neg_bounds"])))
+                cfg = TrainConfig(**cfg)
+            model = FieldModel(
+                head=d["head"],
+                encoding=enc,
+                W1=unblob(d["weights"]["W1"], w1_shape),
+                b1=unblob(d["weights"]["b1"], (w1_shape[1],)),
+                W2=unblob(d["weights"]["W2"], w2_shape),
+                b2=unblob(d["weights"]["b2"], (w2_shape[1],)),
+                norm_center=np.array(d["norm_center"], dtype=float),
+                norm_half=np.array(d["norm_half"], dtype=float),
+                num_classes=int(d["num_classes"]),
+                class_values=(
+                    None
+                    if d.get("class_values") is None
+                    else np.array(d["class_values"])
+                ),
+                final_loss=float(d["final_loss"]),
+                initial_loss=float(d["initial_loss"]),
+                train_config=cfg,
+            )
+        except (AttributeError, KeyError, IndexError, OverflowError,
+                TypeError, ValueError) as exc:
+            raise InputError(f"malformed field model: {exc!r}") from exc
+        model._check()
+        return model
+
+    def _check(self):
+        """Raise InputError unless ``query`` can evaluate this model."""
+        if self.head not in (HEAD_OCCUPANCY, HEAD_SEGMENTATION, HEAD_COLOR):
+            raise InputError(f"unknown head {self.head!r}")
+        if self.head == HEAD_SEGMENTATION and self.num_classes < 2:
+            raise InputError(f"segmentation head with {self.num_classes} classes")
+        out_dim = {HEAD_OCCUPANCY: 1, HEAD_SEGMENTATION: self.num_classes,
+                   HEAD_COLOR: 3}[self.head]
+        hidden = len(self.b1)
+        if hidden < 1:
+            raise InputError("model has no hidden units")
+        expect = {"W1": (self.encoding.output_dim, hidden), "b1": (hidden,),
+                  "W2": (hidden, out_dim), "b2": (out_dim,)}
+        for name, shape in expect.items():
+            if getattr(self, name).shape != shape:
+                raise InputError(f"{self.head} weights {name} have shape "
+                                 f"{getattr(self, name).shape}, expected {shape}")
+        if self.class_values is not None and self.class_values.shape != (out_dim,):
+            raise InputError(f"class_values has shape {self.class_values.shape}, "
+                             f"expected ({out_dim},)")
+        c, h = self.norm_center, self.norm_half
+        if (c.shape != (3,) or h.shape != (3,) or not np.isfinite([c, h]).all()
+                or (h <= 0).any()):
+            raise InputError("norm_center and norm_half must be finite 3-vectors, "
+                             "norm_half positive")
 
 
 def _sigmoid(z):
@@ -211,18 +254,34 @@ def _loss_and_dz(head, z, y):
     return float(loss), dz
 
 
-def _forward_backward(params, feat, y, head):
+def _forward_backward(params, feat, y, head, hidden=None):
+    """Batch loss and gradients.
+
+    ``hidden`` is an optional scratch buffer of at least ``len(feat)`` rows
+    and one column per hidden unit. It holds the hidden layer's
+    pre-activation, then its activation, then its gradient, so a training
+    step allocates no batch-by-hidden temporaries besides the ReLU mask.
+    """
     W1, b1, W2, b2 = params
-    z1 = feat @ W1 + b1
-    a = np.maximum(z1, 0.0)
-    z2 = a @ W2 + b2
+    h = np.matmul(feat, W1, out=None if hidden is None else hidden[: len(feat)])
+    h += b1
+    mask = h > 0
+    np.maximum(h, 0.0, out=h)
+    z2 = h @ W2 + b2
     loss, dz2 = _loss_and_dz(head, z2, y)
-    dW2 = a.T @ dz2
+    dW2 = h.T @ dz2
     db2 = dz2.sum(axis=0)
-    da = dz2 @ W2.T
-    dz1 = da * (z1 > 0)
-    dW1 = feat.T @ dz1
-    db1 = dz1.sum(axis=0)
+    # da = dz2 @ W2.T, written over the activation. With one output column
+    # that is an outer product: broadcasting forms each element with the
+    # same single multiplication as the k=1 matmul, at a fraction of its cost.
+    if W2.shape[1] == 1:
+        np.multiply(dz2, W2[:, 0], out=h)
+    else:
+        np.matmul(dz2, W2.T, out=h)
+    # A multiply, not a masked store, so that NaN and inf propagate.
+    h *= mask
+    dW1 = feat.T @ h
+    db1 = h.sum(axis=0)
     return loss, (dW1, db1, dW2, db2)
 
 
@@ -243,39 +302,50 @@ def _norm_box(points, inflation=0.0):
     return center, half
 
 
-def _train(points, y, head, out_dim, cfg: TrainConfig, resample_negatives=None):
-    """Shared training loop; ``resample_negatives`` refreshes part of the
-    dataset each epoch (NCE-style) when provided."""
+def _train(points, y, head, out_dim, cfg: TrainConfig, negatives=None):
+    """Shared training loop.
+
+    ``negatives = (lo, hi, n)`` adds ``n`` samples labeled 0, drawn
+    uniformly from the box ``[lo, hi]`` afresh every epoch (NCE-style); the
+    coordinate normalization then covers that box too.
+    """
     rng = np.random.default_rng(cfg.seed)
     enc = PositionalEncoding(cfg.num_frequencies, cfg.include_raw)
-    center, half = _norm_box(points, inflation=0.05)
+    box = points
+    if negatives is not None:
+        lo, hi, n_neg = negatives
+        box = np.vstack([points, lo, hi])
+    center, half = _norm_box(box, inflation=0.05)
     params = _init_params(rng, enc.output_dim, cfg.hidden_size, out_dim)
     velocity = [np.zeros_like(p) for p in params]
 
     def encode(p):
         return enc.encode((p - center) / half)
 
+    # The given points never change, so they are encoded once; each epoch
+    # encodes only its fresh negatives, into the rows after them.
+    feat = encode(points)
+    if negatives is not None:
+        feat = np.vstack([feat, np.empty((n_neg, enc.output_dim))])
+        y = np.concatenate([y, np.zeros(n_neg)])
+    hidden = np.empty((min(cfg.batch_size, len(feat)), cfg.hidden_size))
     initial_loss = None
-    loss = float("nan")
     for epoch in range(cfg.epochs):
-        if resample_negatives is not None:
-            pts, targets = resample_negatives(rng)
-        else:
-            pts, targets = points, y
-        feat = encode(pts)
+        if negatives is not None:
+            feat[len(points):] = encode(rng.uniform(lo, hi, size=(n_neg, 3)))
         order = rng.permutation(len(feat))
         epoch_loss = 0.0
         nb = 0
         for s in range(0, len(order), cfg.batch_size):
             idx = order[s : s + cfg.batch_size]
-            loss, grads = _forward_backward(params, feat[idx], targets[idx], head)
+            loss, grads = _forward_backward(params, feat[idx], y[idx], head, hidden)
             epoch_loss += loss
             nb += 1
             for p, v, g in zip(params, velocity, grads):
                 v *= cfg.momentum
                 v -= cfg.learning_rate * g
                 p += v
-        loss = epoch_loss / max(nb, 1)
+        loss = epoch_loss / nb
         if initial_loss is None:
             initial_loss = loss
     log.info("trained %s head: loss %.4g -> %.4g", head, initial_loss, loss)
@@ -295,11 +365,35 @@ def _train(points, y, head, out_dim, cfg: TrainConfig, resample_negatives=None):
     )
 
 
-def _positive_points(cloud):
-    pts = np.asarray(cloud.points if hasattr(cloud, "points") else cloud)
-    if len(pts) == 0:
+def _check_config(cfg):
+    """Raise InputError for a TrainConfig that cannot train."""
+    PositionalEncoding(cfg.num_frequencies, cfg.include_raw)
+    lows = {"epochs": 1, "batch_size": 1, "hidden_size": 1, "seed": 0}
+    for name, low in lows.items():
+        v = getattr(cfg, name)
+        if not isinstance(v, (int, np.integer)) or isinstance(v, bool) or v < low:
+            raise InputError(f"TrainConfig.{name} must be an integer >= {low}, got {v!r}")
+    for name in ("learning_rate", "momentum", "negatives_per_positive",
+                 "bounds_inflation"):
+        v = getattr(cfg, name)
+        if not isinstance(v, (int, float, np.number)) or not np.isfinite(v):
+            raise InputError(f"TrainConfig.{name} must be a finite number, got {v!r}")
+    if cfg.negatives_per_positive <= 0:
+        raise InputError("TrainConfig.negatives_per_positive must be positive")
+
+
+def _training_inputs(cloud, cfg):
+    """The cloud's points as a finite (N, 3) array, and a checked config."""
+    cfg = cfg or TrainConfig()
+    _check_config(cfg)
+    pts = np.asarray(cloud.points if hasattr(cloud, "points") else cloud, dtype=float)
+    if pts.size == 0:
         raise EmptyCloud("no points to train on")
-    return pts
+    if pts.ndim != 2 or pts.shape[1] != 3:
+        raise InputError(f"points must be (N, 3), got shape {pts.shape}")
+    if not np.isfinite(pts).all():
+        raise InputError("points must be finite")
+    return pts, cfg
 
 
 def train_occupancy(cloud, cfg: TrainConfig | None = None) -> FieldModel:
@@ -308,11 +402,12 @@ def train_occupancy(cloud, cfg: TrainConfig | None = None) -> FieldModel:
     Negatives are redrawn every epoch from the configured box (default:
     cloud bounding box inflated by 20% per axis).
     """
-    cfg = cfg or TrainConfig()
-    pos = _positive_points(cloud)
+    pos, cfg = _training_inputs(cloud, cfg)
     if cfg.neg_bounds is not None:
         lo = np.asarray(cfg.neg_bounds[0], dtype=float)
         hi = np.asarray(cfg.neg_bounds[1], dtype=float)
+        if lo.shape != (3,) or hi.shape != (3,) or not np.isfinite([lo, hi]).all():
+            raise DegenerateBounds("neg_bounds must be two finite 3-vectors")
     else:
         center, half = _norm_box(pos, inflation=cfg.bounds_inflation)
         lo, hi = center - half, center + half
@@ -321,24 +416,23 @@ def train_occupancy(cloud, cfg: TrainConfig | None = None) -> FieldModel:
     if (pos.min(axis=0) < lo - 1e-9).any() or (pos.max(axis=0) > hi + 1e-9).any():
         raise DegenerateBounds("negative-sample box does not contain the cloud")
     n_neg = max(int(len(pos) * cfg.negatives_per_positive), 1)
-
-    def resample(rng):
-        neg = rng.uniform(lo, hi, size=(n_neg, 3))
-        pts = np.vstack([pos, neg])
-        targets = np.concatenate([np.ones(len(pos)), np.zeros(n_neg)])
-        return pts, targets
-
-    # Normalization must cover negatives too; train on the box extents.
-    box_corners = np.vstack([pos, lo[None, :], hi[None, :]])
-    model = _train(box_corners, None, HEAD_OCCUPANCY, 1, cfg, resample)
-    return model
+    return _train(pos, np.ones(len(pos)), HEAD_OCCUPANCY, 1, cfg, (lo, hi, n_neg))
 
 
 def train_segmentation(cloud, cfg: TrainConfig | None = None) -> FieldModel:
     """Multi-class field over per-point integer labels."""
-    cfg = cfg or TrainConfig()
-    pts = _positive_points(cloud)
-    labels = np.asarray(cloud.segmentation).astype(int)
+    pts, cfg = _training_inputs(cloud, cfg)
+    if getattr(cloud, "segmentation", None) is None:
+        raise EmptyCloud("cloud carries no segmentation labels")
+    labels = np.asarray(cloud.segmentation)
+    integral = labels.dtype.kind in "biu" or (
+        labels.dtype.kind == "f" and np.array_equal(labels, np.round(labels))
+        and np.isfinite(labels).all()
+    )
+    if labels.shape != (len(pts),) or not integral:
+        raise InputError(f"labels must be {len(pts)} integers, got "
+                         f"{labels.dtype} array of shape {labels.shape}")
+    labels = labels.astype(int)
     classes = np.unique(labels)
     if len(classes) < 2:
         raise SingleClass(f"only class {classes} present; nothing to separate")
@@ -351,11 +445,14 @@ def train_segmentation(cloud, cfg: TrainConfig | None = None) -> FieldModel:
 
 def train_color(cloud, cfg: TrainConfig | None = None) -> FieldModel:
     """RGB regression field; colors must lie in [0, 1]."""
-    cfg = cfg or TrainConfig()
-    pts = _positive_points(cloud)
+    pts, cfg = _training_inputs(cloud, cfg)
     if getattr(cloud, "colors", None) is None:
         raise EmptyCloud("cloud carries no colors")
     colors = np.asarray(cloud.colors, dtype=float)
+    if colors.shape != pts.shape:
+        raise InputError(f"colors must be (N, 3), got shape {colors.shape}")
+    if not np.isfinite(colors).all():
+        raise InputError("colors must be finite")
     if colors.min() < -1e-9 or colors.max() > 1 + 1e-9:
         raise InputError("colors must lie in [0, 1]")
     return _train(pts, colors, HEAD_COLOR, 3, cfg)
@@ -364,6 +461,10 @@ def train_color(cloud, cfg: TrainConfig | None = None) -> FieldModel:
 def query(model: FieldModel, points):
     """Batch evaluation: occupancy probability, class distribution, or RGB."""
     points = np.asarray(points, dtype=float)
+    if points.size and (points.ndim > 2 or points.shape[-1:] != (3,)):
+        raise InputError(f"query points must be (N, 3), got shape {points.shape}")
+    if not np.isfinite(points).all():
+        raise InputError("query points must be finite")
     if points.size == 0:
         shape = {HEAD_OCCUPANCY: (0,), HEAD_SEGMENTATION: (0, model.num_classes)}
         return np.zeros(shape.get(model.head, (0, 3)))

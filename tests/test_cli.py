@@ -113,6 +113,30 @@ class TestQueryAndEval:
         assert vals.shape == (2,)
         assert ((vals >= 0) & (vals <= 1)).all()
 
+    @pytest.mark.parametrize("text", [
+        "0,0,0.05\n0,0\n",  # ragged rows
+        "0,0\n1,1\n2,2\n3,3\n",  # (4, 2)
+        "0,zero,0\n",
+        "0,nan,0\n",
+    ])
+    def test_query_bad_points_exit_2(self, pipeline, tmp_path, text):
+        pts = tmp_path / "pts.csv"
+        pts.write_text(text)
+        assert main(
+            ["query", "--model", str(pipeline / "fields" / "field_occupancy.json"),
+             "--points", str(pts), "--out", str(tmp_path / "q.csv")]
+        ) == 2
+
+    def test_query_malformed_model_exit_2(self, pipeline, tmp_path):
+        model = io.load_json(pipeline / "fields" / "field_color.json")
+        model["weights"]["W2"] = model["weights"]["W2"][:-8]
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(model))
+        pts = tmp_path / "pts.csv"
+        pts.write_text("0,0,0.05\n")
+        assert main(["query", "--model", str(path), "--points", str(pts),
+                     "--out", str(tmp_path / "q.csv")]) == 2
+
     def test_eval_with_ground_truth(self, pipeline, tmp_path, capsys):
         report = tmp_path / "report.json"
         assert main(

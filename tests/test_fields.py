@@ -1,5 +1,7 @@
 """Implicit occupancy / segmentation / color fields."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,10 @@ from jcr.fields import (
     FieldModel,
     PositionalEncoding,
     TrainConfig,
+    _forward_backward,
+    _init_params,
+    _loss_and_dz,
+    _norm_box,
     gradient_check,
     query,
     train_color,
@@ -245,3 +251,213 @@ class TestQueryAndSerialization:
         back = FieldModel.from_dict(json.loads(json.dumps(model.to_dict())))
         q = rng.uniform(-0.2, 0.2, size=(20, 3))
         assert np.abs(query(model, q) - query(back, q)).max() < 1e-5
+
+
+def _reference_step(params, feat, y, head):
+    """One training step with fresh temporaries and ``dz2 @ W2.T``."""
+    W1, b1, W2, b2 = params
+    z1 = feat @ W1 + b1
+    a = np.maximum(z1, 0.0)
+    z2 = a @ W2 + b2
+    loss, dz2 = _loss_and_dz(head, z2, y)
+    dz1 = (dz2 @ W2.T) * (z1 > 0)
+    return loss, (feat.T @ dz1, dz1.sum(axis=0), a.T @ dz2, dz2.sum(axis=0))
+
+
+def _reference_train(head, cloud, cfg):
+    """The training loop written plainly: every epoch (re)builds and encodes
+    the whole training set, occupancy's positives and fresh negatives
+    stacked, and steps with ``_reference_step``."""
+    pts = cloud.points
+    if head == "occupancy":
+        center, half = _norm_box(pts, inflation=cfg.bounds_inflation)
+        lo, hi = center - half, center + half
+        n_neg = max(int(len(pts) * cfg.negatives_per_positive), 1)
+        box, out_dim = np.vstack([pts, lo, hi]), 1
+    elif head == "segmentation":
+        classes = np.unique(cloud.segmentation)
+        y = np.searchsorted(classes, cloud.segmentation)
+        box, out_dim = pts, len(classes)
+    else:
+        y, box, out_dim = cloud.colors, pts, 3
+    rng = np.random.default_rng(cfg.seed)
+    enc = PositionalEncoding(cfg.num_frequencies, cfg.include_raw)
+    center, half = _norm_box(box, inflation=0.05)
+    params = _init_params(rng, enc.output_dim, cfg.hidden_size, out_dim)
+    velocity = [np.zeros_like(p) for p in params]
+    losses = []
+    for _ in range(cfg.epochs):
+        if head == "occupancy":
+            x = np.vstack([pts, rng.uniform(lo, hi, size=(n_neg, 3))])
+            y = np.concatenate([np.ones(len(pts)), np.zeros(n_neg)])
+        else:
+            x = pts
+        feat = enc.encode((x - center) / half)
+        order = rng.permutation(len(feat))
+        total, nb = 0.0, 0
+        for s in range(0, len(order), cfg.batch_size):
+            idx = order[s : s + cfg.batch_size]
+            loss, grads = _reference_step(params, feat[idx], y[idx], head)
+            total += loss
+            nb += 1
+            for p, v, g in zip(params, velocity, grads):
+                v *= cfg.momentum
+                v -= cfg.learning_rate * g
+                p += v
+        losses.append(total / nb)
+    return params, losses[0], losses[-1]
+
+
+class TestSameIterates:
+    """The training loop reuses one hidden-layer buffer and encodes the
+    fixed points once; it must give the plain loop's iterates bit for bit."""
+
+    # 250 points in batches of 64 leave a short last batch; occupancy's
+    # 500 (positives and negatives) too.
+    CFG = TrainConfig(epochs=4, hidden_size=24, batch_size=64, seed=3,
+                      num_frequencies=3)
+
+    @pytest.fixture(scope="class")
+    def cloud(self):
+        rng = np.random.default_rng(21)
+        pts = _box_surface(rng, 250)
+        return _Cloud(pts, colors=rng.uniform(0, 1, (250, 3)),
+                      segmentation=rng.choice([2, 5, 9], 250))
+
+    @pytest.mark.parametrize("head, train", [
+        ("occupancy", train_occupancy),
+        ("segmentation", train_segmentation),
+        ("color", train_color),
+    ])
+    def test_weights_and_losses_bit_identical(self, cloud, head, train):
+        model = train(cloud, self.CFG)
+        params, initial, final = _reference_train(head, cloud, self.CFG)
+        for got, want in zip((model.W1, model.b1, model.W2, model.b2), params):
+            assert np.array_equal(got, want)
+        assert model.initial_loss == initial
+        assert model.final_loss == final
+
+    @pytest.mark.parametrize("head, out_dim", [
+        ("occupancy", 1), ("segmentation", 3), ("color", 3),
+    ])
+    @pytest.mark.parametrize("poison", [False, True])
+    def test_step_with_and_without_buffer(self, head, out_dim, poison):
+        rng = np.random.default_rng(4)
+        feat = PositionalEncoding(2).encode(rng.uniform(-1, 1, (37, 3)))
+        params = _init_params(rng, feat.shape[1], 16, out_dim)
+        if poison:
+            # inf meets the ReLU mask's zeros: NaN must come out, as it
+            # does from the plain multiply.
+            params[2][3] = np.inf
+        y = {"occupancy": rng.integers(0, 2, 37).astype(float),
+             "segmentation": rng.integers(0, 3, 37),
+             "color": rng.uniform(0, 1, (37, 3))}[head]
+        with np.errstate(invalid="ignore"):
+            want = _reference_step(params, feat, y, head)
+            plain = _forward_backward(params, feat, y, head)
+            # A buffer with spare rows and stale contents.
+            buf = np.full((50, 16), np.nan)
+            buffered = _forward_backward(params, feat, y, head, buf)
+        for got in (plain, buffered):
+            assert repr(got[0]) == repr(want[0])
+            for g, w in zip(got[1], want[1]):
+                assert np.array_equal(g, w, equal_nan=True)
+        if poison:
+            assert np.isnan(want[1][0]).any()
+
+
+class TestTrainingInputs:
+    @pytest.mark.parametrize("change", [
+        {"batch_size": 0}, {"hidden_size": 0}, {"epochs": 0}, {"epochs": 2.5},
+        {"num_frequencies": -1}, {"num_frequencies": 0, "include_raw": False},
+        {"seed": -1}, {"learning_rate": float("nan")}, {"momentum": float("inf")},
+        {"negatives_per_positive": -3.0},
+        {"neg_bounds": ((np.nan, 0, 0), (1, 1, 1))},
+    ])
+    def test_bad_config_rejected(self, change):
+        pts = _box_surface(np.random.default_rng(0), 50)
+        with pytest.raises(InputError):
+            train_occupancy(_Cloud(pts), TrainConfig(**change))
+
+    @pytest.mark.parametrize("train", [train_occupancy, train_segmentation,
+                                       train_color])
+    def test_non_finite_points_rejected(self, train):
+        pts = _box_surface(np.random.default_rng(0), 50)
+        pts[7, 1] = np.nan
+        cloud = _Cloud(pts, colors=np.full((50, 3), 0.5),
+                       segmentation=np.arange(50) % 2)
+        with pytest.raises(InputError):
+            train(cloud, FAST)
+
+    def test_points_not_n_by_3_rejected(self):
+        with pytest.raises(InputError):
+            train_occupancy(_Cloud(np.zeros((10, 2))), FAST)
+
+    @pytest.mark.parametrize("colors", [
+        np.full((50, 3), np.nan), np.full((49, 3), 0.5), np.full((50, 2), 0.5),
+    ])
+    def test_bad_colors_rejected(self, colors):
+        pts = _box_surface(np.random.default_rng(0), 50)
+        with pytest.raises(InputError):
+            train_color(_Cloud(pts, colors=colors), FAST)
+
+    @pytest.mark.parametrize("labels", [
+        None, np.arange(49) % 2, np.where(np.arange(50) % 2, 1.0, np.nan),
+        np.arange(50) % 2 + 0.5,
+    ])
+    def test_bad_labels_rejected(self, labels):
+        pts = _box_surface(np.random.default_rng(0), 50)
+        with pytest.raises(InputError):
+            train_segmentation(_Cloud(pts, segmentation=labels), FAST)
+
+
+class TestModelDict:
+    @pytest.fixture(scope="class")
+    def model_dict(self):
+        rng = np.random.default_rng(14)
+        model = train_segmentation(
+            _Cloud(_box_surface(rng, 100), segmentation=np.arange(100) % 3),
+            TrainConfig(epochs=2, hidden_size=8),
+        )
+        return model.to_dict()
+
+    @pytest.mark.parametrize("path, value", [
+        (("head",), None),  # None: the key is deleted
+        (("weights", "W2"), None),
+        (("encoding", "bogus"), 1),
+        (("encoding", "num_frequencies"), 2),
+        (("encoding", "include_raw"), "yes"),
+        (("weights", "W1"), "not base64!"),
+        (("weights", "b1"), "AAAA"),
+        (("shapes", "W1"), [39, 7]),
+        (("shapes", "W2"), "8x3"),
+        (("head",), "density"),
+        (("head",), "occupancy"),
+        (("shapes", "W1"), [39 * 8]),  # W1 reads, b1 has no shape
+        (("num_classes",), 4),
+        (("num_classes",), float("inf")),
+        (("class_values",), [0, 1]),
+        (("norm_center",), [0.0, float("nan"), 0.0]),
+        (("norm_half",), [1.0, 0.0, 1.0]),
+        (("norm_half",), [1.0, 1.0]),
+        (("train_config",), [1, 2]),
+        (("final_loss",), "low"),
+    ])
+    def test_malformed_rejected(self, model_dict, path, value):
+        d = copy.deepcopy(model_dict)
+        parent = d
+        for key in path[:-1]:
+            parent = parent[key]
+        if value is None:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+        with pytest.raises(InputError):
+            FieldModel.from_dict(d)
+
+    @pytest.mark.parametrize("points", [
+        np.zeros((4, 2)), np.zeros((2, 3, 3)), np.array([[0.0, np.inf, 0.0]]),
+    ])
+    def test_bad_query_points_rejected(self, model_dict, points):
+        with pytest.raises(InputError):
+            query(FieldModel.from_dict(model_dict), points)

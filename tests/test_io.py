@@ -1,5 +1,7 @@
 """Serialization round trips for poses, pointmap containers, and PLY."""
 
+import base64
+import copy
 import json
 import struct
 
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 from jcr import io
 from jcr.alignment import PairGraph, PairwisePrediction
 from jcr.errors import InputError, JCRError
+from jcr.fields import FieldModel, PositionalEncoding, TrainConfig, query
 from jcr.geometry import Pose, random_rotation
 
 
@@ -342,3 +345,75 @@ class TestLoaderFuzz:
         path = tmp_path / "fuzz.ply"
         path.write_bytes(data)
         _only_jcr_errors(io.load_ply, path)
+
+
+def _model_dict(head):
+    """A valid serialized field model with small random weights."""
+    rng = np.random.default_rng(5)
+    enc = PositionalEncoding(num_frequencies=2)
+    seg = head == "segmentation"
+    out = 1 if head == "occupancy" else 3
+    return FieldModel(
+        head=head, encoding=enc,
+        W1=rng.normal(size=(enc.output_dim, 4)), b1=rng.normal(size=4),
+        W2=rng.normal(size=(4, out)), b2=rng.normal(size=out),
+        norm_center=np.zeros(3), norm_half=np.ones(3),
+        num_classes=out if seg else 1,
+        class_values=np.array([2, 5, 7]) if seg else None,
+        train_config=TrainConfig(neg_bounds=((0, 0, 0), (1, 1, 1))),
+    ).to_dict()
+
+
+_HEADS = ("occupancy", "segmentation", "color")
+_MODEL_DICTS = {head: _model_dict(head) for head in _HEADS}
+# Paths into a model dict; () replaces the whole dict.
+_MODEL_PATHS = [
+    (), ("head",), ("encoding",), ("encoding", "num_frequencies"),
+    ("encoding", "include_raw"), ("encoding", "extra"), ("shapes",),
+    ("shapes", "W1"), ("shapes", "W2"), ("weights",), ("weights", "W1"),
+    ("weights", "b1"), ("weights", "W2"), ("weights", "b2"), ("norm_center",),
+    ("norm_half",), ("num_classes",), ("class_values",), ("final_loss",),
+    ("initial_loss",), ("train_config",), ("train_config", "neg_bounds"),
+    ("train_config", "hidden_size"),
+]
+_DELETE = object()
+_model_value = (
+    st.just(_DELETE) | _json | st.sampled_from(_HEADS)
+    | st.lists(st.integers(-2, 40), max_size=3)
+    | st.lists(st.floats(), min_size=3, max_size=3)
+    | st.binary(max_size=64).map(lambda b: base64.b64encode(b).decode())
+)
+_model_edits = st.lists(
+    st.tuples(st.sampled_from(_MODEL_PATHS), _model_value), min_size=1, max_size=3
+)
+
+
+def _edited(d, edits):
+    root = {"": copy.deepcopy(d)}
+    for path, value in edits:
+        parent, keys = root, ("",) + path
+        for key in keys[:-1]:
+            parent = parent.get(key) if isinstance(parent, dict) else None
+        if not isinstance(parent, dict):
+            continue
+        if value is _DELETE:
+            parent.pop(keys[-1], None)
+        else:
+            parent[keys[-1]] = value
+    return root.get("")
+
+
+class TestModelFuzz:
+    @_FUZZ
+    @given(head=st.sampled_from(_HEADS), edits=_model_edits)
+    def test_field_model_dicts(self, head, edits):
+        d = _edited(_MODEL_DICTS[head], edits)
+        try:
+            query(FieldModel.from_dict(d), np.array([[0.0, 0.1, -0.2], [3, 0, 0]]))
+        except JCRError:
+            pass
+
+    @pytest.mark.parametrize("head", _HEADS)
+    def test_unedited_dict_queries(self, head):
+        out = query(FieldModel.from_dict(_MODEL_DICTS[head]), np.zeros((2, 3)))
+        assert len(out) == 2 and np.isfinite(out).all()
