@@ -15,17 +15,10 @@ import sys
 
 import numpy as np
 
-from jcr.alignment import align_global, extract_point_cloud
+from jcr.alignment import align_global
 from jcr.calibration import CalibrationConfig, calibrate
 from jcr.errors import DegenerateGeometry, NonConvergence
-from jcr.geometry import rotation_angle
-from jcr.reconstruction import (
-    LabeledPointCloud,
-    adaptive_confidence_threshold,
-    estimate_height,
-    join_pixel_labels,
-    transform_to_base,
-)
+from jcr.reconstruction import reconstruct, truth_errors
 from jcr.synth import (
     HiddenParams,
     NoiseProfile,
@@ -57,47 +50,26 @@ def run_once(seed, level, num_poses):
         seed=seed,
     )
     aligned = align_global(ds.pairs, ds.graph)
-    camera_poses = [p.inverse() for p in aligned.poses]
     try:
         calib = calibrate(
-            ds.ee_poses, camera_poses, CalibrationConfig(all_pairs=True)
+            ds.ee_poses, [p.inverse() for p in aligned.poses],
+            CalibrationConfig(all_pairs=True),
         )
     except (DegenerateGeometry, NonConvergence):
         return None
+    if not calib.converged:
+        return None
 
-    gt = ds.ground_truth
-    threshold = adaptive_confidence_threshold(aligned.confidences)
-    pts, views, pixels, confs = extract_point_cloud(aligned, threshold)
-    cloud = LabeledPointCloud(
-        points=pts, frame="camera_model", views=views, pixels=pixels,
-        confidence=confs,
+    cloud, _ = reconstruct(
+        aligned, ds.ee_poses, calib, ds.color_images, ds.segmentation_images
     )
-    cloud = join_pixel_labels(cloud, ds.color_images, ds.segmentation_images)
-    cloud = transform_to_base(cloud, camera_poses, ds.ee_poses, calib)
-
-    # Heights relative to the reconstructed table cancel any shared
-    # vertical offset of the whole cloud.
-    table = float(np.median(cloud.points[cloud.segmentation == 0, 2]))
-    height_errs = []
-    for cid, true_h in gt.object_heights.items():
-        if true_h <= 0:
-            continue
-        z = cloud.points[cloud.segmentation == cid, 2]
-        est = estimate_height(z) - table
-        height_errs.append(100.0 * abs(est - true_h) / true_h)
-
-    return {
-        "rot_deg": np.degrees(
-            rotation_angle(calib.rotation @ gt.calib.rotation.T)
-        ),
-        "trans_mm": 1e3 * np.linalg.norm(
-            calib.translation - gt.calib.translation
-        ),
-        "scale_pct": 100.0 * abs(calib.scale - gt.scale) / gt.scale,
-        "height_pct": max(height_errs),
-        "mean_dt": calib.mean_residual_t,
-        "mean_dr": calib.mean_residual_r,
-    }
+    gt = ds.ground_truth
+    errors = truth_errors(
+        calib, gt.calib, gt.scale, cloud.points, cloud.segmentation,
+        gt.object_heights,
+    )
+    del errors["heights"]
+    return errors
 
 
 def main(argv=None):
@@ -128,8 +100,8 @@ def main(argv=None):
         med = {k: float(np.median([r[k] for r in results])) for k in results[0]}
         print(
             f"{level:>6.2f} {len(results):>2}/{args.seeds:<2} "
-            f"{med['rot_deg']:>10.4f} {med['trans_mm']:>10.3f} "
-            f"{med['scale_pct']:>9.4f} {med['height_pct']:>10.2f}"
+            f"{med['rot_err_deg']:>10.4f} {med['trans_err_mm']:>10.3f} "
+            f"{med['scale_err_pct']:>9.4f} {med['height_err_pct']:>10.2f}"
         )
     return 0
 

@@ -30,7 +30,9 @@ from .reconstruction import (
     LabeledPointCloud,
     adaptive_confidence_threshold,
     join_pixel_labels,
+    reconstruct,
     transform_to_base,
+    truth_errors,
 )
 from .fields import (
     FieldModel,

@@ -99,29 +99,36 @@ class PairGraph:
         return len(seen) == self.num_views
 
 
-def default_pair_graph(num_views, window=5, complete_up_to=12):
+# default_pair_graph: complete up to this many views, else a sliding
+# window that pairs views less than PAIR_WINDOW apart.
+COMPLETE_UP_TO = 12
+PAIR_WINDOW = 5
+# Largest descent step; halved until a trial lowers the objective.
+STEP = 1e-2
+# Objective floor per residual term; noiseless problems stop here.
+ABS_FLOOR_PER_TERM = 1e-16
+# The L2 residual norm is smoothed as sqrt(|r|^2 + eps^2) - eps so the
+# kink at exactly-zero residuals does not stall the descent.
+NORM_EPS = 1e-8
+
+
+def default_pair_graph(num_views):
     """Complete graph for small N, sliding window of fixed width beyond."""
     edges = []
     for n in range(num_views):
         for m in range(num_views):
             if n == m:
                 continue
-            if num_views <= complete_up_to or abs(n - m) < window:
+            if num_views <= COMPLETE_UP_TO or abs(n - m) < PAIR_WINDOW:
                 edges.append((n, m))
     return PairGraph(num_views, tuple(edges))
 
 
 @dataclass(frozen=True)
 class AlignConfig:
-    step: float = 1e-2
     tol: float = 1e-6
     max_iters: int = 2000
     max_halvings: int = 40
-    # Objective floor per residual term; noiseless problems stop here.
-    abs_floor_per_term: float = 1e-16
-    # The L2 residual norm is smoothed as sqrt(|r|^2 + eps^2) - eps so the
-    # kink at exactly-zero residuals does not stall the descent.
-    norm_eps: float = 1e-8
 
 
 @dataclass
@@ -418,11 +425,11 @@ def align_global(preds, graph: PairGraph | None = None,
     log_sigmas = np.log(np.maximum(sigmas, 1e-12))
 
     n_terms = sum(2 * p.height * p.width for p in preds)
-    floor = config.abs_floor_per_term * n_terms
+    floor = ABS_FLOOR_PER_TERM * n_terms
     terms = _terms(preds)
-    step = config.step
+    step = STEP
     obj = _objective(terms, rotations, translations, log_sigmas, pointmaps,
-                     config.norm_eps)
+                     NORM_EPS)
     trace = [obj]
     converged = True
     stop_reason = "budget"
@@ -432,8 +439,7 @@ def align_global(preds, graph: PairGraph | None = None,
             stop_reason = "floor"
             break
         g_rot, g_trn, g_sig, g_pm = _gradients(
-            terms, rotations, translations, log_sigmas, pointmaps,
-            config.norm_eps,
+            terms, rotations, translations, log_sigmas, pointmaps, NORM_EPS
         )
         accepted = False
         for _ in range(config.max_halvings):
@@ -446,7 +452,7 @@ def align_global(preds, graph: PairGraph | None = None,
             new_ls[0] = log_sigmas[0]  # first edge pinned
             new_pm = [pm - step * g for pm, g in zip(pointmaps, g_pm)]
             new_obj = _objective(terms, new_rot, new_trn, new_ls, new_pm,
-                                 config.norm_eps)
+                                 NORM_EPS)
             if new_obj < obj:
                 accepted = True
                 break
@@ -459,7 +465,7 @@ def align_global(preds, graph: PairGraph | None = None,
         log_sigmas, pointmaps = new_ls, new_pm
         obj = new_obj
         trace.append(obj)
-        step = min(step * 1.5, config.step)
+        step = min(step * 1.5, STEP)
         if last_rel < config.tol:
             stop_reason = "tolerance"
             break

@@ -22,6 +22,7 @@ import numpy as np
 from .errors import (
     DegenerateMatrix,
     DegenerateMotion,
+    InputError,
     LengthMismatch,
     RankDeficientC,
     ScaleAtBound,
@@ -107,7 +108,8 @@ def motion_pairs(end_effector, camera, all_pairs=False):
     """Relative motions from index-aligned pose lists.
 
     Consecutive (i, i+1) pairs by default; ``all_pairs`` adds every (i, j)
-    with i < j for robustness experiments.
+    with i < j for robustness experiments. Raises InputError for a pose
+    with a NaN or infinite entry.
     """
     if len(end_effector) != len(camera):
         raise LengthMismatch(
@@ -116,6 +118,11 @@ def motion_pairs(end_effector, camera, all_pairs=False):
     n = len(end_effector)
     if n < 3:
         raise TooFewPoses(f"need at least 3 poses, got {n}")
+    for name, poses in (("end-effector", end_effector), ("camera", camera)):
+        for i, p in enumerate(poses):
+            if not (np.isfinite(p.rotation).all()
+                    and np.isfinite(p.translation).all()):
+                raise InputError(f"{name} pose {i} has non-finite entries")
     if all_pairs:
         index_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     else:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -17,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io
-from .alignment import AlignConfig, align_global, extract_point_cloud
+from .alignment import align_global
 from .calibration import CalibrationConfig, CalibrationResult, calibrate
 from .errors import (
     DegenerateGeometry,
@@ -34,14 +35,8 @@ from .fields import (
     train_occupancy,
     train_segmentation,
 )
-from .geometry import Pose, rotation_angle
-from .reconstruction import (
-    LabeledPointCloud,
-    adaptive_confidence_threshold,
-    estimate_height,
-    join_pixel_labels,
-    transform_to_base,
-)
+from .geometry import Pose
+from .reconstruction import LabeledPointCloud, reconstruct, truth_errors
 from .synth import (
     CameraConfig,
     HiddenParams,
@@ -85,6 +80,8 @@ def _stage_synth(cfg, out_dir, seed):
     traj = TrajectoryConfig(num_poses=int(cfg.get("num_poses", 10)))
     if "hidden" in cfg:
         h = cfg["hidden"]
+        if h.keys() != {"calib", "scale"}:
+            raise InputError("manifest key synth.hidden: needs calib and scale")
         hidden = HiddenParams(
             Pose.from_matrix(np.array(h["calib"])), float(h["scale"])
         )
@@ -121,11 +118,8 @@ def _stage_synth(cfg, out_dir, seed):
     return ds
 
 
-def _stage_align(pairs, graph, cfg, out_dir, seed):
-    keys = {"step", "tol", "max_iters"}
-    result = align_global(
-        pairs, graph, AlignConfig(**{k: cfg[k] for k in keys & cfg.keys()})
-    )
+def _stage_align(pairs, graph, out_dir, seed):
+    result = align_global(pairs, graph)
     out_dir.mkdir(parents=True, exist_ok=True)
     poses = [p.matrix().reshape(-1).tolist() for p in result.poses]
     _write_artifact(
@@ -138,7 +132,7 @@ def _stage_align(pairs, graph, cfg, out_dir, seed):
             "stop_reason": result.stop_reason,
             "edges": [list(e) for e in result.graph.edges],
         },
-        cfg,
+        {},
         seed,
     )
     np.savez_compressed(
@@ -150,35 +144,17 @@ def _stage_align(pairs, graph, cfg, out_dir, seed):
 
 
 def _stage_calibrate(ee_poses, camera_poses, cfg, out_dir, seed):
-    calib_cfg = CalibrationConfig(
-        tau_t=float(cfg.get("tau_t", CalibrationConfig.tau_t)),
-        tau_r=float(cfg.get("tau_r", CalibrationConfig.tau_r)),
-        all_pairs=bool(cfg.get("all_pairs", False)),
-    )
-    result = calibrate(ee_poses, camera_poses, calib_cfg)
+    result = calibrate(ee_poses, camera_poses, CalibrationConfig(**cfg))
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_artifact(out_dir / "calibration.json", result.to_dict(), cfg, seed)
     return result
 
 
-def _stage_reconstruct(align_result, ee_poses, calib, cfg, out_dir, seed,
+def _stage_reconstruct(align_result, ee_poses, calib, out_dir, seed,
                        color_images=None, seg_images=None, force=False):
-    percentile = float(cfg.get("confidence_percentile", 65.0))
-    threshold = adaptive_confidence_threshold(
-        align_result.confidences, percentile
+    cloud, threshold = reconstruct(
+        align_result, ee_poses, calib, color_images, seg_images, force=force
     )
-    points, views, pixels, confs = extract_point_cloud(align_result, threshold)
-    cloud = LabeledPointCloud(
-        points=points,
-        frame="camera_model",
-        views=views,
-        pixels=pixels,
-        confidence=confs,
-    )
-    if color_images is not None or seg_images is not None:
-        cloud = join_pixel_labels(cloud, color_images, seg_images)
-    camera_poses = [p.inverse() for p in align_result.poses]  # global -> cam
-    cloud = transform_to_base(cloud, camera_poses, ee_poses, calib, force=force)
     out_dir.mkdir(parents=True, exist_ok=True)
     io.save_ply(
         out_dir / "cloud.ply", cloud.points, cloud.colors, cloud.segmentation
@@ -186,7 +162,7 @@ def _stage_reconstruct(align_result, ee_poses, calib, cfg, out_dir, seed,
     _write_artifact(
         out_dir / "reconstruct.json",
         {"num_points": len(cloud), "confidence_threshold": threshold},
-        cfg,
+        {},
         seed,
     )
     return cloud
@@ -220,7 +196,7 @@ def _stage_fields(cloud, cfg, out_dir, seed):
 
 
 def cmd_synth(args):
-    cfg = _load_manifest(args).get("synth", {}) if args.manifest else {}
+    cfg = _load_manifest(args.manifest).get("synth", {}) if args.manifest else {}
     if args.num_poses:
         cfg["num_poses"] = args.num_poses
     if args.zero_noise:
@@ -231,7 +207,7 @@ def cmd_synth(args):
 
 def cmd_align(args):
     pairs, graph = io.load_pair_set(args.pointmaps)
-    _stage_align(pairs, graph, {}, Path(args.out), args.seed)
+    _stage_align(pairs, graph, Path(args.out), args.seed)
     return EXIT_OK
 
 
@@ -253,7 +229,7 @@ def cmd_reconstruct(args):
         colors = list(data["colors"])
         segs = list(data["segmentation"])
     _stage_reconstruct(
-        align_result, ee, calib, {}, Path(args.out), args.seed,
+        align_result, ee, calib, Path(args.out), args.seed,
         color_images=colors, seg_images=segs,
         force=args.force_uncalibrated,
     )
@@ -304,32 +280,19 @@ def cmd_eval(args):
     }
     if args.ground_truth:
         gt = io.load_json(args.ground_truth)
-        gt_pose = Pose.from_matrix(np.array(gt["calib"]))
-        report["rotation_error_deg"] = float(
-            np.degrees(rotation_angle(calib.rotation @ gt_pose.rotation.T))
-        )
-        report["translation_error_m"] = float(
-            np.linalg.norm(calib.translation - gt_pose.translation)
-        )
-        report["scale_error_percent"] = float(
-            100.0 * abs(calib.scale - gt["scale"]) / gt["scale"]
-        )
+        pts = labels = heights = None
         if args.cloud and gt.get("object_heights"):
             pts, _, labels = io.load_ply(args.cloud)
-            heights = {}
-            for cid, true_h in gt["object_heights"].items():
-                if labels is None or true_h <= 0:
-                    continue
-                mask = labels == int(cid)
-                if not mask.any():
-                    continue
-                est = estimate_height(pts[mask, 2])
-                heights[cid] = {
-                    "true_m": true_h,
-                    "estimated_m": est,
-                    "error_percent": 100.0 * abs(est - true_h) / true_h,
-                }
-            report["object_heights"] = heights
+            heights = gt["object_heights"]
+        errors = truth_errors(
+            calib, Pose.from_matrix(np.array(gt["calib"])), gt["scale"],
+            pts, labels, heights,
+        )
+        report["rotation_error_deg"] = errors["rot_err_deg"]
+        report["translation_error_m"] = errors["trans_err_mm"] / 1e3
+        report["scale_error_percent"] = errors["scale_err_pct"]
+        if "heights" in errors:
+            report["object_heights"] = errors["heights"]
     _print_report(report)
     if args.out:
         io.save_json(args.out, report)
@@ -372,15 +335,72 @@ def _load_alignment(align_dir):
     )
 
 
-def _load_manifest(args):
-    if not args.manifest:
-        raise InputError("--manifest is required")
-    return io.load_json(args.manifest)
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v):
+    return _is_int(v) or (isinstance(v, float) and math.isfinite(v))
+
+
+_INT = ("an integer", _is_int)
+_NUMBER = ("a finite number", _is_number)
+_BOOL = ("true or false", lambda v: isinstance(v, bool))
+_PATH = ("a path", lambda v: isinstance(v, str))
+_MATRIX = ("16 numbers (a 4x4 matrix)", lambda v: (
+    isinstance(v, list) and len(v) == 16 and all(map(_is_number, v))))
+
+# Every key that `jcr run` reads from a manifest, and what its value must
+# be; a dict is an object with keys of its own. synth.noise may also be
+# the string "zero".
+MANIFEST_KEYS = {
+    "seed": _INT,
+    "out": _PATH,
+    "ee_poses": _PATH,
+    "pointmaps": _PATH,
+    "labels": _PATH,
+    "synth": {
+        "num_poses": _INT,
+        "noise": dict.fromkeys(
+            ("sigma_rot", "sigma_trans", "sigma_point", "dropout",
+             "pair_scale_jitter"), _NUMBER),
+        "camera": {"width": _INT, "height": _INT, "fov_deg": _NUMBER},
+        "hidden": {"calib": _MATRIX, "scale": _NUMBER},
+    },
+    "calibrate": {"tau_t": _NUMBER, "tau_r": _NUMBER, "all_pairs": _BOOL},
+    "fields": {"epochs": _INT, "hidden_size": _INT, "learning_rate": _NUMBER,
+               "color_learning_rate": _NUMBER},
+}
+
+
+def _check_manifest(block, keys=MANIFEST_KEYS, where=None):
+    """Raise InputError naming the first key that is not in ``keys`` or
+    whose value is not what ``keys`` asks for."""
+    if not isinstance(block, dict):
+        raise InputError(f"manifest {where or 'file'}: expected an object")
+    for key, value in block.items():
+        path = f"{where}.{key}" if where else key
+        if key not in keys:
+            raise InputError(f"manifest key {path}: not read by jcr")
+        want = keys[key]
+        if isinstance(want, dict):
+            if not (path == "synth.noise" and value == "zero"):
+                _check_manifest(value, want, path)
+        elif not want[1](value):
+            raise InputError(
+                f"manifest key {path}: expected {want[0]}, got {value!r}"
+            )
+
+
+def _load_manifest(path):
+    manifest = io.load_json(path)
+    _check_manifest(manifest)
+    return manifest
 
 
 def cmd_run(args):
     """Full pipeline: (synth|load) -> align -> calibrate -> reconstruct -> fields."""
-    manifest = _load_manifest(args) if args.manifest else {}
+    manifest = _load_manifest(args.manifest) if args.manifest else {}
     out = Path(args.out or manifest.get("out", "jcr_out"))
     seed = args.seed if args.seed is not None else int(manifest.get("seed", 0))
     stage = "input"
@@ -403,9 +423,7 @@ def cmd_run(args):
                 segs = list(data["segmentation"])
 
         stage = "align"
-        align_result = _stage_align(
-            pairs, graph, manifest.get("align", {}), out / "align", seed
-        )
+        align_result = _stage_align(pairs, graph, out / "align", seed)
         stage = "calibrate"
         camera_poses = [p.inverse() for p in align_result.poses]
         calib = _stage_calibrate(
@@ -414,8 +432,7 @@ def cmd_run(args):
         )
         stage = "reconstruct"
         cloud = _stage_reconstruct(
-            align_result, ee_poses, calib,
-            manifest.get("reconstruct", {}), out / "reconstruct", seed,
+            align_result, ee_poses, calib, out / "reconstruct", seed,
             color_images=colors, seg_images=segs,
             force=args.force_uncalibrated,
         )

@@ -26,6 +26,8 @@ log = logging.getLogger(__name__)
 HEAD_OCCUPANCY = "occupancy"      # sigmoid scalar
 HEAD_SEGMENTATION = "segmentation"  # softmax over K classes
 HEAD_COLOR = "color"              # linear 3-vector
+# Rows per pass of FieldModel.forward, which bounds a query's memory.
+QUERY_CHUNK = 8192
 
 
 @dataclass(frozen=True)
@@ -97,13 +99,25 @@ class FieldModel:
         return np.clip((p - self.norm_center) / self.norm_half, -1.0, 1.0)
 
     def forward(self, points):
-        """Raw head output (pre-activation) for (N, 3) coordinates."""
-        feat = self.encoding.encode(self.normalize(points))
-        # In place: a grid query holds one (N, hidden) array, not two.
-        h = feat @ self.W1
-        h += self.b1
-        np.maximum(h, 0.0, out=h)
-        return h @ self.W2 + self.b2
+        """Raw head output (pre-activation) for (N, 3) coordinates.
+
+        Rows are evaluated in chunks of QUERY_CHUNK, so a grid query holds a
+        hidden-layer array of at most 2 * QUERY_CHUNK rows. The rows past
+        the last whole chunk join that chunk: BLAS then multiplies only
+        large blocks that start where one pass's blocks start, and gives
+        one pass's result bit for bit (on one BLAS thread).
+        """
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+        n = len(points)
+        out = np.empty((n, self.W2.shape[1]))
+        starts = [QUERY_CHUNK * k for k in range(max(n // QUERY_CHUNK, 1))]
+        for lo, hi in zip(starts, starts[1:] + [n]):
+            feat = self.encoding.encode(self.normalize(points[lo:hi]))
+            h = feat @ self.W1
+            h += self.b1
+            np.maximum(h, 0.0, out=h)
+            out[lo:hi] = h @ self.W2 + self.b2
+        return out
 
     def to_dict(self):
         def blob(a):

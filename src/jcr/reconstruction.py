@@ -15,9 +15,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .alignment import AlignmentResult, extract_point_cloud
 from .calibration import CalibrationResult
 from .errors import DimensionMismatch, InputError, MissingView, UncalibratedInput
-from .geometry import ROBOT_BASE
+from .geometry import CAMERA_MODEL, ROBOT_BASE, rotation_angle
 
 DEFAULT_CONFIDENCE_PERCENTILE = 65.0
 
@@ -135,6 +136,51 @@ def estimate_height(z_values, band_percentile=80.0):
     return float(np.median(band))
 
 
+def truth_errors(calib, gt_calib, gt_scale, points=None, labels=None,
+                 object_heights=None):
+    """Errors of a calibration, and of its cloud, against the synthetic truth.
+
+    Returns the rotation error in degrees (``rot_err_deg``), the translation
+    error in mm (``trans_err_mm``) and the scale error in % (``scale_err_pct``).
+    Given a labeled base-frame cloud and the true object heights (class id
+    -> top z over the table at z = 0), it adds ``heights``: per object
+    present in the cloud, its true and estimated height in meters and the
+    error in %, and ``height_err_pct``, the worst of those errors. Heights
+    are measured from the reconstructed table, the median z of class 0, so
+    a vertical offset shared by the whole cloud cancels.
+    """
+    out = {
+        "rot_err_deg": float(
+            np.degrees(rotation_angle(calib.rotation @ gt_calib.rotation.T))
+        ),
+        "trans_err_mm": float(
+            1e3 * np.linalg.norm(calib.translation - gt_calib.translation)
+        ),
+        "scale_err_pct": float(100.0 * abs(calib.scale - gt_scale) / gt_scale),
+    }
+    if object_heights is None:
+        return out
+    if labels is None or not (labels == 0).any():
+        raise InputError("height errors need a cloud labeled with its table (class 0)")
+    table = float(np.median(points[labels == 0, 2]))
+    heights = {}
+    for cid, true_h in object_heights.items():
+        mask = labels == int(cid)
+        if true_h <= 0 or not mask.any():
+            continue
+        est = estimate_height(points[mask, 2]) - table
+        heights[cid] = {
+            "true_m": true_h,
+            "estimated_m": est,
+            "error_percent": 100.0 * abs(est - true_h) / true_h,
+        }
+    out["heights"] = heights
+    out["height_err_pct"] = max(
+        (h["error_percent"] for h in heights.values()), default=float("nan")
+    )
+    return out
+
+
 def adaptive_confidence_threshold(
     confidences, percentile=DEFAULT_CONFIDENCE_PERCENTILE
 ):
@@ -144,3 +190,32 @@ def adaptive_confidence_threshold(
     if conf.size == 0:
         return 0.0
     return float(np.percentile(conf, percentile))
+
+
+def reconstruct(
+    aligned: AlignmentResult,
+    ee_poses,
+    calib: CalibrationResult,
+    color_images=None,
+    segmentation_images=None,
+    force=False,
+):
+    """The metric, labeled cloud in the robot base frame from an alignment.
+
+    Keeps the points at or above the default adaptive confidence threshold,
+    attaches the per-pixel labels when images are given, and maps the
+    points through the inverted alignment poses and the calibrated chain
+    (``transform_to_base``, which refuses a non-converged calibration
+    unless ``force``). Returns (cloud, confidence threshold).
+    """
+    threshold = adaptive_confidence_threshold(aligned.confidences)
+    points, views, pixels, confs = extract_point_cloud(aligned, threshold)
+    cloud = LabeledPointCloud(
+        points=points, frame=CAMERA_MODEL, views=views, pixels=pixels,
+        confidence=confs,
+    )
+    if color_images is not None or segmentation_images is not None:
+        cloud = join_pixel_labels(cloud, color_images, segmentation_images)
+    camera_poses = [p.inverse() for p in aligned.poses]  # global -> camera
+    cloud = transform_to_base(cloud, camera_poses, ee_poses, calib, force=force)
+    return cloud, threshold

@@ -32,6 +32,8 @@ from .geometry import (
 )
 
 _FAR = np.inf
+# Confidences of hit pixels are rescaled to this range; misses get 0.
+CONFIDENCE_RANGE = (0.5, 3.0)
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +108,7 @@ class SceneSpec:
         return {p.class_id: p.top_z() for p in self.primitives}
 
 
-def tabletop_scene(seed=0):
+def tabletop_scene():
     """Default test scene: table plane, one box, one cylinder."""
     return SceneSpec(
         primitives=(
@@ -241,6 +243,10 @@ class CameraConfig:
     fov_deg: float = 60.0
 
     def __post_init__(self):
+        if self.width < 1 or self.height < 1:
+            raise InputError(
+                f"camera width {self.width} and height {self.height} must be >= 1"
+            )
         if not (10.0 < self.fov_deg < 120.0):
             raise InputError(f"fov {self.fov_deg} outside (10, 120) degrees")
 
@@ -386,8 +392,6 @@ class NoiseProfile:
     sigma_rot: float = np.deg2rad(0.5)   # end-effector rotation noise, rad
     sigma_trans: float = 0.002           # end-effector translation noise, m
     sigma_point: float = 0.01            # pointmap noise, model units
-    confidence_correlated: bool = True   # scale point noise by 1 / confidence
-    confidence_range: tuple = (0.5, 3.0)
     dropout: float = 0.0                 # pair dropout probability
     pair_scale_jitter: float = 0.0       # lognormal sigma on per-pair scale
 
@@ -510,7 +514,7 @@ def generate_dataset(
         color_images = [c.colors for c in casts]
         seg_images = [c.labels for c in casts]
         confs = [
-            _confidence_from_cast(c, *noise.confidence_range) for c in casts
+            _confidence_from_cast(c, *CONFIDENCE_RANGE) for c in casts
         ]
         used_graph = graph or default_pair_graph(trajectory.num_poses)
         edges = list(used_graph.edges)
@@ -540,9 +544,8 @@ def generate_dataset(
             pm_other = pm_other * s_pair
             if noise.sigma_point > 0:
                 for pm, cc in ((pm_self, c_self), (pm_other, c_other)):
-                    sig = noise.sigma_point * np.ones_like(cc)
-                    if noise.confidence_correlated:
-                        sig = noise.sigma_point / np.maximum(cc, 0.25)
+                    # Less confident pixels are noisier.
+                    sig = noise.sigma_point / np.maximum(cc, 0.25)
                     eps = rng.normal(size=pm.shape) * sig[..., None]
                     hit = cc > 0
                     pm[hit] += eps[hit]

@@ -15,6 +15,7 @@ from jcr.calibration import (
 )
 from jcr.errors import (
     DegenerateMotion,
+    InputError,
     LengthMismatch,
     RankDeficientC,
     ScaleAtBound,
@@ -60,6 +61,19 @@ class TestMotionPairs:
         poses = [Pose(random_rotation(rng), rng.normal(size=3)) for _ in range(5)]
         assert len(motion_pairs(poses, poses, all_pairs=True)) == 10
         assert len(motion_pairs(poses, poses)) == 4
+
+    @pytest.mark.parametrize("part", ["rotation", "translation"])
+    @pytest.mark.parametrize("side", ["end-effector", "camera"])
+    def test_non_finite_pose_is_input_error(self, side, part):
+        """A NaN pose is bad input (exit 2), not degenerate motion (exit 3)."""
+        ds = pose_dataset(seed=3, num_poses=5)
+        ee, cam = list(ds.ee_poses), list(ds.camera_poses)
+        poses = ee if side == "end-effector" else cam
+        rotation, translation = poses[2].rotation.copy(), poses[2].translation.copy()
+        (rotation if part == "rotation" else translation)[0] = np.nan
+        poses[2] = Pose(rotation, translation)
+        with pytest.raises(InputError, match=f"{side} pose 2"):
+            calibrate(ee, cam)
 
 
 class TestSolveRotation:

@@ -7,6 +7,7 @@ import pytest
 
 from jcr import io
 from jcr.cli import main
+from jcr.reconstruction import estimate_height
 from jcr.synth import single_axis_trajectory
 
 
@@ -44,6 +45,25 @@ class TestRun:
     def test_missing_manifest_file(self, tmp_path):
         code = main(["run", "--manifest", str(tmp_path / "nope.json")])
         assert code == 2
+
+    @pytest.mark.parametrize("manifest, key", [
+        ({"synth": {"noise": {"bogus": 1}}}, "synth.noise.bogus"),
+        ({"synth": {"camera": {"fov": 50}}}, "synth.camera.fov"),
+        ({"synth": {"num_poses": "ten"}}, "synth.num_poses"),
+        ({"fields": {"epochs": "x"}}, "fields.epochs"),
+        ({"calibrate": {"tau_t": "x"}}, "calibrate.tau_t"),
+        ({"reconstruct": {"confidence_percentile": "high"}}, "reconstruct"),
+        ({"align": {"step": 0.1}}, "align"),
+        ({"synth": {"hidden": {"calib": [1, 0], "scale": 1.0}}},
+         "synth.hidden.calib"),
+        ({"synth": {"camera": {"width": 0}}}, "width"),
+    ])
+    def test_bad_manifest_exit_2(self, tmp_path, capsys, manifest, key):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest))
+        code = main(["run", "--manifest", str(path), "--out", str(tmp_path)])
+        assert code == 2
+        assert key in capsys.readouterr().err
 
 
 class TestStages:
@@ -149,7 +169,15 @@ class TestQueryAndEval:
         data = io.load_json(report)
         assert data["rotation_error_deg"] < 1e-4
         assert data["translation_error_m"] < 1e-4
-        assert data["object_heights"]
+        # Heights are measured from the reconstructed table, as acceptance 3
+        # measures them.
+        pts, _, labels = io.load_ply(pipeline / "reconstruct" / "cloud.ply")
+        table = np.median(pts[labels == 0, 2])
+        assert data["object_heights"].keys() == {"1", "2"}
+        for cid, h in data["object_heights"].items():
+            est = estimate_height(pts[labels == int(cid), 2]) - table
+            assert h["estimated_m"] == est
+            assert h["error_percent"] == 100 * abs(est - h["true_m"]) / h["true_m"]
         printed = capsys.readouterr().out
         assert "scale_error_percent" in printed
 

@@ -1,12 +1,17 @@
 """Implicit occupancy / segmentation / color fields."""
 
 import copy
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from jcr.errors import EmptyCloud, InputError, SingleClass
 from jcr.fields import (
+    QUERY_CHUNK,
     FieldModel,
     PositionalEncoding,
     TrainConfig,
@@ -252,6 +257,44 @@ class TestQueryAndSerialization:
         q = rng.uniform(-0.2, 0.2, size=(20, 3))
         assert np.abs(query(model, q) - query(back, q)).max() < 1e-5
 
+    def test_chunked_forward_matches_one_pass(self):
+        """Queries run QUERY_CHUNK rows at a time; with 2 chunks and 17 rows
+        more, every head gives the one-pass result bit for bit. Checked on
+        one BLAS thread, as the benchmark runs: with more threads, the rows
+        of the one-pass product itself depend on how BLAS splits them."""
+        import jcr
+
+        env = dict(os.environ, PYTHONPATH=str(Path(jcr.__file__).parents[1]),
+                   **dict.fromkeys(BLAS_THREAD_VARS, "1"))
+        run = subprocess.run([sys.executable, "-c", CHUNK_CHECK], env=env,
+                             capture_output=True, text=True)
+        assert run.returncode == 0, run.stdout + run.stderr
+        assert run.stdout.split() == ["occupancy", "segmentation", "color"]
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+CHUNK_CHECK = """
+import numpy as np
+from jcr.fields import (QUERY_CHUNK, TrainConfig, train_color, train_occupancy,
+                        train_segmentation)
+
+class Cloud:
+    rng = np.random.default_rng(14)
+    points = rng.uniform(-0.2, 0.2, (200, 3))
+    colors = rng.uniform(0, 1, (200, 3))
+    segmentation = rng.choice([0, 1, 2], 200)
+
+    def __len__(self):
+        return 200
+
+q = np.random.default_rng(15).uniform(-0.3, 0.3, (2 * QUERY_CHUNK + 17, 3))
+for train in (train_occupancy, train_segmentation, train_color):
+    model = train(Cloud(), TrainConfig(epochs=2, hidden_size=256))
+    h = model.encoding.encode(model.normalize(q)) @ model.W1 + model.b1
+    one_pass = np.maximum(h, 0.0) @ model.W2 + model.b2
+    assert np.array_equal(model.forward(q), one_pass), model.head
+    print(model.head)
+"""
 
 def _reference_step(params, feat, y, head):
     """One training step with fresh temporaries and ``dz2 @ W2.T``."""

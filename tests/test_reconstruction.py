@@ -1,5 +1,9 @@
 """Model-frame points into the metric robot base frame."""
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -15,10 +19,14 @@ from jcr.reconstruction import (
     adaptive_confidence_threshold,
     estimate_height,
     join_pixel_labels,
+    reconstruct,
     transform_to_base,
+    truth_errors,
 )
 
 from util import pose_dataset
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _calib_result(pose: Pose, scale, converged=True):
@@ -192,3 +200,75 @@ class TestHelpers:
     def test_estimate_height_empty(self):
         with pytest.raises(InputError):
             estimate_height([])
+
+
+def _load(path):
+    """Import a script or benchmark module that is not on the path."""
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def benchmark_tabletop():
+    """The benchmark's workloads module and its tabletop scenes (seeds 1000
+    and 1001), each run through the benchmark's own written-out chain of
+    align, calibrate and reconstruct calls."""
+    sys.path.insert(0, str(ROOT / "perfbench"))  # workloads imports spans
+    try:
+        workloads = _load(ROOT / "perfbench" / "workloads.py")
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    bench = workloads.TabletopLibrary()
+    return workloads, [(ds, bench.scene(item)) for item in bench.setup(None)
+                       for ds in [item[1]]]
+
+
+class TestPipeline:
+    def test_reconstruct_matches_written_out_chain(self, benchmark_tabletop):
+        _, runs = benchmark_tabletop
+        for ds, (aligned, calib, cloud) in runs:
+            got, threshold = reconstruct(
+                aligned, ds.ee_poses, calib, ds.color_images,
+                ds.segmentation_images,
+            )
+            assert threshold == adaptive_confidence_threshold(aligned.confidences)
+            assert got.frame == cloud.frame
+            for name in ("points", "colors", "segmentation", "views", "pixels",
+                         "confidence"):
+                assert np.array_equal(getattr(got, name), getattr(cloud, name))
+
+    def test_truth_errors_match_benchmark(self, benchmark_tabletop):
+        workloads, runs = benchmark_tabletop
+        for ds, (_, calib, cloud) in runs:
+            gt = ds.ground_truth
+            got = truth_errors(calib, gt.calib, gt.scale, cloud.points,
+                               cloud.segmentation, gt.object_heights)
+            want = workloads._calib_errors(
+                calib.rotation, calib.translation, calib.scale, gt.calib,
+                gt.scale,
+            )
+            want["height_err_pct"] = workloads._height_err_pct(
+                cloud.points, cloud.segmentation, gt.object_heights
+            )
+            assert {k: got[k] for k in want} == want
+            assert got["heights"].keys() == {1, 2}
+
+    def test_truth_errors_need_a_table(self):
+        calib = _calib_result(Pose.identity(), 1.0)
+        pts = np.zeros((4, 3))
+        with pytest.raises(InputError):
+            truth_errors(calib, Pose.identity(), 1.0, pts, np.ones(4, int),
+                         {1: 0.1})
+        errors = truth_errors(calib, Pose.identity(), 1.0)
+        assert errors == {"rot_err_deg": 0.0, "trans_err_mm": 0.0,
+                          "scale_err_pct": 0.0}
+
+    def test_noise_sweep_runs(self, capsys):
+        sweep = _load(ROOT / "scripts" / "noise_sweep.py")
+        assert sweep.main(["--seeds", "1", "--levels", "0"]) == 0
+        rows = capsys.readouterr().out.splitlines()[2:]
+        assert len(rows) == 1
+        assert rows[0].split()[:2] == ["0.00", "1/1"]

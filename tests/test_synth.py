@@ -75,6 +75,11 @@ class TestRayCast:
         with pytest.raises(InputError):
             CameraConfig(fov_deg=170.0)
 
+    @pytest.mark.parametrize("size", [{"width": 0}, {"height": -1}])
+    def test_empty_image_rejected(self, size):
+        with pytest.raises(InputError):
+            CameraConfig(**size)
+
 
 class TestTrajectories:
     def test_view_sphere_is_diverse(self):
