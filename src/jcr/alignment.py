@@ -12,9 +12,13 @@ with first-order gradient descent on a good closed-form initialization.
 Line-search trials evaluate the objective only; the gradient is taken only
 at accepted points. Residual terms are grouped by target view i and stored
 pixels last, as (K, 3, HW): per group, r = Xhat^i - (A X + b) with
-A = sigma_e R_n and b = sigma_e t_n, one batched matmul. With the moment
-matrix M = (A X) w^T of the weighted residuals w and s = sum w, sigma folds
-into the pose and scale gradients: -axial(M) for the rotation and
+A = sigma_e R_n and b = sigma_e t_n, one batched matmul. Every evaluation
+writes r and the smoothed norms into per-group buffers allocated once per
+descent, and the global pointmaps stay pixels last, (3, HW), until it ends.
+The accepted trial is always the last one evaluated, so the gradient reads
+its buffers and computes no residual again. With the moment matrix
+M = (A X) w^T of the weighted residuals w and s = sum w, sigma folds into
+the pose and scale gradients: -axial(M) for the rotation and
 -(tr M + s . b) for log sigma. The result reports why the descent stopped
 (``stop_reason``).
 Gauge: P_1 = identity and sigma of the first edge = 1.
@@ -292,24 +296,79 @@ def _terms(preds):
     return groups
 
 
-def _group_residuals(group, rotations, translations, sigmas, xhat):
-    """(A, b, r) of one target-view group: A = sigma R as (K, 3, 3),
-    b = sigma t as (K, 3) and the residuals r = Xhat - (A X + b) as
-    (K, 3, HW)."""
-    _, x, _, refs, edges = group
-    sig = sigmas[edges]
-    A = sig[:, None, None] * rotations[refs]
-    b = sig[:, None] * translations[refs]
-    r = A @ x
-    r += b[:, :, None]
-    np.subtract(xhat, r, out=r)
-    return A, b, r
+class _Evaluation:
+    """Per-group buffers of the latest objective evaluation.
 
+    Allocated once per descent, next to ``_terms``: for each target-view
+    group the residuals r = Xhat - (A X + b) as (K, 3, HW) and the smoothed
+    norms q = sqrt(|r|^2 + eps^2) as (K, HW). Every ``objective`` call
+    overwrites them and keeps its A = sigma R, b = sigma t and sigma;
+    ``gradients`` reads them and computes no residual again.
+    """
 
-def _smoothed_norms(r, norm_eps):
-    q = np.einsum("kip,kip->kp", r, r)
-    q += norm_eps**2
-    return np.sqrt(q, out=q)
+    def __init__(self, terms, norm_eps):
+        self.terms, self.norm_eps = terms, norm_eps
+        self.r = [np.empty_like(x) for _, x, _, _, _ in terms]
+        self.q = [np.empty_like(c) for _, _, c, _, _ in terms]
+        self.Ab = [None] * len(terms)
+        self.sigmas = None
+
+    def objective(self, rotations, translations, log_sigmas, xhat):
+        """Objective sum C (sqrt(|r|^2 + eps^2) - eps) over all terms, with
+        the global pointmaps ``xhat`` as per-view (3, HW) arrays."""
+        rotations, translations = np.asarray(rotations), np.asarray(translations)
+        self.sigmas = sigmas = np.exp(log_sigmas)
+        eps = self.norm_eps
+        obj = 0.0
+        for i, (view, x, c, refs, edges) in enumerate(self.terms):
+            sig = sigmas[edges]
+            A = sig[:, None, None] * rotations[refs]
+            b = sig[:, None] * translations[refs]
+            r, q = self.r[i], self.q[i]
+            np.matmul(A, x, out=r)
+            r += b[:, :, None]
+            np.subtract(xhat[view], r, out=r)
+            np.einsum("kip,kip->kp", r, r, out=q)
+            q += eps**2
+            np.sqrt(q, out=q)
+            obj += float(np.vdot(c, q - eps))
+            self.Ab[i] = A, b
+        return obj
+
+    def gradients(self, num_views):
+        """Gradients of the objective at the latest evaluated point w.r.t.
+        (rotations, translations, log sigmas, pointmaps), the pointmap
+        gradients as (3, HW). Turns the buffers into the weighted
+        residuals w in place, so it is valid once per evaluation.
+
+        Rotation gradients are taken w.r.t. a left-multiplied axis-angle
+        increment delta: R <- exp(delta) R. Per term, with Y_i = sigma R x_i,
+        b = sigma t, w_i = c_i r_i / smooth_i (d obj / d r_i), s = sum_i w_i
+        and the moment matrix M = sum_i Y_i w_i^T: d r_i / d delta =
+        skew(Y_i), so the rotation gradient is -sum_i Y_i x w_i = -axial(M),
+        the axial vector of M - M^T; d r_i / d t = -sigma I, so that
+        gradient is -sigma s; and d r_i / d log sigma = -(Y_i + b), so that
+        gradient is -(tr M + s . b). Every pixel of a view's group adds to
+        that view's pointmap gradient (d r / d Xhat = I); the pose and scale
+        gradients gather per term, never per pixel.
+        """
+        g_rot = np.zeros((num_views, 3))
+        g_trn = np.zeros((num_views, 3))
+        g_sig = np.zeros_like(self.sigmas)
+        g_pm = [None] * num_views
+        for i, (view, x, c, refs, edges) in enumerate(self.terms):
+            (A, b), w, q = self.Ab[i], self.r[i], self.q[i]
+            w *= np.divide(c, q, out=q)[:, None, :]
+            g_pm[view] = w.sum(0)
+            s = w.sum(2)
+            M = A @ (x @ w.transpose(0, 2, 1))  # Y w^T without forming Y
+            np.add.at(g_rot, refs, -np.stack(
+                [M[:, 1, 2] - M[:, 2, 1], M[:, 2, 0] - M[:, 0, 2],
+                 M[:, 0, 1] - M[:, 1, 0]], axis=1))
+            np.add.at(g_trn, refs, -self.sigmas[edges][:, None] * s)
+            np.add.at(g_sig, edges,
+                      -(np.trace(M, axis1=1, axis2=2) + (s * b).sum(1)))
+        return g_rot, g_trn, g_sig, g_pm
 
 
 def _pixels_last(pointmaps):
@@ -319,58 +378,23 @@ def _pixels_last(pointmaps):
 
 def _objective(terms, rotations, translations, log_sigmas, pointmaps,
                norm_eps):
-    """Objective sum C (sqrt(|r|^2 + eps^2) - eps) over all terms."""
-    rotations, translations = np.asarray(rotations), np.asarray(translations)
-    sigmas = np.exp(log_sigmas)
-    xhat = _pixels_last(pointmaps)
-    obj = 0.0
-    for group in terms:
-        _, _, r = _group_residuals(group, rotations, translations, sigmas,
-                                   xhat[group[0]])
-        q = _smoothed_norms(r, norm_eps)
-        q -= norm_eps
-        obj += float(np.vdot(group[2], q))
-    return obj
+    """Objective sum C (sqrt(|r|^2 + eps^2) - eps) over all terms, with
+    (H, W, 3) pointmaps."""
+    return _Evaluation(terms, norm_eps).objective(
+        rotations, translations, log_sigmas, _pixels_last(pointmaps))
 
 
 def _gradients(terms, rotations, translations, log_sigmas, pointmaps,
                norm_eps):
     """Gradients of ``_objective`` w.r.t. (rotations, translations,
-    log sigmas, pointmaps).
-
-    Rotation gradients are taken w.r.t. a left-multiplied axis-angle
-    increment delta: R <- exp(delta) R. Per term, with Y_i = sigma R x_i,
-    b = sigma t, w_i = c_i r_i / smooth_i (d obj / d r_i), s = sum_i w_i
-    and the moment matrix M = sum_i Y_i w_i^T: d r_i / d delta =
-    skew(Y_i), so the rotation gradient is -sum_i Y_i x w_i = -axial(M),
-    the axial vector of M - M^T; d r_i / d t = -sigma I, so that gradient
-    is -sigma s; and d r_i / d log sigma = -(Y_i + b), so that gradient is
-    -(tr M + s . b). Every pixel of a view's group adds to that view's
-    pointmap gradient (d r / d Xhat = I); the pose and scale gradients
-    gather per term, never per pixel.
-    """
-    rotations, translations = np.asarray(rotations), np.asarray(translations)
-    sigmas = np.exp(log_sigmas)
-    xhat = _pixels_last(pointmaps)
-    g_rot = np.zeros((len(rotations), 3))
-    g_trn = np.zeros((len(rotations), 3))
-    g_sig = np.zeros_like(log_sigmas)
-    g_pm = [np.zeros_like(pm) for pm in pointmaps]
-    for group in terms:
-        view, x, c, refs, edges = group
-        A, b, w = _group_residuals(group, rotations, translations, sigmas,
-                                   xhat[view])
-        w *= (c / _smoothed_norms(w, norm_eps))[:, None, :]
-        g_pm[view] = w.sum(0).T.reshape(pointmaps[view].shape)
-        s = w.sum(2)
-        M = A @ (x @ w.transpose(0, 2, 1))  # Y w^T without forming Y
-        np.add.at(g_rot, refs, -np.stack(
-            [M[:, 1, 2] - M[:, 2, 1], M[:, 2, 0] - M[:, 0, 2],
-             M[:, 0, 1] - M[:, 1, 0]], axis=1))
-        np.add.at(g_trn, refs, -sigmas[edges][:, None] * s)
-        np.add.at(g_sig, edges,
-                  -(np.trace(M, axis1=1, axis2=2) + (s * b).sum(1)))
-    return g_rot, g_trn, g_sig, g_pm
+    log sigmas, pointmaps), pointmap gradients as (H, W, 3): evaluates the
+    objective at the point, then reads that evaluation's buffers as the
+    descent does (see ``_Evaluation.gradients``)."""
+    ev = _Evaluation(terms, norm_eps)
+    ev.objective(rotations, translations, log_sigmas, _pixels_last(pointmaps))
+    g_rot, g_trn, g_sig, g_pm = ev.gradients(len(rotations))
+    return g_rot, g_trn, g_sig, [
+        g.T.reshape(pm.shape) for g, pm in zip(g_pm, pointmaps)]
 
 
 def align_global(preds, graph: PairGraph | None = None,
@@ -426,10 +450,11 @@ def align_global(preds, graph: PairGraph | None = None,
 
     n_terms = sum(2 * p.height * p.width for p in preds)
     floor = ABS_FLOOR_PER_TERM * n_terms
-    terms = _terms(preds)
+    ev = _Evaluation(_terms(preds), NORM_EPS)
+    shapes = [pm.shape for pm in pointmaps]
+    pointmaps = _pixels_last(pointmaps)  # (3, HW) until the descent ends
     step = STEP
-    obj = _objective(terms, rotations, translations, log_sigmas, pointmaps,
-                     NORM_EPS)
+    obj = ev.objective(rotations, translations, log_sigmas, pointmaps)
     trace = [obj]
     converged = True
     stop_reason = "budget"
@@ -438,9 +463,10 @@ def align_global(preds, graph: PairGraph | None = None,
         if obj <= floor:
             stop_reason = "floor"
             break
-        g_rot, g_trn, g_sig, g_pm = _gradients(
-            terms, rotations, translations, log_sigmas, pointmaps, NORM_EPS
-        )
+        # The last evaluation is the current point: the initial one or the
+        # trial accepted below (a rejected trial is followed by another
+        # trial or by the line-search stop).
+        g_rot, g_trn, g_sig, g_pm = ev.gradients(graph.num_views)
         accepted = False
         for _ in range(config.max_halvings):
             new_rot = list(rotations)
@@ -451,8 +477,7 @@ def align_global(preds, graph: PairGraph | None = None,
             new_ls = log_sigmas - step * g_sig
             new_ls[0] = log_sigmas[0]  # first edge pinned
             new_pm = [pm - step * g for pm, g in zip(pointmaps, g_pm)]
-            new_obj = _objective(terms, new_rot, new_trn, new_ls, new_pm,
-                                 NORM_EPS)
+            new_obj = ev.objective(new_rot, new_trn, new_ls, new_pm)
             if new_obj < obj:
                 accepted = True
                 break
@@ -489,7 +514,8 @@ def align_global(preds, graph: PairGraph | None = None,
     return AlignmentResult(
         poses=poses,
         sigmas=np.exp(log_sigmas),
-        pointmaps=pointmaps,
+        pointmaps=[np.ascontiguousarray(pm.T).reshape(shape)
+                   for pm, shape in zip(pointmaps, shapes)],
         confidences=confidences,
         objective=obj,
         objective_trace=np.array(trace),

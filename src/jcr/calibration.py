@@ -91,17 +91,38 @@ class CalibrationResult:
 
     @staticmethod
     def from_dict(d):
-        return CalibrationResult(
-            rotation=np.array(d["rotation"], dtype=float).reshape(3, 3),
-            translation=np.array(d["translation"], dtype=float),
-            scale=float(d["scale"]),
-            residuals_t=np.array(d["residuals_t"], dtype=float),
-            residuals_r=np.array(d["residuals_r"], dtype=float),
-            converged=bool(d["converged"]),
-            num_pairs=int(d["num_pairs"]),
-            tau_t=float(d.get("tau_t", DEFAULT_TAU_T)),
-            tau_r=float(d.get("tau_r", DEFAULT_TAU_R)),
-        )
+        """Inverse of ``to_dict``; a missing key, a wrongly sized array or a
+        non-finite value raises ``InputError``."""
+        try:
+            result = CalibrationResult(
+                rotation=np.array(d["rotation"], dtype=float).reshape(-1),
+                translation=np.array(d["translation"], dtype=float),
+                scale=float(d["scale"]),
+                residuals_t=np.array(d["residuals_t"], dtype=float),
+                residuals_r=np.array(d["residuals_r"], dtype=float),
+                converged=bool(d["converged"]),
+                num_pairs=int(d["num_pairs"]),
+                tau_t=float(d.get("tau_t", DEFAULT_TAU_T)),
+                tau_r=float(d.get("tau_r", DEFAULT_TAU_R)),
+            )
+        except (AttributeError, KeyError, OverflowError, TypeError,
+                ValueError) as exc:
+            raise InputError(f"malformed calibration: {exc!r}") from exc
+        if result.num_pairs < 1:
+            raise InputError(f"calibration with {result.num_pairs} pairs")
+        expect = {"rotation": (9,), "translation": (3,),
+                  "residuals_t": (result.num_pairs,),
+                  "residuals_r": (result.num_pairs,)}
+        for name, shape in expect.items():
+            if getattr(result, name).shape != shape:
+                raise InputError(f"calibration {name} has shape "
+                                 f"{getattr(result, name).shape}, expected {shape}")
+        values = (result.rotation, result.translation, result.residuals_t,
+                  result.residuals_r, (result.scale, result.tau_t, result.tau_r))
+        if not all(np.isfinite(v).all() for v in values):
+            raise InputError("calibration has non-finite values")
+        result.rotation = result.rotation.reshape(3, 3)
+        return result
 
 
 def motion_pairs(end_effector, camera, all_pairs=False):

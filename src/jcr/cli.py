@@ -223,11 +223,7 @@ def cmd_reconstruct(args):
     align_result = _load_alignment(align_dir)
     ee = io.load_poses(args.ee_poses)
     calib = CalibrationResult.from_dict(io.load_json(args.calibration))
-    colors = segs = None
-    if args.labels:
-        data = np.load(args.labels)
-        colors = list(data["colors"])
-        segs = list(data["segmentation"])
+    colors, segs = _load_labels(args.labels) if args.labels else (None, None)
     _stage_reconstruct(
         align_result, ee, calib, Path(args.out), args.seed,
         color_images=colors, seg_images=segs,
@@ -279,7 +275,7 @@ def cmd_eval(args):
         "num_pairs": calib.num_pairs,
     }
     if args.ground_truth:
-        gt = io.load_json(args.ground_truth)
+        gt = _load_ground_truth(args.ground_truth)
         pts = labels = heights = None
         if args.cloud and gt.get("object_heights"):
             pts, _, labels = io.load_ply(args.cloud)
@@ -311,28 +307,78 @@ def _print_report(report, indent=""):
 
 
 def _load_alignment(align_dir):
+    """AlignmentResult from ``jcr align``'s output directory; raises
+    InputError for a missing key, a malformed value or a pointmap that
+    does not match its confidence map."""
     from .alignment import AlignmentResult, PairGraph
 
-    meta = io.load_json(align_dir / "alignment.json")
-    maps = np.load(align_dir / "alignment_maps.npz")
-    poses = [
-        Pose.from_matrix(np.array(m), frame="camera_model")
-        for m in meta["poses_camera_to_global"]
-    ]
+    path = align_dir / "alignment.json"
+    meta = io.load_json(path)
+    keys = ("poses_camera_to_global", "sigmas", "objective", "converged",
+            "edges")
+    if not isinstance(meta, dict) or not all(k in meta for k in keys):
+        raise InputError(f"{path}: needs the keys {', '.join(keys)}")
+    try:
+        poses = [
+            Pose.from_matrix(np.array(m, dtype=float), frame="camera_model")
+            for m in meta["poses_camera_to_global"]
+        ]
+        sigmas = np.array(meta["sigmas"], dtype=float)
+        objective = float(meta["objective"])
+        graph = PairGraph(len(poses), tuple(map(tuple, meta["edges"])))
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{path}: malformed alignment: {exc!r}") from exc
+    if not poses:
+        raise InputError(f"{path}: no poses")
+    names = [f"{kind}_{v}" for v in range(len(poses))
+             for kind in ("pointmap", "confidence")]
+    maps = io.load_npz(align_dir / "alignment_maps.npz", names)
     pointmaps = [maps[f"pointmap_{v}"] for v in range(len(poses))]
     confidences = [maps[f"confidence_{v}"] for v in range(len(poses))]
+    for v, (pm, conf) in enumerate(zip(pointmaps, confidences)):
+        if (pm.shape != conf.shape + (3,) or conf.ndim != 2
+                or pm.dtype.kind != "f" or conf.dtype.kind != "f"):
+            raise InputError(f"alignment maps of view {v}: pointmap {pm.shape} "
+                             f"{pm.dtype} and confidence {conf.shape} {conf.dtype}")
     return AlignmentResult(
         poses=poses,
-        sigmas=np.array(meta["sigmas"]),
+        sigmas=sigmas,
         pointmaps=pointmaps,
         confidences=confidences,
-        objective=float(meta["objective"]),
+        objective=objective,
         objective_trace=np.array([]),
         converged=bool(meta["converged"]),
         # Absent from alignment.json files written before it was recorded.
         stop_reason=meta.get("stop_reason"),
-        graph=PairGraph(len(poses), tuple(map(tuple, meta["edges"]))),
+        graph=graph,
     )
+
+
+def _load_labels(path):
+    """Per-view color (H, W, 3) and segmentation (H, W) images from the
+    ``labels.npz`` that ``jcr synth`` writes."""
+    data = io.load_npz(path, ("colors", "segmentation"))
+    colors, segs = data["colors"], data["segmentation"]
+    if (colors.ndim != 4 or segs.ndim != 3 or colors.dtype.kind not in "fiu"
+            or segs.dtype.kind not in "iu"):
+        raise InputError(f"{path}: expected numeric colors (N, H, W, 3) and "
+                         "integer segmentation (N, H, W)")
+    return list(colors), list(segs)
+
+
+def _load_ground_truth(path):
+    """``synth/ground_truth.json``: calib as 16 numbers, a positive scale
+    and, optionally, object_heights mapping class ids to numbers."""
+    gt = io.load_json(path)
+    if not (isinstance(gt, dict) and _MATRIX[1](gt.get("calib"))
+            and _is_number(gt.get("scale")) and gt["scale"] > 0):
+        raise InputError(f"{path}: ground truth needs calib as 16 numbers "
+                         "and a positive scale")
+    heights = gt.get("object_heights")
+    if heights is not None and not (isinstance(heights, dict) and all(
+            k.isdecimal() and _is_number(h) for k, h in heights.items())):
+        raise InputError(f"{path}: object_heights must map class ids to numbers")
+    return gt
 
 
 def _is_int(v):
@@ -416,11 +462,8 @@ def cmd_run(args):
             stage = "input"
             ee_poses = io.load_poses(manifest["ee_poses"])
             pairs, graph = io.load_pair_set(manifest["pointmaps"])
-            colors = segs = None
-            if manifest.get("labels"):
-                data = np.load(manifest["labels"])
-                colors = list(data["colors"])
-                segs = list(data["segmentation"])
+            colors, segs = (_load_labels(manifest["labels"])
+                            if manifest.get("labels") else (None, None))
 
         stage = "align"
         align_result = _stage_align(pairs, graph, out / "align", seed)

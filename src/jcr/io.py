@@ -10,12 +10,15 @@ Formats:
       the pair files and the view count.
     * PLY: binary little-endian, x/y/z float32, red/green/blue uchar,
       optional label int32.
+    * Array archives: NumPy ``.npz`` (label images, alignment pointmaps),
+      read without pickled objects.
 """
 
 from __future__ import annotations
 
 import json
 import struct
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -234,6 +237,24 @@ def load_ply(path):
     if "label" in names:
         labels = rec["label"].astype(int)
     return points, colors, labels
+
+
+# ---------------------------------------------------------------------------
+# NumPy array archives
+
+
+def load_npz(path, keys):
+    """The arrays ``keys`` of an ``.npz`` archive, as a dict. Raises
+    InputError for a file that is not an ``.npz`` archive, an archive that
+    lacks one of the keys or an array that holds pickled objects."""
+    try:
+        data = np.load(path, allow_pickle=False)
+        if not isinstance(data, np.lib.npyio.NpzFile):
+            raise ValueError("not an .npz archive")
+        with data:
+            return {key: data[key] for key in keys}
+    except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile) as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,9 @@ import numpy as np
 import pytest
 
 from jcr.alignment import (
+    ABS_FLOOR_PER_TERM,
+    NORM_EPS,
+    STEP,
     AlignConfig,
     PairGraph,
     PairwisePrediction,
@@ -18,7 +21,7 @@ from jcr.alignment import (
     extract_point_cloud,
 )
 from jcr.errors import DisconnectedGraph, EmptyCloud, InputError
-from jcr.geometry import exp_map, rotation_angle
+from jcr.geometry import exp_map, project_to_rotation, rotation_angle
 from jcr.synth import CameraConfig, NoiseProfile
 
 from util import pose_dataset
@@ -318,6 +321,180 @@ class TestObjectiveGradientsUneven(TestObjectiveGradients):
         preds = problem[0]
         counts = np.bincount([p.n for p in preds] + [p.m for p in preds])
         assert len(counts) == 6 and len(set(counts)) > 1
+
+
+# Reference descent: the loop, objective and gradients as they were before
+# the gradient reused the accepted trial's buffers. Every call computes its
+# residuals afresh, and the pointmaps stay (H, W, 3), converted to (3, HW)
+# on every evaluation.
+
+
+def _ref_group_residuals(group, rotations, translations, sigmas, xhat):
+    _, x, _, refs, edges = group
+    sig = sigmas[edges]
+    A = sig[:, None, None] * rotations[refs]
+    b = sig[:, None] * translations[refs]
+    r = A @ x
+    r += b[:, :, None]
+    np.subtract(xhat, r, out=r)
+    return A, b, r
+
+
+def _ref_smoothed_norms(r, norm_eps):
+    q = np.einsum("kip,kip->kp", r, r)
+    q += norm_eps**2
+    return np.sqrt(q, out=q)
+
+
+def _ref_pixels_last(pointmaps):
+    return [np.ascontiguousarray(pm.reshape(-1, 3).T) for pm in pointmaps]
+
+
+def _ref_objective(terms, rotations, translations, log_sigmas, pointmaps,
+                   norm_eps):
+    rotations, translations = np.asarray(rotations), np.asarray(translations)
+    sigmas = np.exp(log_sigmas)
+    xhat = _ref_pixels_last(pointmaps)
+    obj = 0.0
+    for group in terms:
+        _, _, r = _ref_group_residuals(group, rotations, translations, sigmas,
+                                       xhat[group[0]])
+        q = _ref_smoothed_norms(r, norm_eps)
+        q -= norm_eps
+        obj += float(np.vdot(group[2], q))
+    return obj
+
+
+def _ref_gradients(terms, rotations, translations, log_sigmas, pointmaps,
+                   norm_eps):
+    rotations, translations = np.asarray(rotations), np.asarray(translations)
+    sigmas = np.exp(log_sigmas)
+    xhat = _ref_pixels_last(pointmaps)
+    g_rot = np.zeros((len(rotations), 3))
+    g_trn = np.zeros((len(rotations), 3))
+    g_sig = np.zeros_like(log_sigmas)
+    g_pm = [np.zeros_like(pm) for pm in pointmaps]
+    for group in terms:
+        view, x, c, refs, edges = group
+        A, b, w = _ref_group_residuals(group, rotations, translations, sigmas,
+                                       xhat[view])
+        w *= (c / _ref_smoothed_norms(w, norm_eps))[:, None, :]
+        g_pm[view] = w.sum(0).T.reshape(pointmaps[view].shape)
+        s = w.sum(2)
+        M = A @ (x @ w.transpose(0, 2, 1))
+        np.add.at(g_rot, refs, -np.stack(
+            [M[:, 1, 2] - M[:, 2, 1], M[:, 2, 0] - M[:, 0, 2],
+             M[:, 0, 1] - M[:, 1, 0]], axis=1))
+        np.add.at(g_trn, refs, -sigmas[edges][:, None] * s)
+        np.add.at(g_sig, edges,
+                  -(np.trace(M, axis1=1, axis2=2) + (s * b).sum(1)))
+    return g_rot, g_trn, g_sig, g_pm
+
+
+def _reference_descent(preds, graph):
+    """Returns (objective trace, rotations, translations, sigmas,
+    pointmaps, number of rejected trials)."""
+    rotations, translations, sigmas, pointmaps, _ = _initialize(preds, graph)
+    s0 = sigmas[0]
+    sigmas = sigmas / s0
+    pointmaps = [pm / s0 for pm in pointmaps]
+    log_sigmas = np.log(np.maximum(sigmas, 1e-12))
+    floor = ABS_FLOOR_PER_TERM * sum(2 * p.height * p.width for p in preds)
+    terms = _terms(preds)
+    step = STEP
+    obj = _ref_objective(terms, rotations, translations, log_sigmas,
+                         pointmaps, NORM_EPS)
+    trace = [obj]
+    config = AlignConfig()
+    rejected = 0
+    for _ in range(config.max_iters):
+        if obj <= floor:
+            break
+        g_rot, g_trn, g_sig, g_pm = _ref_gradients(
+            terms, rotations, translations, log_sigmas, pointmaps, NORM_EPS
+        )
+        accepted = False
+        for _ in range(config.max_halvings):
+            new_rot = list(rotations)
+            new_trn = list(translations)
+            for v in range(1, graph.num_views):
+                new_rot[v] = exp_map(-step * g_rot[v]) @ rotations[v]
+                new_trn[v] = translations[v] - step * g_trn[v]
+            new_ls = log_sigmas - step * g_sig
+            new_ls[0] = log_sigmas[0]
+            new_pm = [pm - step * g for pm, g in zip(pointmaps, g_pm)]
+            new_obj = _ref_objective(terms, new_rot, new_trn, new_ls, new_pm,
+                                     NORM_EPS)
+            if new_obj < obj:
+                accepted = True
+                break
+            rejected += 1
+            step /= 2.0
+        if not accepted:
+            break
+        last_rel = (obj - new_obj) / max(obj, 1e-300)
+        rotations, translations = new_rot, new_trn
+        log_sigmas, pointmaps = new_ls, new_pm
+        obj = new_obj
+        trace.append(obj)
+        step = min(step * 1.5, STEP)
+        if last_rel < config.tol:
+            break
+    return (np.array(trace), rotations, translations, np.exp(log_sigmas),
+            pointmaps, rejected)
+
+
+class TestSameIterates:
+    """``align_global`` takes the same iterates as the reference descent,
+    bit for bit: on the 10-view tabletop scene of the benchmark's seed 1000
+    and on a 6-view graph with pair dropout, whose target-view groups hold
+    different numbers of terms."""
+
+    @pytest.fixture(scope="class", params=["tabletop-1000", "dropout-6v"])
+    def runs(self, request):
+        if request.param == "tabletop-1000":
+            ds = pose_dataset(
+                seed=1000, num_poses=10, with_pointmaps=True,
+                noise=NoiseProfile(), camera=CameraConfig(width=32, height=24),
+            )
+        else:
+            ds = pose_dataset(
+                seed=40, num_poses=6, with_pointmaps=True,
+                noise=NoiseProfile(dropout=0.3),
+                camera=CameraConfig(width=16, height=12),
+            )
+            counts = np.bincount([v for e in ds.graph.edges for v in e])
+            assert len(set(counts)) > 1
+        preds = [next(p for p in ds.pairs if (p.n, p.m) == e)
+                 for e in ds.graph.edges]
+        return _reference_descent(preds, ds.graph), align_global(
+            ds.pairs, ds.graph)
+
+    def test_objective_trace(self, runs):
+        ref, result = runs
+        assert np.array_equal(result.objective_trace, ref[0])
+        assert result.objective == ref[0][-1]
+
+    def test_poses(self, runs):
+        (_, rotations, translations, *_), result = runs
+        for pose, R, t in zip(result.poses, rotations, translations,
+                              strict=True):
+            assert np.array_equal(pose.rotation, project_to_rotation(R))
+            assert np.array_equal(pose.translation, t)
+
+    def test_sigmas(self, runs):
+        ref, result = runs
+        assert np.array_equal(result.sigmas, ref[3])
+
+    def test_pointmaps(self, runs):
+        ref, result = runs
+        for pm, ref_pm in zip(result.pointmaps, ref[4], strict=True):
+            assert np.array_equal(pm, ref_pm)
+
+    def test_line_search_rejects_a_trial(self, runs):
+        # A gradient that read a rejected trial's residuals would show here.
+        ref, _ = runs
+        assert ref[5] > 0
 
 
 @pytest.fixture(scope="module")

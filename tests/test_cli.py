@@ -1,6 +1,7 @@
 """End-to-end command-line interface checks."""
 
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -189,6 +190,109 @@ class TestQueryAndEval:
         printed = capsys.readouterr().out
         assert "mean_residual_t" in printed
         assert "rotation_error_deg" not in printed
+
+
+def _edited_calibration(pipeline, edit):
+    calib = io.load_json(pipeline / "calibrate" / "calibration.json")
+    edit(calib)
+    return json.dumps(calib)
+
+
+class TestBadFilesExit2:
+    """A malformed file that ``jcr eval``, ``jcr reconstruct`` or ``jcr run``
+    reads back ends in exit code 2, not a traceback."""
+
+    @pytest.mark.parametrize("edit", [
+        lambda c: c.pop("scale"),
+        lambda c: c.update(rotation=[1]),
+        lambda c: c.update(translation=[0.1, 0.2]),
+        lambda c: c.update(residuals_t=[]),
+        lambda c: c.update(scale=float("nan")),
+    ], ids=["missing-key", "rotation", "translation", "residuals", "non-finite"])
+    def test_eval_calibration(self, pipeline, tmp_path, edit):
+        path = tmp_path / "calibration.json"
+        path.write_text(_edited_calibration(pipeline, edit))
+        assert main(["eval", "--calibration", str(path)]) == 2
+
+    @pytest.mark.parametrize("gt", [
+        {"scale": 1},
+        {"calib": np.eye(4).reshape(-1).tolist()},
+        {"calib": [1, 0], "scale": 1},
+        {"calib": np.eye(4).reshape(-1).tolist(), "scale": 0},
+        {"calib": np.eye(4).reshape(-1).tolist(), "scale": 1,
+         "object_heights": {"table": 0.1}},
+    ], ids=["no-calib", "no-scale", "calib", "zero-scale", "heights"])
+    def test_eval_ground_truth(self, pipeline, tmp_path, gt):
+        path = tmp_path / "gt.json"
+        path.write_text(json.dumps(gt))
+        assert main(
+            ["eval",
+             "--calibration", str(pipeline / "calibrate" / "calibration.json"),
+             "--ground-truth", str(path),
+             "--cloud", str(pipeline / "reconstruct" / "cloud.ply")]
+        ) == 2
+
+    def _reconstruct(self, pipeline, tmp_path, align_dir=None, labels=None):
+        args = [
+            "reconstruct",
+            "--alignment", str(align_dir or pipeline / "align"),
+            "--calibration", str(pipeline / "calibrate" / "calibration.json"),
+            "--ee-poses", str(pipeline / "synth" / "ee_poses.json"),
+            "--out", str(tmp_path / "recon"),
+        ]
+        return main(args + (["--labels", str(labels)] if labels else []))
+
+    def test_reconstruct_reads_good_files(self, pipeline, tmp_path):
+        assert self._reconstruct(pipeline, tmp_path,
+                                 labels=pipeline / "synth" / "labels.npz") == 0
+
+    def test_reconstruct_labels_not_npz(self, pipeline, tmp_path):
+        labels = tmp_path / "labels.npz"
+        labels.write_text("colors,segmentation\n")
+        assert self._reconstruct(pipeline, tmp_path, labels=labels) == 2
+
+    def test_reconstruct_labels_wrong_arrays(self, pipeline, tmp_path):
+        labels = tmp_path / "labels.npz"
+        np.savez(labels, colors=np.zeros(()), segmentation=np.zeros((1, 2, 2)))
+        assert self._reconstruct(pipeline, tmp_path, labels=labels) == 2
+
+    def _align_copy(self, pipeline, tmp_path):
+        align_dir = tmp_path / "align"
+        shutil.copytree(pipeline / "align", align_dir)
+        return align_dir
+
+    def test_reconstruct_alignment_maps_not_npz(self, pipeline, tmp_path):
+        align_dir = self._align_copy(pipeline, tmp_path)
+        (align_dir / "alignment_maps.npz").write_text("not an archive\n")
+        assert self._reconstruct(pipeline, tmp_path, align_dir) == 2
+
+    def test_reconstruct_alignment_maps_missing_view(self, pipeline, tmp_path):
+        align_dir = self._align_copy(pipeline, tmp_path)
+        np.savez(align_dir / "alignment_maps.npz", pointmap_0=np.zeros((2, 2, 3)),
+                 confidence_0=np.ones((2, 2)))
+        assert self._reconstruct(pipeline, tmp_path, align_dir) == 2
+
+    @pytest.mark.parametrize("meta", [
+        {"sigmas": []},
+        {"poses_camera_to_global": [[1, 2]], "sigmas": [], "objective": 0,
+         "converged": True, "edges": []},
+    ], ids=["missing-keys", "pose"])
+    def test_reconstruct_alignment_json(self, pipeline, tmp_path, meta):
+        align_dir = self._align_copy(pipeline, tmp_path)
+        (align_dir / "alignment.json").write_text(json.dumps(meta))
+        assert self._reconstruct(pipeline, tmp_path, align_dir) == 2
+
+    def test_run_labels_not_npz(self, pipeline, tmp_path):
+        labels = tmp_path / "labels.npz"
+        labels.write_text("colors,segmentation\n")
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({
+            "ee_poses": str(pipeline / "synth" / "ee_poses.json"),
+            "pointmaps": str(pipeline / "synth" / "pointmaps" / "pairs.json"),
+            "labels": str(labels),
+        }))
+        assert main(["run", "--manifest", str(manifest),
+                     "--out", str(tmp_path / "out")]) == 2
 
 
 class TestReconstructFlags:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from jcr import io
 from jcr.alignment import PairGraph, PairwisePrediction
+from jcr.calibration import CalibrationResult
 from jcr.errors import InputError, JCRError
 from jcr.fields import FieldModel, PositionalEncoding, TrainConfig, query
 from jcr.geometry import Pose, random_rotation
@@ -417,3 +418,36 @@ class TestModelFuzz:
     def test_unedited_dict_queries(self, head):
         out = query(FieldModel.from_dict(_MODEL_DICTS[head]), np.zeros((2, 3)))
         assert len(out) == 2 and np.isfinite(out).all()
+
+
+_CALIB_DICT = CalibrationResult(
+    rotation=random_rotation(np.random.default_rng(6)),
+    translation=np.array([0.05, -0.02, 0.1]), scale=0.8,
+    residuals_t=np.array([0.01, 0.02, 0.015]),
+    residuals_r=np.array([0.03, 0.01, 0.02]), converged=True, num_pairs=3,
+).to_dict()
+_calib_value = (
+    st.just(_DELETE) | _json
+    | st.lists(st.floats() | st.integers(-3, 3), max_size=10)
+)
+_calib_edits = st.lists(
+    st.tuples(st.sampled_from([()] + [(k,) for k in _CALIB_DICT]), _calib_value),
+    min_size=1, max_size=3,
+)
+
+
+class TestCalibrationFuzz:
+    @_FUZZ
+    @given(edits=_calib_edits)
+    def test_calibration_dicts(self, edits):
+        try:
+            calib = CalibrationResult.from_dict(_edited(_CALIB_DICT, edits))
+        except JCRError:
+            return
+        assert calib.rotation.shape == (3, 3) and calib.translation.shape == (3,)
+        assert len(calib.residuals_t) == len(calib.residuals_r) == calib.num_pairs
+        assert np.isfinite(calib.mean_residual_t) and np.isfinite(calib.scale)
+
+    def test_unedited_dict_round_trips(self):
+        calib = CalibrationResult.from_dict(_CALIB_DICT)
+        assert calib.to_dict() == _CALIB_DICT
