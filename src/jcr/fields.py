@@ -2,8 +2,12 @@
 
 A small fully connected network (one hidden ReLU layer) over sinusoidally
 encoded, box-normalized 3D coordinates. Training is deterministic
-mini-batch gradient descent with momentum; the backward pass is written
-out by hand and validated against finite differences (``gradient_check``).
+mini-batch gradient descent with momentum, in float32: the weights, the
+features (computed in float64 and rounded once) and the targets. A model
+keeps and saves its float32 weights, so a saved model queries bit for bit
+like the trained one. The backward pass is written out by hand, follows its
+inputs' dtype, and is validated in float64 against finite differences
+(``gradient_check``).
 """
 
 from __future__ import annotations
@@ -47,15 +51,26 @@ class PositionalEncoding:
     def output_dim(self):
         return 3 * self.include_raw + 6 * self.num_frequencies
 
-    def encode(self, x):
-        """Encode (N, 3) coordinates already normalized to [-1, 1]^3."""
+    def encode(self, x, out=None):
+        """Encode (N, 3) coordinates already normalized to [-1, 1]^3.
+
+        The features are computed in float64. ``out``, an (N, output_dim)
+        array, receives them rounded once to its dtype; without it they are
+        returned in float64.
+        """
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        parts = [x] if self.include_raw else []
+        if out is None:
+            out = np.empty((len(x), self.output_dim))
+        col = 0
+        if self.include_raw:
+            out[:, :3] = x
+            col = 3
         for k in range(self.num_frequencies):
             ang = (2.0**k) * np.pi * x
-            parts.append(np.sin(ang))
-            parts.append(np.cos(ang))
-        return np.concatenate(parts, axis=1)
+            np.sin(ang, out=out[:, col : col + 3], casting="same_kind")
+            np.cos(ang, out=out[:, col + 3 : col + 6], casting="same_kind")
+            col += 6
+        return out
 
 
 @dataclass(frozen=True)
@@ -105,14 +120,18 @@ class FieldModel:
         hidden-layer array of at most 2 * QUERY_CHUNK rows. The rows past
         the last whole chunk join that chunk: BLAS then multiplies only
         large blocks that start where one pass's blocks start, and gives
-        one pass's result bit for bit (on one BLAS thread).
+        one pass's result bit for bit (on one BLAS thread). Each chunk's
+        features are rounded to float32, as in training.
         """
         points = np.atleast_2d(np.asarray(points, dtype=float))
         n = len(points)
-        out = np.empty((n, self.W2.shape[1]))
+        out = np.empty((n, self.W2.shape[1]), self.W2.dtype)
         starts = [QUERY_CHUNK * k for k in range(max(n // QUERY_CHUNK, 1))]
+        buf = np.empty((min(n, 2 * QUERY_CHUNK), self.encoding.output_dim),
+                       np.float32)
         for lo, hi in zip(starts, starts[1:] + [n]):
-            feat = self.encoding.encode(self.normalize(points[lo:hi]))
+            feat = self.encoding.encode(self.normalize(points[lo:hi]),
+                                        out=buf[: hi - lo])
             h = feat @ self.W1
             h += self.b1
             np.maximum(h, 0.0, out=h)
@@ -162,7 +181,7 @@ class FieldModel:
         ``InputError``."""
         def unblob(s, shape):
             a = np.frombuffer(base64.b64decode(s), dtype=np.float32)
-            return a.reshape(shape).astype(float)
+            return a.reshape(shape).copy()
 
         try:
             enc = PositionalEncoding(**d["encoding"])
@@ -317,7 +336,8 @@ def _norm_box(points, inflation=0.0):
 
 
 def _train(points, y, head, out_dim, cfg: TrainConfig, negatives=None):
-    """Shared training loop.
+    """Shared training loop, in float32; ``y`` holds float32 targets or
+    class indices.
 
     ``negatives = (lo, hi, n)`` adds ``n`` samples labeled 0, drawn
     uniformly from the box ``[lo, hi]`` afresh every epoch (NCE-style); the
@@ -325,28 +345,30 @@ def _train(points, y, head, out_dim, cfg: TrainConfig, negatives=None):
     """
     rng = np.random.default_rng(cfg.seed)
     enc = PositionalEncoding(cfg.num_frequencies, cfg.include_raw)
-    box = points
+    box, n_neg = points, 0
     if negatives is not None:
         lo, hi, n_neg = negatives
         box = np.vstack([points, lo, hi])
     center, half = _norm_box(box, inflation=0.05)
-    params = _init_params(rng, enc.output_dim, cfg.hidden_size, out_dim)
+    f32 = np.float32
+    params = [p.astype(f32)
+              for p in _init_params(rng, enc.output_dim, cfg.hidden_size, out_dim)]
     velocity = [np.zeros_like(p) for p in params]
-
-    def encode(p):
-        return enc.encode((p - center) / half)
+    # NumPy scalars in the config would promote every step to float64.
+    momentum, learning_rate = f32(cfg.momentum), f32(cfg.learning_rate)
 
     # The given points never change, so they are encoded once; each epoch
     # encodes only its fresh negatives, into the rows after them.
-    feat = encode(points)
+    feat = np.empty((len(points) + n_neg, enc.output_dim), f32)
+    enc.encode((points - center) / half, out=feat[: len(points)])
     if negatives is not None:
-        feat = np.vstack([feat, np.empty((n_neg, enc.output_dim))])
-        y = np.concatenate([y, np.zeros(n_neg)])
-    hidden = np.empty((min(cfg.batch_size, len(feat)), cfg.hidden_size))
+        y = np.concatenate([y, np.zeros(n_neg, y.dtype)])
+    hidden = np.empty((min(cfg.batch_size, len(feat)), cfg.hidden_size), f32)
     initial_loss = None
     for epoch in range(cfg.epochs):
         if negatives is not None:
-            feat[len(points):] = encode(rng.uniform(lo, hi, size=(n_neg, 3)))
+            neg = rng.uniform(lo, hi, size=(n_neg, 3))
+            enc.encode((neg - center) / half, out=feat[len(points):])
         order = rng.permutation(len(feat))
         epoch_loss = 0.0
         nb = 0
@@ -356,8 +378,8 @@ def _train(points, y, head, out_dim, cfg: TrainConfig, negatives=None):
             epoch_loss += loss
             nb += 1
             for p, v, g in zip(params, velocity, grads):
-                v *= cfg.momentum
-                v -= cfg.learning_rate * g
+                v *= momentum
+                v -= learning_rate * g
                 p += v
         loss = epoch_loss / nb
         if initial_loss is None:
@@ -430,7 +452,8 @@ def train_occupancy(cloud, cfg: TrainConfig | None = None) -> FieldModel:
     if (pos.min(axis=0) < lo - 1e-9).any() or (pos.max(axis=0) > hi + 1e-9).any():
         raise DegenerateBounds("negative-sample box does not contain the cloud")
     n_neg = max(int(len(pos) * cfg.negatives_per_positive), 1)
-    return _train(pos, np.ones(len(pos)), HEAD_OCCUPANCY, 1, cfg, (lo, hi, n_neg))
+    return _train(pos, np.ones(len(pos), np.float32), HEAD_OCCUPANCY, 1, cfg,
+                  (lo, hi, n_neg))
 
 
 def train_segmentation(cloud, cfg: TrainConfig | None = None) -> FieldModel:
@@ -450,8 +473,7 @@ def train_segmentation(cloud, cfg: TrainConfig | None = None) -> FieldModel:
     classes = np.unique(labels)
     if len(classes) < 2:
         raise SingleClass(f"only class {classes} present; nothing to separate")
-    remap = {c: i for i, c in enumerate(classes)}
-    y = np.array([remap[c] for c in labels])
+    y = np.searchsorted(classes, labels)
     model = _train(pts, y, HEAD_SEGMENTATION, len(classes), cfg)
     model.class_values = classes
     return model
@@ -469,7 +491,7 @@ def train_color(cloud, cfg: TrainConfig | None = None) -> FieldModel:
         raise InputError("colors must be finite")
     if colors.min() < -1e-9 or colors.max() > 1 + 1e-9:
         raise InputError("colors must lie in [0, 1]")
-    return _train(pts, colors, HEAD_COLOR, 3, cfg)
+    return _train(pts, colors.astype(np.float32), HEAD_COLOR, 3, cfg)
 
 
 def query(model: FieldModel, points):
@@ -481,7 +503,7 @@ def query(model: FieldModel, points):
         raise InputError("query points must be finite")
     if points.size == 0:
         shape = {HEAD_OCCUPANCY: (0,), HEAD_SEGMENTATION: (0, model.num_classes)}
-        return np.zeros(shape.get(model.head, (0, 3)))
+        return np.zeros(shape.get(model.head, (0, 3)), model.W2.dtype)
     z = model.forward(points)
     if model.head == HEAD_OCCUPANCY:
         return _sigmoid(z[:, 0])

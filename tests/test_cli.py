@@ -2,12 +2,14 @@
 
 import json
 import shutil
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from jcr import io
 from jcr.cli import main
+from jcr.fields import FieldModel, TrainConfig, query, train_segmentation
 from jcr.reconstruction import estimate_height
 from jcr.synth import single_axis_trajectory
 
@@ -147,6 +149,30 @@ class TestQueryAndEval:
             ["query", "--model", str(pipeline / "fields" / "field_occupancy.json"),
              "--points", str(pts), "--out", str(tmp_path / "q.csv")]
         ) == 2
+
+    def test_train_field_then_query_match_library(self, pipeline, tmp_path):
+        """The model `jcr train-field` saves queries bit for bit like the one
+        trained in memory, and `jcr query` writes that model's values."""
+        cloud = pipeline / "reconstruct" / "cloud.ply"
+        model_path = tmp_path / "seg.json"
+        assert main(["train-field", "--cloud", str(cloud), "--kind",
+                     "segmentation", "--epochs", "3", "--out",
+                     str(model_path)]) == 0
+        points, _, labels = io.load_ply(cloud)
+        model = train_segmentation(
+            SimpleNamespace(points=points, segmentation=labels),
+            TrainConfig(seed=0, epochs=3))
+        q = np.vstack([points[:40], points[:40] + 0.05])
+        pts = tmp_path / "pts.csv"
+        np.savetxt(pts, q, delimiter=",", fmt="%.17g")
+        outf = tmp_path / "q.csv"
+        assert main(["query", "--model", str(model_path), "--points", str(pts),
+                     "--out", str(outf)]) == 0
+        saved = FieldModel.from_dict(io.load_json(model_path))
+        assert np.array_equal(query(saved, q), query(model, q))
+        want = tmp_path / "want.csv"
+        np.savetxt(want, query(model, q), delimiter=",", fmt="%.8g")
+        assert outf.read_text() == want.read_text()
 
     def test_query_malformed_model_exit_2(self, pipeline, tmp_path):
         model = io.load_json(pipeline / "fields" / "field_color.json")

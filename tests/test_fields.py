@@ -1,6 +1,7 @@
 """Implicit occupancy / segmentation / color fields."""
 
 import copy
+import dataclasses
 import os
 import subprocess
 import sys
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from jcr import fields
 from jcr.errors import EmptyCloud, InputError, SingleClass
 from jcr.fields import (
     QUERY_CHUNK,
@@ -240,8 +242,8 @@ class TestQueryAndSerialization:
         )
         back = FieldModel.from_dict(model.to_dict())
         q = rng.uniform(-0.2, 0.2, size=(50, 3))
-        # Weights are serialized as float32, so predictions match loosely.
-        assert np.abs(query(model, q) - query(back, q)).max() < 1e-5
+        # The float32 weights are saved as they are: predictions are exact.
+        assert np.array_equal(query(model, q), query(back, q))
         assert back.head == model.head
         assert np.array_equal(back.class_values, model.class_values)
 
@@ -255,7 +257,7 @@ class TestQueryAndSerialization:
         )
         back = FieldModel.from_dict(json.loads(json.dumps(model.to_dict())))
         q = rng.uniform(-0.2, 0.2, size=(20, 3))
-        assert np.abs(query(model, q) - query(back, q)).max() < 1e-5
+        assert np.array_equal(query(model, q), query(back, q))
 
     def test_chunked_forward_matches_one_pass(self):
         """Queries run QUERY_CHUNK rows at a time; with 2 chunks and 17 rows
@@ -290,7 +292,8 @@ class Cloud:
 q = np.random.default_rng(15).uniform(-0.3, 0.3, (2 * QUERY_CHUNK + 17, 3))
 for train in (train_occupancy, train_segmentation, train_color):
     model = train(Cloud(), TrainConfig(epochs=2, hidden_size=256))
-    h = model.encoding.encode(model.normalize(q)) @ model.W1 + model.b1
+    feat = model.encoding.encode(model.normalize(q)).astype(np.float32)
+    h = feat @ model.W1 + model.b1
     one_pass = np.maximum(h, 0.0) @ model.W2 + model.b2
     assert np.array_equal(model.forward(q), one_pass), model.head
     print(model.head)
@@ -310,7 +313,9 @@ def _reference_step(params, feat, y, head):
 def _reference_train(head, cloud, cfg):
     """The training loop written plainly: every epoch (re)builds and encodes
     the whole training set, occupancy's positives and fresh negatives
-    stacked, and steps with ``_reference_step``."""
+    stacked, and steps with ``_reference_step``. Parameters, features and
+    float targets are float32; the features are encoded in float64, then
+    rounded."""
     pts = cloud.points
     if head == "occupancy":
         center, half = _norm_box(pts, inflation=cfg.bounds_inflation)
@@ -322,20 +327,22 @@ def _reference_train(head, cloud, cfg):
         y = np.searchsorted(classes, cloud.segmentation)
         box, out_dim = pts, len(classes)
     else:
-        y, box, out_dim = cloud.colors, pts, 3
+        y, box, out_dim = cloud.colors.astype(np.float32), pts, 3
     rng = np.random.default_rng(cfg.seed)
     enc = PositionalEncoding(cfg.num_frequencies, cfg.include_raw)
     center, half = _norm_box(box, inflation=0.05)
-    params = _init_params(rng, enc.output_dim, cfg.hidden_size, out_dim)
+    params = [p.astype(np.float32) for p in
+              _init_params(rng, enc.output_dim, cfg.hidden_size, out_dim)]
     velocity = [np.zeros_like(p) for p in params]
     losses = []
     for _ in range(cfg.epochs):
         if head == "occupancy":
             x = np.vstack([pts, rng.uniform(lo, hi, size=(n_neg, 3))])
             y = np.concatenate([np.ones(len(pts)), np.zeros(n_neg)])
+            y = y.astype(np.float32)
         else:
             x = pts
-        feat = enc.encode((x - center) / half)
+        feat = enc.encode((x - center) / half).astype(np.float32)
         order = rng.permutation(len(feat))
         total, nb = 0.0, 0
         for s in range(0, len(order), cfg.batch_size):
@@ -385,28 +392,109 @@ class TestSameIterates:
     ])
     @pytest.mark.parametrize("poison", [False, True])
     def test_step_with_and_without_buffer(self, head, out_dim, poison):
-        rng = np.random.default_rng(4)
-        feat = PositionalEncoding(2).encode(rng.uniform(-1, 1, (37, 3)))
-        params = _init_params(rng, feat.shape[1], 16, out_dim)
-        if poison:
-            # inf meets the ReLU mask's zeros: NaN must come out, as it
-            # does from the plain multiply.
-            params[2][3] = np.inf
-        y = {"occupancy": rng.integers(0, 2, 37).astype(float),
-             "segmentation": rng.integers(0, 3, 37),
-             "color": rng.uniform(0, 1, (37, 3))}[head]
-        with np.errstate(invalid="ignore"):
-            want = _reference_step(params, feat, y, head)
-            plain = _forward_backward(params, feat, y, head)
-            # A buffer with spare rows and stale contents.
-            buf = np.full((50, 16), np.nan)
-            buffered = _forward_backward(params, feat, y, head, buf)
-        for got in (plain, buffered):
-            assert repr(got[0]) == repr(want[0])
-            for g, w in zip(got[1], want[1]):
-                assert np.array_equal(g, w, equal_nan=True)
-        if poison:
-            assert np.isnan(want[1][0]).any()
+        _check_buffered_step(head, out_dim, poison, np.float64)
+
+    @pytest.mark.parametrize("head, out_dim", [
+        ("occupancy", 1), ("segmentation", 3), ("color", 3),
+    ])
+    @pytest.mark.parametrize("poison", [False, True])
+    def test_float32_step_with_and_without_buffer(self, head, out_dim, poison):
+        _check_buffered_step(head, out_dim, poison, np.float32)
+
+    @pytest.mark.parametrize("head, out_dim", [
+        ("occupancy", 1), ("segmentation", 3), ("color", 3),
+    ])
+    def test_float32_gradients_match_float64(self, head, out_dim):
+        feat, params, y = _step_inputs(head, out_dim, np.float64, rows=200,
+                                       hidden=64, frequencies=6)
+        loss, grads = _forward_backward(params, feat, y, head)
+        loss32, grads32 = _forward_backward(
+            [p.astype(np.float32) for p in params], feat.astype(np.float32),
+            y.astype(np.float32) if head != "segmentation" else y, head)
+        assert loss32 == pytest.approx(loss, rel=1e-3)
+        for g32, g in zip(grads32, grads):
+            assert g32.dtype == np.float32
+            assert np.abs(g32 - g).max() <= 1e-3 * np.abs(g).max()
+
+
+def _step_inputs(head, out_dim, dtype, rows=37, hidden=16, frequencies=2):
+    """Features, parameters and targets of one batch, in ``dtype``."""
+    rng = np.random.default_rng(4)
+    feat = PositionalEncoding(frequencies).encode(rng.uniform(-1, 1, (rows, 3)))
+    params = _init_params(rng, feat.shape[1], hidden, out_dim)
+    y = {"occupancy": rng.integers(0, 2, rows).astype(dtype),
+         "segmentation": rng.integers(0, 3, rows),
+         "color": rng.uniform(0, 1, (rows, 3)).astype(dtype)}[head]
+    return feat.astype(dtype), [p.astype(dtype) for p in params], y
+
+
+def _check_buffered_step(head, out_dim, poison, dtype):
+    """The buffered step gives the plain step's loss and gradients bit for
+    bit, in ``dtype``."""
+    feat, params, y = _step_inputs(head, out_dim, dtype)
+    if poison:
+        # inf meets the ReLU mask's zeros: NaN must come out, as it
+        # does from the plain multiply.
+        params[2][3] = np.inf
+    with np.errstate(invalid="ignore"):
+        want = _reference_step(params, feat, y, head)
+        plain = _forward_backward(params, feat, y, head)
+        # A buffer with spare rows and stale contents.
+        buf = np.full((50, 16), np.nan, dtype)
+        buffered = _forward_backward(params, feat, y, head, buf)
+    for got in (plain, buffered):
+        assert repr(got[0]) == repr(want[0])
+        for g, w in zip(got[1], want[1]):
+            assert g.dtype == dtype
+            assert np.array_equal(g, w, equal_nan=True)
+    if poison:
+        assert np.isnan(want[1][0]).any()
+
+
+class TestFloat32Training:
+    @pytest.mark.parametrize("train", [train_occupancy, train_segmentation,
+                                       train_color])
+    def test_numpy_scalar_step_sizes_train_in_float32(self, monkeypatch, train):
+        """NumPy float64 step sizes give the weights that Python floats give,
+        and every step's gradients stay float32."""
+        rng = np.random.default_rng(22)
+        cloud = _Cloud(_box_surface(rng, 300), colors=rng.uniform(0, 1, (300, 3)),
+                       segmentation=rng.choice([1, 4], 300))
+        cfg = TrainConfig(epochs=3, hidden_size=16, seed=1)
+        want = train(cloud, cfg)
+        dtypes = set()
+
+        def spy(*args):
+            loss, grads = _forward_backward(*args)
+            dtypes.update(g.dtype for g in grads)
+            return loss, grads
+
+        monkeypatch.setattr(fields, "_forward_backward", spy)
+        got = train(cloud, dataclasses.replace(
+            cfg, learning_rate=np.float64(1e-2), momentum=np.float64(0.9)))
+        assert dtypes == {np.dtype(np.float32)}
+        for name in ("W1", "b1", "W2", "b2"):
+            assert getattr(got, name).dtype == np.float32
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+
+    @pytest.mark.parametrize("labels", [
+        np.array([7, -2, 7, 30, -2, 0] * 20),
+        np.array([7, -2, 7, 30, -2, 0] * 20, dtype=float),
+    ])
+    def test_segmentation_labels_become_class_indices(self, monkeypatch, labels):
+        seen, train = [], fields._train
+
+        def spy(points, y, *args):
+            seen.append(y)
+            return train(points, y, *args)
+
+        monkeypatch.setattr(fields, "_train", spy)
+        pts = _box_surface(np.random.default_rng(23), len(labels))
+        model = train_segmentation(_Cloud(pts, segmentation=labels),
+                                   TrainConfig(epochs=2, hidden_size=8))
+        classes = [-2, 0, 7, 30]
+        assert np.array_equal(model.class_values, classes)
+        assert np.array_equal(seen[0], [classes.index(c) for c in labels])
 
 
 class TestTrainingInputs:
