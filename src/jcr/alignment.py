@@ -11,15 +11,21 @@ scales sigma_e and per-view global pointmaps Xhat^n by minimizing
 with first-order gradient descent on a good closed-form initialization.
 Line-search trials evaluate the objective only; the gradient is taken only
 at accepted points. Residual terms are grouped by target view i and stored
-pixels last, as (K, 3, HW): per group, r = Xhat^i - (A X + b) with
-A = sigma_e R_n and b = sigma_e t_n, one batched matmul. Every evaluation
-writes r and the smoothed norms into per-group buffers allocated once per
-descent, and the global pointmaps stay pixels last, (3, HW), until it ends.
-The accepted trial is always the last one evaluated, so the gradient reads
-its buffers and computes no residual again. With the moment matrix
-M = (A X) w^T of the weighted residuals w and s = sum w, sigma folds into
-the pose and scale gradients: -axial(M) for the rotation and
--(tr M + s . b) for log sigma. The result reports why the descent stopped
+pixels last: r = Xhat^i - (A X + b) with A = sigma_e R_n and
+b = sigma_e t_n. Consecutive groups are packed into blocks of (T, 3, HW)
+points, up to BLOCK_BYTES each, so that one batched matmul and one call of
+each other NumPy operation cover a block; on a sparse graph of small maps
+that is several groups per call, where the cost is call overhead and not
+arithmetic. Every evaluation writes r and the smoothed norms into per-block
+buffers allocated once per descent. Poses and global pointmaps are stacks,
+(V, 3, 3), (V, 3) and (V, 3, HW), until the descent ends, so a line-search
+trial is one ``exp_map`` of all V rotation steps and a few array
+operations. The accepted trial is always the last one evaluated, so the
+gradient reads its buffers and computes no residual again. With the moment
+matrix M = (A X) w^T of the weighted residuals w and s = sum w, sigma folds
+into the pose and scale gradients: -axial(M) for the rotation and
+-(tr M + s . b) for log sigma. The iterates are the same, bit for bit, as
+with one group per call. The result reports why the descent stopped
 (``stop_reason``).
 Gauge: P_1 = identity and sigma of the first edge = 1.
 """
@@ -28,6 +34,8 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
@@ -86,7 +94,14 @@ class PairGraph:
     edges: tuple  # ordered (n, m) pairs
 
     def __post_init__(self):
+        """Raises InputError for an edge that is not a pair of view indices
+        in 0..num_views-1."""
         object.__setattr__(self, "edges", tuple(tuple(e) for e in self.edges))
+        for e in self.edges:
+            if len(e) != 2 or not all(0 <= v < self.num_views for v in e):
+                raise InputError(
+                    f"pair graph edge {e} is not a pair of views "
+                    f"0..{self.num_views - 1}")
 
     def is_connected(self):
         adj = {v: set() for v in range(self.num_views)}
@@ -111,6 +126,11 @@ PAIR_WINDOW = 5
 STEP = 1e-2
 # Objective floor per residual term; noiseless problems stop here.
 ABS_FLOOR_PER_TERM = 1e-16
+# Target-view groups are packed into blocks of at most this many bytes of
+# points, so that one NumPy call covers many small groups. One stack of all
+# terms was as fast, but its multi-megabyte buffers did not fit the heap
+# that set-up leaves free and raised tabletop-10v's peak RSS by 9%.
+BLOCK_BYTES = 512 * 1024
 # The L2 residual norm is smoothed as sqrt(|r|^2 + eps^2) - eps so the
 # kink at exactly-zero residuals does not stall the descent.
 NORM_EPS = 1e-8
@@ -270,13 +290,30 @@ def _initialize(preds, graph):
     return rotations, translations, sigmas, pointmaps, confidences
 
 
+class _Block(NamedTuple):
+    """Consecutive target-view groups of residual terms, pixel axis last:
+    points (T, 3, HW) and confidences (T, HW) of the T terms, their
+    reference views (T,) and edges (T,), and per group (view, lo, hi), the
+    group's rows lo:hi."""
+
+    points: np.ndarray
+    confidences: np.ndarray
+    refs: np.ndarray
+    edges: np.ndarray
+    groups: tuple
+
+
 def _terms(preds):
-    """Residual terms grouped by target view, pixel axis last.
+    """Residual terms grouped by target view and packed into blocks.
 
     Each edge contributes view n's self-map and view m's map, both in frame
-    n. Returns one group per target view v: (v, points (K, 3, HW),
-    confidences (K, HW), reference views (K,), edges (K,)), for the K terms
-    that predict v. All of them have v's pixel count, so they stack.
+    n. The terms that predict one view form its group; groups are sorted by
+    view and packed, consecutively, into blocks of at most BLOCK_BYTES of
+    points (a larger group is a block of its own), so that several small
+    groups share each NumPy call while a block's buffers stay small enough
+    for the heap that set-up leaves free. Every view has the same pixel
+    count, so the terms of a block stack; they are written straight into the
+    block's arrays.
     """
     by_view = {}
     for e, p in enumerate(preds):
@@ -284,62 +321,86 @@ def _terms(preds):
             (p.n, p.pointmap_self, p.confidence_self),
             (p.m, p.pointmap_other, p.confidence_other),
         ):
-            by_view.setdefault(view, []).append(
-                (e, p.n, pm.reshape(-1, 3).T, conf.reshape(-1))
-            )
-    groups = []
+            by_view.setdefault(view, []).append((e, p.n, pm, conf))
+    hw = preds[0].height * preds[0].width
+    term_bytes = 3 * hw * np.dtype(float).itemsize
+    packed, size = [], 0
     for view in sorted(by_view):
-        edges, refs, pts, confs = zip(*by_view[view])
-        groups.append((view, np.ascontiguousarray(np.stack(pts)),
-                       np.stack(confs),
-                       np.array(refs), np.array(edges)))
-    return groups
+        k = len(by_view[view])
+        if not packed or (size + k) * term_bytes > BLOCK_BYTES:
+            packed.append([])
+            size = 0
+        packed[-1].append(view)
+        size += k
+    blocks = []
+    for views in packed:
+        rows = [t for view in views for t in by_view[view]]
+        points = np.empty((len(rows), 3, hw))
+        confidences = np.empty((len(rows), hw))
+        for k, (_, _, pm, conf) in enumerate(rows):
+            points[k] = pm.reshape(-1, 3).T
+            confidences[k] = conf.reshape(-1)
+        bounds = list(accumulate((len(by_view[v]) for v in views), initial=0))
+        blocks.append(_Block(points, confidences,
+                             np.array([n for _, n, _, _ in rows]),
+                             np.array([e for e, _, _, _ in rows]),
+                             tuple(zip(views, bounds[:-1], bounds[1:]))))
+    return blocks
 
 
 class _Evaluation:
-    """Per-group buffers of the latest objective evaluation.
+    """Per-block buffers of the latest objective evaluation.
 
-    Allocated once per descent, next to ``_terms``: for each target-view
-    group the residuals r = Xhat - (A X + b) as (K, 3, HW) and the smoothed
-    norms q = sqrt(|r|^2 + eps^2) as (K, HW). Every ``objective`` call
-    overwrites them and keeps its A = sigma R, b = sigma t and sigma;
-    ``gradients`` reads them and computes no residual again.
+    Allocated once per descent, next to ``_terms``: for each block the
+    residuals r = Xhat - (A X + b) as (T, 3, HW) and the smoothed norms
+    q = sqrt(|r|^2 + eps^2) as (T, HW), and the pointmap gradients as
+    (V, 3, HW). Every ``objective`` call overwrites r and q and keeps its
+    A = sigma R, b = sigma t and sigma; ``gradients`` reads them and
+    computes no residual again. Each NumPy call covers a whole block,
+    except three per group that keep the summation order of one group per
+    call: the subtraction of Xhat, the objective's dot product and the
+    pointmap gradient's sum over terms.
     """
 
-    def __init__(self, terms, norm_eps):
-        self.terms, self.norm_eps = terms, norm_eps
-        self.r = [np.empty_like(x) for _, x, _, _, _ in terms]
-        self.q = [np.empty_like(c) for _, _, c, _, _ in terms]
-        self.Ab = [None] * len(terms)
+    def __init__(self, blocks, num_views, norm_eps):
+        self.blocks, self.norm_eps = blocks, norm_eps
+        self.r = [np.empty_like(blk.points) for blk in blocks]
+        self.q = [np.empty_like(blk.confidences) for blk in blocks]
+        self.g_pm = np.zeros((num_views,) + blocks[0].points.shape[1:])
+        self.Ab = [None] * len(blocks)
         self.sigmas = None
 
     def objective(self, rotations, translations, log_sigmas, xhat):
         """Objective sum C (sqrt(|r|^2 + eps^2) - eps) over all terms, with
-        the global pointmaps ``xhat`` as per-view (3, HW) arrays."""
-        rotations, translations = np.asarray(rotations), np.asarray(translations)
+        rotations (V, 3, 3), translations (V, 3) and the global pointmaps
+        ``xhat`` as (V, 3, HW)."""
         self.sigmas = sigmas = np.exp(log_sigmas)
         eps = self.norm_eps
         obj = 0.0
-        for i, (view, x, c, refs, edges) in enumerate(self.terms):
-            sig = sigmas[edges]
-            A = sig[:, None, None] * rotations[refs]
-            b = sig[:, None] * translations[refs]
+        for i, blk in enumerate(self.blocks):
+            sig = sigmas[blk.edges]
+            A = sig[:, None, None] * rotations[blk.refs]
+            b = sig[:, None] * translations[blk.refs]
             r, q = self.r[i], self.q[i]
-            np.matmul(A, x, out=r)
+            np.matmul(A, blk.points, out=r)
             r += b[:, :, None]
-            np.subtract(xhat[view], r, out=r)
+            for view, lo, hi in blk.groups:
+                np.subtract(xhat[view], r[lo:hi], out=r[lo:hi])
             np.einsum("kip,kip->kp", r, r, out=q)
             q += eps**2
             np.sqrt(q, out=q)
-            obj += float(np.vdot(c, q - eps))
+            smooth = q - eps
+            for _, lo, hi in blk.groups:
+                obj += float(np.vdot(blk.confidences[lo:hi], smooth[lo:hi]))
             self.Ab[i] = A, b
         return obj
 
-    def gradients(self, num_views):
+    def gradients(self):
         """Gradients of the objective at the latest evaluated point w.r.t.
         (rotations, translations, log sigmas, pointmaps), the pointmap
-        gradients as (3, HW). Turns the buffers into the weighted
-        residuals w in place, so it is valid once per evaluation.
+        gradients as (V, 3, HW) in a buffer that the next call overwrites.
+        Turns the buffers into the weighted residuals w in place, so it is
+        valid once per evaluation.
 
         Rotation gradients are taken w.r.t. a left-multiplied axis-angle
         increment delta: R <- exp(delta) R. Per term, with Y_i = sigma R x_i,
@@ -352,36 +413,38 @@ class _Evaluation:
         that view's pointmap gradient (d r / d Xhat = I); the pose and scale
         gradients gather per term, never per pixel.
         """
-        g_rot = np.zeros((num_views, 3))
-        g_trn = np.zeros((num_views, 3))
+        g_pm = self.g_pm
+        g_rot = np.zeros((len(g_pm), 3))
+        g_trn = np.zeros((len(g_pm), 3))
         g_sig = np.zeros_like(self.sigmas)
-        g_pm = [None] * num_views
-        for i, (view, x, c, refs, edges) in enumerate(self.terms):
+        for i, blk in enumerate(self.blocks):
             (A, b), w, q = self.Ab[i], self.r[i], self.q[i]
-            w *= np.divide(c, q, out=q)[:, None, :]
-            g_pm[view] = w.sum(0)
+            w *= np.divide(blk.confidences, q, out=q)[:, None, :]
+            for view, lo, hi in blk.groups:
+                w[lo:hi].sum(0, out=g_pm[view])
             s = w.sum(2)
-            M = A @ (x @ w.transpose(0, 2, 1))  # Y w^T without forming Y
-            np.add.at(g_rot, refs, -np.stack(
+            M = A @ (blk.points @ w.transpose(0, 2, 1))  # Y w^T, Y not formed
+            np.add.at(g_rot, blk.refs, -np.stack(
                 [M[:, 1, 2] - M[:, 2, 1], M[:, 2, 0] - M[:, 0, 2],
                  M[:, 0, 1] - M[:, 1, 0]], axis=1))
-            np.add.at(g_trn, refs, -self.sigmas[edges][:, None] * s)
-            np.add.at(g_sig, edges,
+            np.add.at(g_trn, blk.refs, -self.sigmas[blk.edges][:, None] * s)
+            np.add.at(g_sig, blk.edges,
                       -(np.trace(M, axis1=1, axis2=2) + (s * b).sum(1)))
         return g_rot, g_trn, g_sig, g_pm
 
 
 def _pixels_last(pointmaps):
-    """Per-view (H, W, 3) maps as contiguous (3, HW) arrays."""
-    return [np.ascontiguousarray(pm.reshape(-1, 3).T) for pm in pointmaps]
+    """Per-view (H, W, 3) maps of one size as one (V, 3, HW) array."""
+    return np.stack([pm.reshape(-1, 3).T for pm in pointmaps])
 
 
 def _objective(terms, rotations, translations, log_sigmas, pointmaps,
                norm_eps):
     """Objective sum C (sqrt(|r|^2 + eps^2) - eps) over all terms, with
-    (H, W, 3) pointmaps."""
-    return _Evaluation(terms, norm_eps).objective(
-        rotations, translations, log_sigmas, _pixels_last(pointmaps))
+    per-view poses and (H, W, 3) pointmaps."""
+    return _Evaluation(terms, len(pointmaps), norm_eps).objective(
+        np.asarray(rotations), np.asarray(translations), log_sigmas,
+        _pixels_last(pointmaps))
 
 
 def _gradients(terms, rotations, translations, log_sigmas, pointmaps,
@@ -390,9 +453,10 @@ def _gradients(terms, rotations, translations, log_sigmas, pointmaps,
     log sigmas, pointmaps), pointmap gradients as (H, W, 3): evaluates the
     objective at the point, then reads that evaluation's buffers as the
     descent does (see ``_Evaluation.gradients``)."""
-    ev = _Evaluation(terms, norm_eps)
-    ev.objective(rotations, translations, log_sigmas, _pixels_last(pointmaps))
-    g_rot, g_trn, g_sig, g_pm = ev.gradients(len(rotations))
+    ev = _Evaluation(terms, len(pointmaps), norm_eps)
+    ev.objective(np.asarray(rotations), np.asarray(translations), log_sigmas,
+                 _pixels_last(pointmaps))
+    g_rot, g_trn, g_sig, g_pm = ev.gradients()
     return g_rot, g_trn, g_sig, [
         g.T.reshape(pm.shape) for g, pm in zip(g_pm, pointmaps)]
 
@@ -411,9 +475,10 @@ def align_global(preds, graph: PairGraph | None = None,
     the tolerance.
 
     Raises InputError for no predictions, fewer than 2 views, two
-    predictions for one edge, a graph that lists an edge twice or a graph
-    edge without a prediction, and DisconnectedGraph when the graph does
-    not connect all views.
+    predictions for one edge, an edge with a view outside the graph, a
+    graph that lists an edge twice, a graph edge without a prediction or a
+    view whose pointmaps differ in size between edges, and
+    DisconnectedGraph when the graph does not connect all views.
     """
     config = config or AlignConfig()
     if not preds:
@@ -433,9 +498,17 @@ def align_global(preds, graph: PairGraph | None = None,
     missing = [e for e in graph.edges if e not in by_edge]
     if missing:
         raise InputError(f"graph edges without predictions: {missing[:5]}")
+    preds = [by_edge[e] for e in graph.edges]
+    sizes = {}
+    for p in preds:
+        for v in (p.n, p.m):
+            size = sizes.setdefault(v, (p.height, p.width))
+            if size != (p.height, p.width):
+                raise InputError(
+                    f"view {v} is {p.height}x{p.width} in edge ({p.n},{p.m}) "
+                    f"but {size[0]}x{size[1]} in another edge")
     if not graph.is_connected():
         raise DisconnectedGraph("pair graph does not connect all views")
-    preds = [by_edge[e] for e in graph.edges]
 
     rotations, translations, sigmas, pointmaps, confidences = _initialize(
         preds, graph
@@ -450,9 +523,13 @@ def align_global(preds, graph: PairGraph | None = None,
 
     n_terms = sum(2 * p.height * p.width for p in preds)
     floor = ABS_FLOOR_PER_TERM * n_terms
-    ev = _Evaluation(_terms(preds), NORM_EPS)
-    shapes = [pm.shape for pm in pointmaps]
-    pointmaps = _pixels_last(pointmaps)  # (3, HW) until the descent ends
+    ev = _Evaluation(_terms(preds), graph.num_views, NORM_EPS)
+    shape = pointmaps[0].shape  # every view's: checked above, graph connected
+    rotations, translations = np.array(rotations), np.array(translations)
+    pointmaps = _pixels_last(pointmaps)  # (V, 3, HW) until the descent ends
+    # The line search writes its trial pointmaps here; an accepted trial
+    # swaps buffers with the current point.
+    trial_pm = np.empty_like(pointmaps)
     step = STEP
     obj = ev.objective(rotations, translations, log_sigmas, pointmaps)
     trace = [obj]
@@ -466,18 +543,18 @@ def align_global(preds, graph: PairGraph | None = None,
         # The last evaluation is the current point: the initial one or the
         # trial accepted below (a rejected trial is followed by another
         # trial or by the line-search stop).
-        g_rot, g_trn, g_sig, g_pm = ev.gradients(graph.num_views)
+        g_rot, g_trn, g_sig, g_pm = ev.gradients()
         accepted = False
         for _ in range(config.max_halvings):
-            new_rot = list(rotations)
-            new_trn = list(translations)
-            for v in range(1, graph.num_views):  # view 0 pinned
-                new_rot[v] = exp_map(-step * g_rot[v]) @ rotations[v]
-                new_trn[v] = translations[v] - step * g_trn[v]
+            new_rot = exp_map(-step * g_rot) @ rotations
+            new_trn = translations - step * g_trn
             new_ls = log_sigmas - step * g_sig
-            new_ls[0] = log_sigmas[0]  # first edge pinned
-            new_pm = [pm - step * g for pm, g in zip(pointmaps, g_pm)]
-            new_obj = ev.objective(new_rot, new_trn, new_ls, new_pm)
+            # Gauge: view 0's pose and the first edge's scale stay pinned.
+            new_rot[0], new_trn[0] = rotations[0], translations[0]
+            new_ls[0] = log_sigmas[0]
+            np.subtract(pointmaps, np.multiply(step, g_pm, out=trial_pm),
+                        out=trial_pm)
+            new_obj = ev.objective(new_rot, new_trn, new_ls, trial_pm)
             if new_obj < obj:
                 accepted = True
                 break
@@ -487,7 +564,8 @@ def align_global(preds, graph: PairGraph | None = None,
             break
         last_rel = (obj - new_obj) / max(obj, 1e-300)
         rotations, translations = new_rot, new_trn
-        log_sigmas, pointmaps = new_ls, new_pm
+        log_sigmas = new_ls
+        pointmaps, trial_pm = trial_pm, pointmaps
         obj = new_obj
         trace.append(obj)
         step = min(step * 1.5, STEP)
@@ -515,7 +593,7 @@ def align_global(preds, graph: PairGraph | None = None,
         poses=poses,
         sigmas=np.exp(log_sigmas),
         pointmaps=[np.ascontiguousarray(pm.T).reshape(shape)
-                   for pm, shape in zip(pointmaps, shapes)],
+                   for pm in pointmaps],
         confidences=confidences,
         objective=obj,
         objective_trace=np.array(trace),

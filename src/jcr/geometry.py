@@ -26,13 +26,14 @@ _EPS_ANGLE_PI = 1e-6
 
 
 def skew(v):
-    """Cross-product matrix: skew(v) @ u == np.cross(v, u)."""
+    """Cross-product matrix: skew(v) @ u == np.cross(v, u); maps (..., 3)
+    vectors to (..., 3, 3) matrices."""
     v = np.asarray(v, dtype=float)
-    return np.array([
-        [0.0, -v[2], v[1]],
-        [v[2], 0.0, -v[0]],
-        [-v[1], v[0], 0.0],
-    ])
+    K = np.zeros(v.shape + (3,))
+    K[..., 0, 1], K[..., 0, 2] = -v[..., 2], v[..., 1]
+    K[..., 1, 0], K[..., 1, 2] = v[..., 2], -v[..., 0]
+    K[..., 2, 0], K[..., 2, 1] = -v[..., 1], v[..., 0]
+    return K
 
 
 def project_to_rotation(M):
@@ -45,18 +46,21 @@ def project_to_rotation(M):
 
 
 def exp_map(v):
-    """Rodrigues' formula: axis-angle 3-vector -> rotation matrix."""
+    """Rodrigues' formula: axis-angle vectors (..., 3) -> rotation matrices
+    (..., 3, 3). Each matrix of a stack equals the one-vector result bit
+    for bit."""
     v = np.asarray(v, dtype=float)
-    theta = np.linalg.norm(v)
+    # The angle from a 1x3 by 3x1 product, the dot np.linalg.norm takes for
+    # one vector; einsum and norm(axis=-1) round differently in some rows.
+    theta = np.sqrt(np.matmul(v[..., None, :], v[..., :, None])[..., 0, 0])
+    # Below _EPS_ANGLE_ZERO: second-order Taylor, exact to machine
+    # precision at these angles.
+    small = theta < _EPS_ANGLE_ZERO
+    safe = np.where(small, 1.0, theta)
+    a = np.where(small, 1.0, np.sin(theta) / safe)
+    b = np.where(small, 0.5, (1.0 - np.cos(theta)) / (safe * safe))
     K = skew(v)
-    if theta < _EPS_ANGLE_ZERO:
-        # Second-order Taylor; exact to machine precision at these angles.
-        return np.eye(3) + K + 0.5 * (K @ K)
-    return (
-        np.eye(3)
-        + (np.sin(theta) / theta) * K
-        + ((1.0 - np.cos(theta)) / theta**2) * (K @ K)
-    )
+    return np.eye(3) + a[..., None, None] * K + b[..., None, None] * (K @ K)
 
 
 def log_map(R):

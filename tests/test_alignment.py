@@ -1,6 +1,7 @@
 """Global alignment of pairwise pointmaps."""
 
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from jcr.alignment import (
     ABS_FLOOR_PER_TERM,
     NORM_EPS,
+    PAIR_WINDOW,
     STEP,
     AlignConfig,
     PairGraph,
@@ -72,6 +74,11 @@ class TestPairwisePrediction:
 
 
 class TestPairGraph:
+    @pytest.mark.parametrize("edge", [(0, 2), (-1, 0), (0, 1, 1)])
+    def test_edge_outside_views_raises(self, edge):
+        with pytest.raises(InputError, match=re.escape(str(edge))):
+            PairGraph(2, ((0, 1), edge))
+
     def test_connected(self):
         g = PairGraph(3, ((0, 1), (1, 2)))
         assert g.is_connected()
@@ -107,6 +114,15 @@ def _two_identical_views():
             )
         )
     return pairs
+
+
+def _random_pair(n, m, height, width):
+    rng = np.random.default_rng(0)
+    pts = rng.uniform(-1, 1, size=(height, width, 3)) + np.array([0.0, 0.0, 3.0])
+    conf = np.ones((height, width))
+    return PairwisePrediction(n=n, m=m, pointmap_self=pts,
+                              pointmap_other=pts.copy(),
+                              confidence_self=conf, confidence_other=conf.copy())
 
 
 class TestAlignGlobal:
@@ -205,6 +221,21 @@ class TestAlignGlobal:
     def test_no_predictions_raises(self):
         with pytest.raises(InputError, match="no pairwise predictions"):
             align_global([])
+
+    def test_graph_edge_outside_views_raises(self):
+        with pytest.raises(InputError, match=r"\(1, 5\)"):
+            align_global(_two_identical_views(),
+                         PairGraph(3, ((0, 1), (1, 0), (1, 5))))
+
+    def test_prediction_of_negative_view_raises(self):
+        preds = _two_identical_views() + [_random_pair(-1, 0, 6, 8)]
+        with pytest.raises(InputError, match=r"\(-1, 0\)"):
+            align_global(preds)
+
+    def test_view_of_two_sizes_raises(self):
+        preds = [_random_pair(0, 1, 4, 5), _random_pair(1, 2, 3, 5)]
+        with pytest.raises(InputError, match=r"view 1 is 3x5 in edge \(1,2\)"):
+            align_global(preds)
 
     def test_repeated_graph_edge_raises(self):
         ds = pose_dataset(seed=35, num_poses=3, with_pointmaps=True)
@@ -324,9 +355,30 @@ class TestObjectiveGradientsUneven(TestObjectiveGradients):
 
 
 # Reference descent: the loop, objective and gradients as they were before
-# the gradient reused the accepted trial's buffers. Every call computes its
-# residuals afresh, and the pointmaps stay (H, W, 3), converted to (3, HW)
-# on every evaluation.
+# the gradient reused the accepted trial's buffers and before the terms were
+# packed into blocks. Every call computes its residuals afresh, one target-view
+# group at a time; poses and pointmaps stay per-view lists, the pointmaps
+# (H, W, 3), converted to (3, HW) on every evaluation; each trial step calls
+# exp_map once per view.
+
+
+def _ref_terms(preds):
+    by_view = {}
+    for e, p in enumerate(preds):
+        for view, pm, conf in (
+            (p.n, p.pointmap_self, p.confidence_self),
+            (p.m, p.pointmap_other, p.confidence_other),
+        ):
+            by_view.setdefault(view, []).append(
+                (e, p.n, pm.reshape(-1, 3).T, conf.reshape(-1))
+            )
+    groups = []
+    for view in sorted(by_view):
+        edges, refs, pts, confs = zip(*by_view[view])
+        groups.append((view, np.ascontiguousarray(np.stack(pts)),
+                       np.stack(confs),
+                       np.array(refs), np.array(edges)))
+    return groups
 
 
 def _ref_group_residuals(group, rotations, translations, sigmas, xhat):
@@ -400,7 +452,7 @@ def _reference_descent(preds, graph):
     pointmaps = [pm / s0 for pm in pointmaps]
     log_sigmas = np.log(np.maximum(sigmas, 1e-12))
     floor = ABS_FLOOR_PER_TERM * sum(2 * p.height * p.width for p in preds)
-    terms = _terms(preds)
+    terms = _ref_terms(preds)
     step = STEP
     obj = _ref_objective(terms, rotations, translations, log_sigmas,
                          pointmaps, NORM_EPS)
@@ -446,18 +498,21 @@ def _reference_descent(preds, graph):
 
 class TestSameIterates:
     """``align_global`` takes the same iterates as the reference descent,
-    bit for bit: on the 10-view tabletop scene of the benchmark's seed 1000
-    and on a 6-view graph with pair dropout, whose target-view groups hold
-    different numbers of terms."""
+    bit for bit: on the 10-view tabletop scene of the benchmark's seed 1000,
+    whose blocks hold one target-view group each; on a 6-view graph with
+    pair dropout, whose groups hold different numbers of terms; and on a
+    16-view sliding-window graph with pair dropout, whose blocks hold
+    several groups of different sizes."""
 
-    @pytest.fixture(scope="class", params=["tabletop-1000", "dropout-6v"])
+    @pytest.fixture(scope="class",
+                    params=["tabletop-1000", "dropout-6v", "window-16v"])
     def runs(self, request):
         if request.param == "tabletop-1000":
             ds = pose_dataset(
                 seed=1000, num_poses=10, with_pointmaps=True,
                 noise=NoiseProfile(), camera=CameraConfig(width=32, height=24),
             )
-        else:
+        elif request.param == "dropout-6v":
             ds = pose_dataset(
                 seed=40, num_poses=6, with_pointmaps=True,
                 noise=NoiseProfile(dropout=0.3),
@@ -465,8 +520,21 @@ class TestSameIterates:
             )
             counts = np.bincount([v for e in ds.graph.edges for v in e])
             assert len(set(counts)) > 1
+        else:
+            ds = pose_dataset(
+                seed=1001, num_poses=16, with_pointmaps=True,
+                noise=NoiseProfile(dropout=0.2),
+                camera=CameraConfig(width=16, height=12),
+            )
+            assert all(abs(n - m) < PAIR_WINDOW for n, m in ds.graph.edges)
         preds = [next(p for p in ds.pairs if (p.n, p.m) == e)
                  for e in ds.graph.edges]
+        blocks = _terms(preds)
+        if request.param == "tabletop-1000":
+            assert all(len(blk.groups) == 1 for blk in blocks)
+        elif request.param == "window-16v":
+            assert any(len({hi - lo for _, lo, hi in blk.groups}) > 1
+                       for blk in blocks)
         return _reference_descent(preds, ds.graph), align_global(
             ds.pairs, ds.graph)
 

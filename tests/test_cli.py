@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from jcr import io
+from jcr.alignment import PairGraph, PairwisePrediction
 from jcr.cli import main
 from jcr.fields import FieldModel, TrainConfig, query, train_segmentation
 from jcr.reconstruction import estimate_height
@@ -90,6 +91,20 @@ class TestStages:
              "--out", str(tmp_path / "calib")]
         )
         assert code == 2
+
+    def test_align_view_of_two_sizes_exit_2(self, tmp_path, capsys):
+        # View 1 is 4x5 in pair (0,1) and 3x5 in pair (1,2).
+        pairs = []
+        for n, m, height in ((0, 1, 4), (1, 2, 3)):
+            pts = np.ones((height, 5, 3))
+            conf = np.ones((height, 5))
+            pairs.append(PairwisePrediction(n, m, pts, pts, conf, conf))
+        path = io.save_pair_set(tmp_path / "pairs", pairs,
+                                PairGraph(3, ((0, 1), (1, 2))))
+        code = main(["align", "--pointmaps", str(path),
+                     "--out", str(tmp_path / "align")])
+        assert code == 2
+        assert "view 1 is 3x5" in capsys.readouterr().err
 
     def test_synth_then_align_then_calibrate(self, tmp_path):
         synth_dir = tmp_path / "synth"
@@ -302,7 +317,9 @@ class TestBadFilesExit2:
         {"sigmas": []},
         {"poses_camera_to_global": [[1, 2]], "sigmas": [], "objective": 0,
          "converged": True, "edges": []},
-    ], ids=["missing-keys", "pose"])
+        {"poses_camera_to_global": [np.eye(4).tolist()] * 2, "sigmas": [1.0],
+         "objective": 0, "converged": True, "edges": [[0, 2]]},
+    ], ids=["missing-keys", "pose", "edge-view"])
     def test_reconstruct_alignment_json(self, pipeline, tmp_path, meta):
         align_dir = self._align_copy(pipeline, tmp_path)
         (align_dir / "alignment.json").write_text(json.dumps(meta))
