@@ -17,7 +17,6 @@ from .calibration import (
     solve_translation_scale,
 )
 from .alignment import (
-    AlignConfig,
     AlignmentResult,
     PairGraph,
     PairwisePrediction,

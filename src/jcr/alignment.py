@@ -61,14 +61,12 @@ class PairwisePrediction:
     confidence_other: np.ndarray  # (H, W)
 
     def __post_init__(self):
-        shapes = {
-            self.pointmap_self.shape[:2],
-            self.pointmap_other.shape[:2],
-            self.confidence_self.shape,
-            self.confidence_other.shape,
-        }
-        if len(shapes) != 1:
-            raise InputError(f"pair ({self.n},{self.m}): inconsistent shapes {shapes}")
+        hw = self.confidence_self.shape
+        shapes = (self.pointmap_self.shape, self.pointmap_other.shape, hw,
+                  self.confidence_other.shape)
+        if len(hw) != 2 or shapes != (hw + (3,), hw + (3,), hw, hw):
+            raise InputError(f"pair ({self.n},{self.m}): shapes {shapes}, expected "
+                             "(H, W, 3) pointmaps and (H, W) confidences")
         if not all(np.isfinite(a).all() for a in (
             self.pointmap_self, self.pointmap_other,
             self.confidence_self, self.confidence_other,
@@ -122,8 +120,13 @@ class PairGraph:
 # window that pairs views less than PAIR_WINDOW apart.
 COMPLETE_UP_TO = 12
 PAIR_WINDOW = 5
-# Largest descent step; halved until a trial lowers the objective.
+# Largest descent step; halved (at most MAX_HALVINGS times) until a trial
+# lowers the objective. The descent stops once a step lowers it by less than
+# TOL, relatively, or after MAX_ITERS iterations.
 STEP = 1e-2
+MAX_HALVINGS = 40
+TOL = 1e-6
+MAX_ITERS = 2000
 # Objective floor per residual term; noiseless problems stop here.
 ABS_FLOOR_PER_TERM = 1e-16
 # Target-view groups are packed into blocks of at most this many bytes of
@@ -146,13 +149,6 @@ def default_pair_graph(num_views):
             if num_views <= COMPLETE_UP_TO or abs(n - m) < PAIR_WINDOW:
                 edges.append((n, m))
     return PairGraph(num_views, tuple(edges))
-
-
-@dataclass(frozen=True)
-class AlignConfig:
-    tol: float = 1e-6
-    max_iters: int = 2000
-    max_halvings: int = 40
 
 
 @dataclass
@@ -461,18 +457,17 @@ def _gradients(terms, rotations, translations, log_sigmas, pointmaps,
         g.T.reshape(pm.shape) for g, pm in zip(g_pm, pointmaps)]
 
 
-def align_global(preds, graph: PairGraph | None = None,
-                 config: AlignConfig | None = None):
+def align_global(preds, graph: PairGraph | None = None):
     """Recover globally consistent poses, scales, and pointmaps.
 
     Each iteration takes the gradient at the current (accepted) point and
     halves the step until a trial lowers the objective; trials evaluate the
     objective only. ``stop_reason`` says why the loop ended: ``"floor"``
     (objective at the noiseless floor), ``"tolerance"`` (relative decrease
-    below ``tol``), ``"line_search"`` (no trial lowered the objective) or
-    ``"budget"`` (``max_iters`` used up). ``converged`` is False when the
+    below ``TOL``), ``"line_search"`` (no trial lowered the objective) or
+    ``"budget"`` (``MAX_ITERS`` used up). ``converged`` is False when the
     budget runs out while the objective is still moving by more than 100x
-    the tolerance.
+    ``TOL``.
 
     Raises InputError for no predictions, fewer than 2 views, two
     predictions for one edge, an edge with a view outside the graph, a
@@ -480,7 +475,6 @@ def align_global(preds, graph: PairGraph | None = None,
     view whose pointmaps differ in size between edges, and
     DisconnectedGraph when the graph does not connect all views.
     """
-    config = config or AlignConfig()
     if not preds:
         raise InputError("no pairwise predictions")
     by_edge = {}
@@ -536,7 +530,7 @@ def align_global(preds, graph: PairGraph | None = None,
     converged = True
     stop_reason = "budget"
     last_rel = 0.0
-    for it in range(config.max_iters):
+    for it in range(MAX_ITERS):
         if obj <= floor:
             stop_reason = "floor"
             break
@@ -545,7 +539,7 @@ def align_global(preds, graph: PairGraph | None = None,
         # trial or by the line-search stop).
         g_rot, g_trn, g_sig, g_pm = ev.gradients()
         accepted = False
-        for _ in range(config.max_halvings):
+        for _ in range(MAX_HALVINGS):
             new_rot = exp_map(-step * g_rot) @ rotations
             new_trn = translations - step * g_trn
             new_ls = log_sigmas - step * g_sig
@@ -569,15 +563,15 @@ def align_global(preds, graph: PairGraph | None = None,
         obj = new_obj
         trace.append(obj)
         step = min(step * 1.5, STEP)
-        if last_rel < config.tol:
+        if last_rel < TOL:
             stop_reason = "tolerance"
             break
     else:
-        if last_rel > 100.0 * config.tol:
+        if last_rel > 100.0 * TOL:
             converged = False
             log.warning(
-                "alignment hit max_iters=%d with relative change %.3g",
-                config.max_iters, last_rel,
+                "alignment hit MAX_ITERS=%d with relative change %.3g",
+                MAX_ITERS, last_rel,
             )
     log.info(
         "alignment stopped (%s) after %d iterations, objective %.6g",

@@ -32,8 +32,9 @@ from .geometry import Pose, inv_sqrt_psd, log_map, project_to_rotation
 
 log = logging.getLogger(__name__)
 
-DEFAULT_TAU_T = 0.1   # meters, convergence gate on mean translation residual
-DEFAULT_TAU_R = 0.15  # Frobenius, convergence gate on mean rotation residual
+TAU_T = 0.1   # meters, convergence gate on mean translation residual
+TAU_R = 0.15  # Frobenius, convergence gate on mean rotation residual
+RANK_TOL = 1e-8  # singular values <= RANK_TOL * max(largest, 1) count as 0
 SCALE_RANGE = (1e-3, 1e3)  # meters per model unit; outside it is a failure
 
 
@@ -47,8 +48,6 @@ class MotionPair:
 
 @dataclass(frozen=True)
 class CalibrationConfig:
-    tau_t: float = DEFAULT_TAU_T
-    tau_r: float = DEFAULT_TAU_R
     all_pairs: bool = False  # use all (i, j) motions instead of consecutive
 
 
@@ -61,8 +60,6 @@ class CalibrationResult:
     residuals_r: np.ndarray     # per pair, Frobenius norm of rotation block
     converged: bool
     num_pairs: int
-    tau_t: float = DEFAULT_TAU_T
-    tau_r: float = DEFAULT_TAU_R
 
     @property
     def pose(self) -> Pose:
@@ -85,14 +82,13 @@ class CalibrationResult:
             "residuals_r": np.asarray(self.residuals_r).tolist(),
             "converged": bool(self.converged),
             "num_pairs": self.num_pairs,
-            "tau_t": self.tau_t,
-            "tau_r": self.tau_r,
         }
 
     @staticmethod
     def from_dict(d):
         """Inverse of ``to_dict``; a missing key, a wrongly sized array or a
-        non-finite value raises ``InputError``."""
+        non-finite value raises ``InputError``. Other keys, such as the
+        ``tau_t`` and ``tau_r`` of older files, are ignored."""
         try:
             result = CalibrationResult(
                 rotation=np.array(d["rotation"], dtype=float).reshape(-1),
@@ -102,8 +98,6 @@ class CalibrationResult:
                 residuals_r=np.array(d["residuals_r"], dtype=float),
                 converged=bool(d["converged"]),
                 num_pairs=int(d["num_pairs"]),
-                tau_t=float(d.get("tau_t", DEFAULT_TAU_T)),
-                tau_r=float(d.get("tau_r", DEFAULT_TAU_R)),
             )
         except (AttributeError, KeyError, OverflowError, TypeError,
                 ValueError) as exc:
@@ -118,7 +112,7 @@ class CalibrationResult:
                 raise InputError(f"calibration {name} has shape "
                                  f"{getattr(result, name).shape}, expected {shape}")
         values = (result.rotation, result.translation, result.residuals_t,
-                  result.residuals_r, (result.scale, result.tau_t, result.tau_r))
+                  result.residuals_r, result.scale)
         if not all(np.isfinite(v).all() for v in values):
             raise InputError("calibration has non-finite values")
         result.rotation = result.rotation.reshape(3, 3)
@@ -156,7 +150,7 @@ def motion_pairs(end_effector, camera, all_pairs=False):
     return pairs
 
 
-def solve_rotation(pairs, rank_tol=1e-8):
+def solve_rotation(pairs):
     """Best-fit camera-to-end-effector rotation from motion pairs.
 
     The rotation axes satisfy alpha_i = R beta_i with alpha = LogMap of the
@@ -170,7 +164,7 @@ def solve_rotation(pairs, rank_tol=1e-8):
         beta = log_map(p.T_P.rotation)
         M += np.outer(beta, alpha)
     svals = np.linalg.svd(M, compute_uv=False)
-    if svals[2] <= rank_tol * max(svals[0], 1.0):
+    if svals[2] <= RANK_TOL * max(svals[0], 1.0):
         raise DegenerateMotion(
             "rotation axes span fewer than 3 directions "
             f"(singular values {svals}); vary the trajectory axes"
@@ -207,7 +201,7 @@ def solve_translation_scale(pairs, R):
     """
     C, a_vec, b_vec = _stack_translation_system(pairs, R)
     svals = np.linalg.svd(C, compute_uv=False)
-    if svals[2] <= 1e-8 * max(svals[0], 1.0):
+    if svals[2] <= RANK_TOL * max(svals[0], 1.0):
         raise RankDeficientC(
             "stacked (I - R_E) blocks are rank deficient "
             "(rotation axes share a direction); translation is unobservable"
@@ -258,9 +252,7 @@ def calibrate(end_effector, camera, config: CalibrationConfig | None = None):
     res = residuals(pairs, R, t, lam)
     res_t = np.array([r[0] for r in res])
     res_r = np.array([r[1] for r in res])
-    converged = bool(
-        res_t.mean() < config.tau_t and res_r.mean() < config.tau_r
-    )
+    converged = bool(res_t.mean() < TAU_T and res_r.mean() < TAU_R)
     log.info(
         "calibrated %d pairs: scale=%.6g mean_dt=%.4g mean_dR=%.4g converged=%s",
         len(pairs), lam, res_t.mean(), res_r.mean(), converged,
@@ -273,6 +265,4 @@ def calibrate(end_effector, camera, config: CalibrationConfig | None = None):
         residuals_r=res_r,
         converged=converged,
         num_pairs=len(pairs),
-        tau_t=config.tau_t,
-        tau_r=config.tau_r,
     )

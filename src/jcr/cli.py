@@ -390,6 +390,7 @@ def _is_number(v):
 
 
 _INT = ("an integer", _is_int)
+_SEED = ("a non-negative integer", lambda v: _is_int(v) and v >= 0)
 _NUMBER = ("a finite number", _is_number)
 _BOOL = ("true or false", lambda v: isinstance(v, bool))
 _PATH = ("a path", lambda v: isinstance(v, str))
@@ -400,7 +401,7 @@ _MATRIX = ("16 numbers (a 4x4 matrix)", lambda v: (
 # be; a dict is an object with keys of its own. synth.noise may also be
 # the string "zero".
 MANIFEST_KEYS = {
-    "seed": _INT,
+    "seed": _SEED,
     "out": _PATH,
     "ee_poses": _PATH,
     "pointmaps": _PATH,
@@ -413,7 +414,7 @@ MANIFEST_KEYS = {
         "camera": {"width": _INT, "height": _INT, "fov_deg": _NUMBER},
         "hidden": {"calib": _MATRIX, "scale": _NUMBER},
     },
-    "calibrate": {"tau_t": _NUMBER, "tau_r": _NUMBER, "all_pairs": _BOOL},
+    "calibrate": {"all_pairs": _BOOL},
     "fields": {"epochs": _INT, "hidden_size": _INT, "learning_rate": _NUMBER,
                "color_learning_rate": _NUMBER},
 }
@@ -502,6 +503,14 @@ def _exit_code_for(exc):
 # Argument parsing
 
 
+def _seed(text):
+    """``--seed``: a non-negative integer, or a usage error (exit 2)."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="jcr",
@@ -512,7 +521,7 @@ def build_parser():
     def add(name, fn, **kwargs):
         p = sub.add_parser(name, **kwargs)
         p.set_defaults(fn=fn)
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_seed, default=0)
         return p
 
     p = add("synth", cmd_synth, help="generate a synthetic dataset")
@@ -559,7 +568,7 @@ def build_parser():
 
     p = sub.add_parser("run", help="run the full pipeline from a manifest")
     p.set_defaults(fn=cmd_run)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--manifest")
     p.add_argument("--out")
     p.add_argument("--force-uncalibrated", action="store_true")

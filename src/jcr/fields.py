@@ -13,6 +13,7 @@ inputs' dtype, and is validated in float64 against finite differences
 from __future__ import annotations
 
 import base64
+import dataclasses
 import logging
 from dataclasses import dataclass
 
@@ -32,6 +33,10 @@ HEAD_SEGMENTATION = "segmentation"  # softmax over K classes
 HEAD_COLOR = "color"              # linear 3-vector
 # Rows per pass of FieldModel.forward, which bounds a query's memory.
 QUERY_CHUNK = 8192
+# Samples per training step, and the momentum of the descent.
+BATCH_SIZE = 512
+MOMENTUM = 0.9
+BOUNDS_INFLATION = 0.2  # occupancy negatives: the cloud's box, 20% larger per axis
 
 
 @dataclass(frozen=True)
@@ -76,18 +81,11 @@ class PositionalEncoding:
 @dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 1e-2
-    momentum: float = 0.9
-    batch_size: int = 512
     epochs: int = 200
     seed: int = 0
     hidden_size: int = 256
-    num_frequencies: int = 6
-    include_raw: bool = True
-    # Occupancy-only: negative sampling box (defaults to the positive
-    # cloud's bounding box inflated by 20% per axis) and ratio.
-    neg_bounds: tuple | None = None
+    # Occupancy-only: free-space negatives drawn per positive point.
     negatives_per_positive: float = 1.0
-    bounds_inflation: float = 0.2
 
 
 @dataclass
@@ -189,9 +187,9 @@ class FieldModel:
             w2_shape = d["shapes"]["W2"]
             cfg = d.get("train_config")
             if cfg is not None:
-                if cfg.get("neg_bounds") is not None:
-                    cfg = dict(cfg, neg_bounds=tuple(map(tuple, cfg["neg_bounds"])))
-                cfg = TrainConfig(**cfg)
+                # Older files also record settings that are now constants.
+                names = {f.name for f in dataclasses.fields(TrainConfig)}
+                cfg = TrainConfig(**{k: v for k, v in cfg.items() if k in names})
             model = FieldModel(
                 head=d["head"],
                 encoding=enc,
@@ -344,7 +342,7 @@ def _train(points, y, head, out_dim, cfg: TrainConfig, negatives=None):
     coordinate normalization then covers that box too.
     """
     rng = np.random.default_rng(cfg.seed)
-    enc = PositionalEncoding(cfg.num_frequencies, cfg.include_raw)
+    enc = PositionalEncoding()
     box, n_neg = points, 0
     if negatives is not None:
         lo, hi, n_neg = negatives
@@ -354,8 +352,8 @@ def _train(points, y, head, out_dim, cfg: TrainConfig, negatives=None):
     params = [p.astype(f32)
               for p in _init_params(rng, enc.output_dim, cfg.hidden_size, out_dim)]
     velocity = [np.zeros_like(p) for p in params]
-    # NumPy scalars in the config would promote every step to float64.
-    momentum, learning_rate = f32(cfg.momentum), f32(cfg.learning_rate)
+    # A NumPy scalar learning rate would promote every step to float64.
+    momentum, learning_rate = f32(MOMENTUM), f32(cfg.learning_rate)
 
     # The given points never change, so they are encoded once; each epoch
     # encodes only its fresh negatives, into the rows after them.
@@ -363,7 +361,7 @@ def _train(points, y, head, out_dim, cfg: TrainConfig, negatives=None):
     enc.encode((points - center) / half, out=feat[: len(points)])
     if negatives is not None:
         y = np.concatenate([y, np.zeros(n_neg, y.dtype)])
-    hidden = np.empty((min(cfg.batch_size, len(feat)), cfg.hidden_size), f32)
+    hidden = np.empty((min(BATCH_SIZE, len(feat)), cfg.hidden_size), f32)
     initial_loss = None
     for epoch in range(cfg.epochs):
         if negatives is not None:
@@ -372,8 +370,8 @@ def _train(points, y, head, out_dim, cfg: TrainConfig, negatives=None):
         order = rng.permutation(len(feat))
         epoch_loss = 0.0
         nb = 0
-        for s in range(0, len(order), cfg.batch_size):
-            idx = order[s : s + cfg.batch_size]
+        for s in range(0, len(order), BATCH_SIZE):
+            idx = order[s : s + BATCH_SIZE]
             loss, grads = _forward_backward(params, feat[idx], y[idx], head, hidden)
             epoch_loss += loss
             nb += 1
@@ -403,14 +401,12 @@ def _train(points, y, head, out_dim, cfg: TrainConfig, negatives=None):
 
 def _check_config(cfg):
     """Raise InputError for a TrainConfig that cannot train."""
-    PositionalEncoding(cfg.num_frequencies, cfg.include_raw)
-    lows = {"epochs": 1, "batch_size": 1, "hidden_size": 1, "seed": 0}
+    lows = {"epochs": 1, "hidden_size": 1, "seed": 0}
     for name, low in lows.items():
         v = getattr(cfg, name)
         if not isinstance(v, (int, np.integer)) or isinstance(v, bool) or v < low:
             raise InputError(f"TrainConfig.{name} must be an integer >= {low}, got {v!r}")
-    for name in ("learning_rate", "momentum", "negatives_per_positive",
-                 "bounds_inflation"):
+    for name in ("learning_rate", "negatives_per_positive"):
         v = getattr(cfg, name)
         if not isinstance(v, (int, float, np.number)) or not np.isfinite(v):
             raise InputError(f"TrainConfig.{name} must be a finite number, got {v!r}")
@@ -435,22 +431,16 @@ def _training_inputs(cloud, cfg):
 def train_occupancy(cloud, cfg: TrainConfig | None = None) -> FieldModel:
     """Occupancy classifier: cloud points vs uniform free-space negatives.
 
-    Negatives are redrawn every epoch from the configured box (default:
-    cloud bounding box inflated by 20% per axis).
+    Negatives are redrawn every epoch from the cloud's bounding box,
+    inflated by BOUNDS_INFLATION per axis. Raises DegenerateBounds when that
+    box has no extent along some axis in floating point, as for a cloud far
+    from the origin.
     """
     pos, cfg = _training_inputs(cloud, cfg)
-    if cfg.neg_bounds is not None:
-        lo = np.asarray(cfg.neg_bounds[0], dtype=float)
-        hi = np.asarray(cfg.neg_bounds[1], dtype=float)
-        if lo.shape != (3,) or hi.shape != (3,) or not np.isfinite([lo, hi]).all():
-            raise DegenerateBounds("neg_bounds must be two finite 3-vectors")
-    else:
-        center, half = _norm_box(pos, inflation=cfg.bounds_inflation)
-        lo, hi = center - half, center + half
+    center, half = _norm_box(pos, inflation=BOUNDS_INFLATION)
+    lo, hi = center - half, center + half
     if (hi <= lo).any():
         raise DegenerateBounds(f"negative-sample box [{lo}, {hi}] is degenerate")
-    if (pos.min(axis=0) < lo - 1e-9).any() or (pos.max(axis=0) > hi + 1e-9).any():
-        raise DegenerateBounds("negative-sample box does not contain the cloud")
     n_neg = max(int(len(pos) * cfg.negatives_per_positive), 1)
     return _train(pos, np.ones(len(pos), np.float32), HEAD_OCCUPANCY, 1, cfg,
                   (lo, hi, n_neg))

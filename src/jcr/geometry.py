@@ -23,6 +23,8 @@ CAMERA_METRIC = "camera_metric"
 
 _EPS_ANGLE_ZERO = 1e-8
 _EPS_ANGLE_PI = 1e-6
+# inv_sqrt_psd refuses a matrix whose smallest eigenvalue is at or below this.
+_EPS_EIG_MIN = 1e-12
 
 
 def skew(v):
@@ -96,19 +98,19 @@ def log_map(R):
     return (w / (2.0 * np.sin(w))) * off
 
 
-def inv_sqrt_psd(A, eps_min=1e-12):
+def inv_sqrt_psd(A):
     """Inverse matrix square root of a symmetric positive-definite matrix.
 
     Uses a symmetric eigendecomposition; raises DegenerateMatrix when the
-    smallest eigenvalue is at or below ``eps_min`` (upstream this signals
+    smallest eigenvalue is at or below _EPS_EIG_MIN (upstream this signals
     insufficient rotation diversity).
     """
     A = np.asarray(A, dtype=float)
     A = (A + A.T) / 2.0
     evals, evecs = np.linalg.eigh(A)
-    if evals.min() <= eps_min:
+    if evals.min() <= _EPS_EIG_MIN:
         raise DegenerateMatrix(
-            f"smallest eigenvalue {evals.min():.3e} <= {eps_min:.1e}"
+            f"smallest eigenvalue {evals.min():.3e} <= {_EPS_EIG_MIN:.1e}"
         )
     return (evecs / np.sqrt(evals)) @ evecs.T
 
@@ -136,20 +138,17 @@ class Pose:
         return Pose(np.eye(3), np.zeros(3), frame)
 
     @staticmethod
-    def from_matrix(M, frame=None, renormalize=True):
+    def from_matrix(M, frame=None):
         """Build from a 4x4 homogeneous matrix, re-orthonormalizing R.
 
         Serialized matrices accumulate rounding error, so ingestion goes
-        through a polar projection by default. Raises InputError for a
-        matrix with NaN or infinite entries.
+        through a polar projection. Raises InputError for a matrix with NaN
+        or infinite entries.
         """
         M = np.asarray(M, dtype=float).reshape(4, 4)
         if not np.isfinite(M).all():
             raise InputError("pose matrix has non-finite entries")
-        R = M[:3, :3]
-        if renormalize:
-            R = project_to_rotation(R)
-        return Pose(R, M[:3, 3], frame)
+        return Pose(project_to_rotation(M[:3, :3]), M[:3, 3], frame)
 
     def matrix(self):
         M = np.eye(4)

@@ -20,7 +20,8 @@ from .calibration import CalibrationResult
 from .errors import DimensionMismatch, InputError, MissingView, UncalibratedInput
 from .geometry import CAMERA_MODEL, ROBOT_BASE, rotation_angle
 
-DEFAULT_CONFIDENCE_PERCENTILE = 65.0
+CONFIDENCE_PERCENTILE = 65.0   # of all positive confidences: the point filter
+HEIGHT_BAND_PERCENTILE = 80.0  # estimate_height: the upper band of z
 
 
 @dataclass
@@ -46,17 +47,17 @@ class LabeledPointCloud:
 
 def transform_to_base(
     cloud: LabeledPointCloud,
-    camera_poses: dict | list,
-    ee_poses: dict | list,
+    camera_poses: list,
+    ee_poses: list,
     calib: CalibrationResult,
     force: bool = False,
 ) -> LabeledPointCloud:
     """Map a model-frame cloud into meters in the robot base frame.
 
     ``camera_poses`` are model-to-camera (model units) and ``ee_poses``
-    base-to-end-effector, both indexed by view. Label arrays are carried
-    through untouched. Refuses a non-converged calibration unless
-    ``force`` is set.
+    base-to-end-effector, both lists indexed by view. Label arrays are
+    carried through untouched. Refuses a non-converged calibration unless
+    ``force`` is set; raises MissingView for a view outside either list.
     """
     if cloud.frame == ROBOT_BASE:
         raise InputError("cloud is already in the robot base frame")
@@ -64,15 +65,10 @@ def transform_to_base(
         raise UncalibratedInput(
             "calibration did not converge; pass force=True to override"
         )
-    if not isinstance(camera_poses, dict):
-        camera_poses = dict(enumerate(camera_poses))
-    if not isinstance(ee_poses, dict):
-        ee_poses = dict(enumerate(ee_poses))
-
     X = calib.pose
     out = np.empty_like(cloud.points)
     for v in np.unique(cloud.views):
-        if v not in camera_poses or v not in ee_poses:
+        if not 0 <= v < min(len(camera_poses), len(ee_poses)):
             raise MissingView(f"no pose pair for view {v}")
         mask = cloud.views == v
         cam = camera_poses[v].apply(cloud.points[mask])   # model camera frame
@@ -86,16 +82,17 @@ def join_pixel_labels(
     color_images=None,
     segmentation_images=None,
 ) -> LabeledPointCloud:
-    """Attach per-pixel labels via each point's (view, w, h) provenance."""
+    """Attach per-pixel labels via each point's (view, w, h) provenance.
+
+    The images are lists indexed by view; a view outside a list raises
+    MissingView."""
 
     def lookup(images, channels):
-        if not isinstance(images, dict):
-            images = dict(enumerate(images))
         shape = (len(cloud), channels) if channels else (len(cloud),)
         dtype = float if channels else int
         out = np.zeros(shape, dtype=dtype)
         for v in np.unique(cloud.views):
-            if v not in images:
+            if not 0 <= v < len(images):
                 raise MissingView(f"no label image for view {v}")
             img = np.asarray(images[v])
             if channels and (img.ndim != 3 or img.shape[2] != channels):
@@ -121,7 +118,7 @@ def join_pixel_labels(
     return replace(cloud, colors=colors, segmentation=segmentation)
 
 
-def estimate_height(z_values, band_percentile=80.0):
+def estimate_height(z_values):
     """Robust top-surface height from per-point z in the base frame.
 
     Objects seen from above carry a dense cluster of points on the top
@@ -132,7 +129,7 @@ def estimate_height(z_values, band_percentile=80.0):
     z = np.asarray(z_values, dtype=float).reshape(-1)
     if z.size == 0:
         raise InputError("no points to estimate a height from")
-    band = z[z >= np.percentile(z, band_percentile)]
+    band = z[z >= np.percentile(z, HEIGHT_BAND_PERCENTILE)]
     return float(np.median(band))
 
 
@@ -181,15 +178,13 @@ def truth_errors(calib, gt_calib, gt_scale, points=None, labels=None,
     return out
 
 
-def adaptive_confidence_threshold(
-    confidences, percentile=DEFAULT_CONFIDENCE_PERCENTILE
-):
-    """Percentile of all positive confidences; the default filter level."""
+def adaptive_confidence_threshold(confidences):
+    """CONFIDENCE_PERCENTILE of all positive confidences; the filter level."""
     conf = np.concatenate([np.asarray(c).reshape(-1) for c in confidences])
     conf = conf[conf > 0]
     if conf.size == 0:
         return 0.0
-    return float(np.percentile(conf, percentile))
+    return float(np.percentile(conf, CONFIDENCE_PERCENTILE))
 
 
 def reconstruct(
@@ -202,12 +197,20 @@ def reconstruct(
 ):
     """The metric, labeled cloud in the robot base frame from an alignment.
 
-    Keeps the points at or above the default adaptive confidence threshold,
+    Keeps the points at or above the adaptive confidence threshold,
     attaches the per-pixel labels when images are given, and maps the
     points through the inverted alignment poses and the calibrated chain
     (``transform_to_base``, which refuses a non-converged calibration
-    unless ``force``). Returns (cloud, confidence threshold).
+    unless ``force``). Returns (cloud, confidence threshold). Raises
+    DimensionMismatch unless each list of images holds one image per view,
+    of its view's (H, W).
     """
+    sizes = [conf.shape for conf in aligned.confidences]
+    for images in (color_images, segmentation_images):
+        if images is not None and [np.shape(i)[:2] for i in images] != sizes:
+            raise DimensionMismatch(
+                f"label images of (H, W) {[np.shape(i)[:2] for i in images]} "
+                f"for aligned maps of {sizes}")
     threshold = adaptive_confidence_threshold(aligned.confidences)
     points, views, pixels, confs = extract_point_cloud(aligned, threshold)
     cloud = LabeledPointCloud(

@@ -29,6 +29,7 @@ from .geometry import (
     Pose,
     exp_map,
     log_map,
+    random_rotation,
 )
 
 _FAR = np.inf
@@ -90,14 +91,16 @@ class PlanePrimitive:
         return float(self.pose.translation[2])
 
 
+WORKSPACE = ((-1.0, -1.0, -0.2), (1.0, 1.0, 1.0))  # holds primitive centres
+SURFACE_DENSITY = 4000.0  # points / m^2 for surface sampling
+
+
 @dataclass(frozen=True)
 class SceneSpec:
     primitives: tuple
-    surface_density: float = 4000.0  # points / m^2 for surface sampling
-    workspace: tuple = ((-1.0, -1.0, -0.2), (1.0, 1.0, 1.0))
 
     def __post_init__(self):
-        lo, hi = np.array(self.workspace[0]), np.array(self.workspace[1])
+        lo, hi = np.array(WORKSPACE[0]), np.array(WORKSPACE[1])
         for p in self.primitives:
             c = p.pose.translation
             if (c < lo - 1e-9).any() or (c > hi + 1e-9).any():
@@ -309,17 +312,20 @@ def ray_cast(scene: SceneSpec, camera_pose: Pose, camera: CameraConfig):
 # Trajectories
 
 
+# View-sphere trajectories.
+LOOK_AT = (0.0, 0.0, 0.05)          # look-at target, base frame
+VIEW_RADIUS = (0.45, 0.70)          # distance band, meters
+VIEW_ELEVATION_DEG = (35.0, 70.0)
+VIEW_ROLL_DEG = 25.0                # max random roll about the optical axis
+MIN_AXIS_ANGLE_DEG = 5.0            # rotation-diversity requirement
+
+
 @dataclass(frozen=True)
 class TrajectoryConfig:
     num_poses: int = 10
-    center: tuple = (0.0, 0.0, 0.05)    # look-at target, base frame
-    radius: tuple = (0.45, 0.70)        # distance band, meters
-    elevation_deg: tuple = (35.0, 70.0)
-    roll_deg: float = 25.0              # max random roll about the optical axis
-    min_axis_angle_deg: float = 5.0     # rotation-diversity requirement
 
 
-def _look_at(position, target, roll, rng=None):
+def _look_at(position, target, roll):
     """Camera-to-base pose: +z toward target, roll about the optical axis."""
     z = np.asarray(target, dtype=float) - position
     z /= np.linalg.norm(z)
@@ -339,14 +345,14 @@ def view_sphere_trajectory(cfg: TrajectoryConfig, rng):
     az = rng.uniform(0, 2 * np.pi)
     for i in range(cfg.num_poses):
         az += 2 * np.pi / cfg.num_poses * rng.uniform(0.7, 1.3)
-        el = np.deg2rad(rng.uniform(*cfg.elevation_deg))
-        r = rng.uniform(*cfg.radius)
-        pos = np.asarray(cfg.center) + r * np.array(
+        el = np.deg2rad(rng.uniform(*VIEW_ELEVATION_DEG))
+        r = rng.uniform(*VIEW_RADIUS)
+        pos = np.asarray(LOOK_AT) + r * np.array(
             [np.cos(az) * np.cos(el), np.sin(az) * np.cos(el), np.sin(el)]
         )
-        roll = np.deg2rad(rng.uniform(-cfg.roll_deg, cfg.roll_deg))
-        poses.append(_look_at(pos, cfg.center, roll))
-    _check_rotation_diversity(poses, cfg.min_axis_angle_deg)
+        roll = np.deg2rad(rng.uniform(-VIEW_ROLL_DEG, VIEW_ROLL_DEG))
+        poses.append(_look_at(pos, LOOK_AT, roll))
+    _check_rotation_diversity(poses)
     return poses
 
 
@@ -363,7 +369,7 @@ def single_axis_trajectory(num_poses, axis=(0.0, 0.0, 1.0), step_deg=12.0,
     return poses
 
 
-def _check_rotation_diversity(poses, min_axis_angle_deg):
+def _check_rotation_diversity(poses):
     axes = []
     for a, b in zip(poses[:-1], poses[1:]):
         v = log_map(b.rotation @ a.rotation.T)
@@ -372,7 +378,7 @@ def _check_rotation_diversity(poses, min_axis_angle_deg):
             axes.append(v / n)
     ok = any(
         np.arccos(np.clip(abs(np.dot(u, w)), 0, 1))
-        > np.deg2rad(min_axis_angle_deg)
+        > np.deg2rad(MIN_AXIS_ANGLE_DEG)
         for i, u in enumerate(axes)
         for w in axes[i + 1 :]
     )
@@ -396,12 +402,18 @@ class NoiseProfile:
     pair_scale_jitter: float = 0.0       # lognormal sigma on per-pair scale
 
     def __post_init__(self):
-        if min(self.sigma_rot, self.sigma_trans, self.sigma_point) < 0:
-            raise InputError("noise sigmas must be >= 0")
+        spreads = (self.sigma_rot, self.sigma_trans, self.sigma_point,
+                   self.pair_scale_jitter)
+        if not (all(s >= 0 for s in spreads) and 0 <= self.dropout <= 1):
+            raise InputError(f"noise sigmas and pair_scale_jitter must be >= 0 "
+                             f"and dropout in [0, 1], got {self}")
 
     @staticmethod
     def zero():
         return NoiseProfile(0.0, 0.0, 0.0, dropout=0.0, pair_scale_jitter=0.0)
+
+
+MAX_OFFSET = 0.08  # HiddenParams.random: largest calib translation per axis, m
 
 
 @dataclass(frozen=True)
@@ -410,11 +422,9 @@ class HiddenParams:
     scale: float       # meters per model unit
 
     @staticmethod
-    def random(rng, max_offset=0.08):
-        from .geometry import random_rotation
-
+    def random(rng):
         R = random_rotation(rng, max_angle=np.pi / 2)
-        t = rng.uniform(-max_offset, max_offset, size=3)
+        t = rng.uniform(-MAX_OFFSET, MAX_OFFSET, size=3)
         lam = float(np.exp(rng.uniform(np.log(0.2), np.log(5.0))))
         return HiddenParams(Pose(R, t), lam)
 
@@ -462,14 +472,14 @@ def generate_dataset(
     noise: NoiseProfile,
     seed: int,
     camera: CameraConfig | None = None,
-    graph: PairGraph | None = None,
     with_pointmaps: bool = True,
 ):
     """Full synthetic dataset consistent with the hidden calibration.
 
     Camera poses satisfy the hand-eye relation exactly before noise;
     pointmaps are ray-cast hits expressed in camera frames in model units
-    (metric divided by the hidden scale).
+    (metric divided by the hidden scale), one prediction per edge of
+    ``default_pair_graph`` that pair dropout keeps.
     """
     if trajectory.num_poses < 3:
         raise InputError("need at least 3 poses")
@@ -516,7 +526,7 @@ def generate_dataset(
         confs = [
             _confidence_from_cast(c, *CONFIDENCE_RANGE) for c in casts
         ]
-        used_graph = graph or default_pair_graph(trajectory.num_poses)
+        used_graph = default_pair_graph(trajectory.num_poses)
         edges = list(used_graph.edges)
         if noise.dropout > 0:
             keep = [e for e in edges if rng.random() > noise.dropout]
@@ -641,12 +651,12 @@ _SAMPLERS = {
 }
 
 
-def sample_surface(scene: SceneSpec, rng, density=None):
-    """Random surface points with colors and class labels, base frame."""
-    density = density or scene.surface_density
+def sample_surface(scene: SceneSpec, rng):
+    """Random surface points with colors and class labels, base frame, at
+    SURFACE_DENSITY points per m^2."""
     pts, colors, labels = [], [], []
     for prim in scene.primitives:
-        p = _SAMPLERS[type(prim)](prim, density, rng)
+        p = _SAMPLERS[type(prim)](prim, SURFACE_DENSITY, rng)
         pts.append(p)
         colors.append(np.tile(np.asarray(prim.color), (len(p), 1)))
         labels.append(np.full(len(p), prim.class_id))

@@ -6,12 +6,15 @@ import re
 import numpy as np
 import pytest
 
+from jcr import alignment
 from jcr.alignment import (
     ABS_FLOOR_PER_TERM,
+    MAX_HALVINGS,
+    MAX_ITERS,
     NORM_EPS,
     PAIR_WINDOW,
     STEP,
-    AlignConfig,
+    TOL,
     PairGraph,
     PairwisePrediction,
     _gradients,
@@ -45,6 +48,19 @@ class TestPairwisePrediction:
                 confidence_self=np.zeros((4, 4)),
                 confidence_other=np.zeros((4, 4)),
             )
+
+    @pytest.mark.parametrize("shape", [(4, 5), (4, 5, 4), (4, 5, 3, 1)])
+    @pytest.mark.parametrize("field", ["pointmap_self", "pointmap_other"])
+    def test_pointmap_not_h_w_3(self, field, shape):
+        arrays = dict(
+            pointmap_self=np.zeros((4, 5, 3)),
+            pointmap_other=np.zeros((4, 5, 3)),
+            confidence_self=np.ones((4, 5)),
+            confidence_other=np.ones((4, 5)),
+        )
+        arrays[field] = np.zeros(shape)
+        with pytest.raises(InputError, match=r"\(H, W, 3\)"):
+            PairwisePrediction(n=0, m=1, **arrays)
 
     def test_negative_confidence(self):
         with pytest.raises(InputError):
@@ -181,18 +197,21 @@ class TestAlignGlobal:
         trace = result.objective_trace
         assert (np.diff(trace) <= 1e-12).all()
 
+    # Module constants to set for the run.
     @pytest.mark.parametrize("config, reason", [
-        (AlignConfig(), "tolerance"),
-        (AlignConfig(max_iters=2), "budget"),
-        (AlignConfig(max_halvings=0), "line_search"),
+        ({}, "tolerance"),
+        ({"MAX_ITERS": 2}, "budget"),
+        ({"MAX_HALVINGS": 0}, "line_search"),
     ])
-    def test_stop_reason(self, config, reason, caplog):
+    def test_stop_reason(self, config, reason, caplog, monkeypatch):
         ds = pose_dataset(
             seed=37, num_poses=4, with_pointmaps=True, noise=NoiseProfile(),
             camera=CameraConfig(width=16, height=12),
         )
+        for name, value in config.items():
+            monkeypatch.setattr(alignment, name, value)
         with caplog.at_level(logging.INFO, logger="jcr.alignment"):
-            result = align_global(ds.pairs, ds.graph, config)
+            result = align_global(ds.pairs, ds.graph)
         assert result.stop_reason == reason
         assert result.converged == (reason != "budget")
         assert f"alignment stopped ({reason})" in caplog.text
@@ -457,16 +476,15 @@ def _reference_descent(preds, graph):
     obj = _ref_objective(terms, rotations, translations, log_sigmas,
                          pointmaps, NORM_EPS)
     trace = [obj]
-    config = AlignConfig()
     rejected = 0
-    for _ in range(config.max_iters):
+    for _ in range(MAX_ITERS):
         if obj <= floor:
             break
         g_rot, g_trn, g_sig, g_pm = _ref_gradients(
             terms, rotations, translations, log_sigmas, pointmaps, NORM_EPS
         )
         accepted = False
-        for _ in range(config.max_halvings):
+        for _ in range(MAX_HALVINGS):
             new_rot = list(rotations)
             new_trn = list(translations)
             for v in range(1, graph.num_views):
@@ -490,7 +508,7 @@ def _reference_descent(preds, graph):
         obj = new_obj
         trace.append(obj)
         step = min(step * 1.5, STEP)
-        if last_rel < config.tol:
+        if last_rel < TOL:
             break
     return (np.array(trace), rotations, translations, np.exp(log_sigmas),
             pointmaps, rejected)

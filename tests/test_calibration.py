@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
+from jcr import calibration
 from jcr.calibration import (
-    CalibrationConfig,
     CalibrationResult,
     MotionPair,
     calibrate,
@@ -259,15 +259,16 @@ class TestCalibrate:
         assert back.scale == result.scale
         assert back.converged == result.converged
 
-    def test_convergence_flag_respects_thresholds(self):
+    def test_convergence_flag_respects_thresholds(self, monkeypatch):
         ds = pose_dataset(seed=24, num_poses=10)
         reached = calibrate(ds.ee_poses, ds.camera_poses)
         dt, dr = reached.mean_residual_t, reached.mean_residual_r
         assert dt > 0 and dr > 0
 
         def at(factor):
-            config = CalibrationConfig(tau_t=factor * dt, tau_r=factor * dr)
-            return calibrate(ds.ee_poses, ds.camera_poses, config).converged
+            monkeypatch.setattr(calibration, "TAU_T", factor * dt)
+            monkeypatch.setattr(calibration, "TAU_R", factor * dr)
+            return calibrate(ds.ee_poses, ds.camera_poses).converged
 
         assert not at(0.5)
         assert at(2.0)

@@ -1,7 +1,9 @@
 """End-to-end command-line interface checks."""
 
 import json
+import re
 import shutil
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,7 +11,7 @@ import pytest
 
 from jcr import io
 from jcr.alignment import PairGraph, PairwisePrediction
-from jcr.cli import main
+from jcr.cli import _check_manifest, main
 from jcr.fields import FieldModel, TrainConfig, query, train_segmentation
 from jcr.reconstruction import estimate_height
 from jcr.synth import single_axis_trajectory
@@ -61,6 +63,12 @@ class TestRun:
         ({"synth": {"hidden": {"calib": [1, 0], "scale": 1.0}}},
          "synth.hidden.calib"),
         ({"synth": {"camera": {"width": 0}}}, "width"),
+        ({"calibrate": {"tau_r": 0.15}}, "calibrate.tau_r"),
+        ({"seed": -3}, "seed"),
+        ({"synth": {"num_poses": 4, "noise": {"dropout": 1.5}}}, "dropout"),
+        ({"synth": {"num_poses": 4, "noise": {"dropout": -0.2}}}, "dropout"),
+        ({"synth": {"num_poses": 4, "noise": {"pair_scale_jitter": -0.1}}},
+         "pair_scale_jitter"),
     ])
     def test_bad_manifest_exit_2(self, tmp_path, capsys, manifest, key):
         path = tmp_path / "manifest.json"
@@ -68,6 +76,28 @@ class TestRun:
         code = main(["run", "--manifest", str(path), "--out", str(tmp_path)])
         assert code == 2
         assert key in capsys.readouterr().err
+
+    def test_readme_manifest_is_valid(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = re.search(r"with a manifest such as:\s*```json\n(.*?)```",
+                          readme, re.S)
+        _check_manifest(json.loads(block.group(1)))
+
+
+class TestSeeds:
+    @pytest.mark.parametrize("argv", [
+        ["synth", "--out", "unused", "--seed", "-1"],
+        ["run", "--seed", "-2"],
+        ["align", "--pointmaps", "unused", "--out", "unused", "--seed", "x"],
+    ])
+    def test_bad_seed_is_a_usage_error(self, argv, capsys, tmp_path,
+                                       monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "--seed: expected a non-negative integer" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestStages:
@@ -233,6 +263,52 @@ class TestQueryAndEval:
         assert "rotation_error_deg" not in printed
 
 
+class TestOlderFiles:
+    """Files that an earlier jcr wrote, with keys for settings that are now
+    module constants, read back as before."""
+
+    def test_calibration_with_tau_keys(self, pipeline, tmp_path):
+        written = io.load_json(pipeline / "calibrate" / "calibration.json")
+        assert "tau_t" not in written and "tau_r" not in written
+        older = dict(written, tau_t=0.1, tau_r=0.15)
+        reports = []
+        for name, calib in (("now", written), ("older", older)):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(calib))
+            assert main(
+                ["eval", "--calibration", str(path),
+                 "--ground-truth", str(pipeline / "synth" / "ground_truth.json"),
+                 "--cloud", str(pipeline / "reconstruct" / "cloud.ply"),
+                 "--out", str(tmp_path / f"{name}_report.json")]
+            ) == 0
+            reports.append((tmp_path / f"{name}_report.json").read_text())
+        assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("head", ["occupancy", "segmentation", "color"])
+    def test_field_model_with_eleven_train_keys(self, pipeline, tmp_path, head):
+        written = io.load_json(pipeline / "fields" / f"field_{head}.json")
+        assert written["train_config"].keys() == {
+            "learning_rate", "epochs", "seed", "hidden_size",
+            "negatives_per_positive"}
+        older = json.loads(json.dumps(written))
+        older["train_config"].update(
+            momentum=0.9, batch_size=512, num_frequencies=6, include_raw=True,
+            neg_bounds=None, bounds_inflation=0.2)
+        pts = tmp_path / "pts.csv"
+        pts.write_text("0,0,0.05\n0.1,-0.05,0.12\n0,0,0.9\n")
+        outputs = []
+        for name, model in (("now", written), ("older", older)):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(model))
+            out = tmp_path / f"{name}.csv"
+            assert main(["query", "--model", str(path), "--points", str(pts),
+                         "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        assert (FieldModel.from_dict(older).train_config
+                == FieldModel.from_dict(written).train_config)
+
+
 def _edited_calibration(pipeline, edit):
     calib = io.load_json(pipeline / "calibrate" / "calibration.json")
     edit(calib)
@@ -291,6 +367,16 @@ class TestBadFilesExit2:
         labels = tmp_path / "labels.npz"
         labels.write_text("colors,segmentation\n")
         assert self._reconstruct(pipeline, tmp_path, labels=labels) == 2
+
+    @pytest.mark.parametrize("views, height, width", [
+        (6, 24, 32), (7, 12, 16)], ids=["larger", "one-more"])
+    def test_reconstruct_labels_not_matching_maps(self, pipeline, tmp_path,
+                                                  capsys, views, height, width):
+        labels = tmp_path / "labels.npz"
+        np.savez(labels, colors=np.zeros((views, height, width, 3)),
+                 segmentation=np.zeros((views, height, width), int))
+        assert self._reconstruct(pipeline, tmp_path, labels=labels) == 2
+        assert "label image" in capsys.readouterr().err
 
     def test_reconstruct_labels_wrong_arrays(self, pipeline, tmp_path):
         labels = tmp_path / "labels.npz"

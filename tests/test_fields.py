@@ -11,8 +11,11 @@ import numpy as np
 import pytest
 
 from jcr import fields
-from jcr.errors import EmptyCloud, InputError, SingleClass
+from jcr.errors import DegenerateBounds, EmptyCloud, InputError, SingleClass
 from jcr.fields import (
+    BATCH_SIZE,
+    BOUNDS_INFLATION,
+    MOMENTUM,
     QUERY_CHUNK,
     FieldModel,
     PositionalEncoding,
@@ -318,7 +321,7 @@ def _reference_train(head, cloud, cfg):
     rounded."""
     pts = cloud.points
     if head == "occupancy":
-        center, half = _norm_box(pts, inflation=cfg.bounds_inflation)
+        center, half = _norm_box(pts, inflation=BOUNDS_INFLATION)
         lo, hi = center - half, center + half
         n_neg = max(int(len(pts) * cfg.negatives_per_positive), 1)
         box, out_dim = np.vstack([pts, lo, hi]), 1
@@ -329,7 +332,7 @@ def _reference_train(head, cloud, cfg):
     else:
         y, box, out_dim = cloud.colors.astype(np.float32), pts, 3
     rng = np.random.default_rng(cfg.seed)
-    enc = PositionalEncoding(cfg.num_frequencies, cfg.include_raw)
+    enc = PositionalEncoding()
     center, half = _norm_box(box, inflation=0.05)
     params = [p.astype(np.float32) for p in
               _init_params(rng, enc.output_dim, cfg.hidden_size, out_dim)]
@@ -345,13 +348,13 @@ def _reference_train(head, cloud, cfg):
         feat = enc.encode((x - center) / half).astype(np.float32)
         order = rng.permutation(len(feat))
         total, nb = 0.0, 0
-        for s in range(0, len(order), cfg.batch_size):
-            idx = order[s : s + cfg.batch_size]
+        for s in range(0, len(order), BATCH_SIZE):
+            idx = order[s : s + BATCH_SIZE]
             loss, grads = _reference_step(params, feat[idx], y[idx], head)
             total += loss
             nb += 1
             for p, v, g in zip(params, velocity, grads):
-                v *= cfg.momentum
+                v *= MOMENTUM
                 v -= cfg.learning_rate * g
                 p += v
         losses.append(total / nb)
@@ -362,17 +365,17 @@ class TestSameIterates:
     """The training loop reuses one hidden-layer buffer and encodes the
     fixed points once; it must give the plain loop's iterates bit for bit."""
 
-    # 250 points in batches of 64 leave a short last batch; occupancy's
-    # 500 (positives and negatives) too.
-    CFG = TrainConfig(epochs=4, hidden_size=24, batch_size=64, seed=3,
-                      num_frequencies=3)
+    # 600 points in batches of BATCH_SIZE = 512 leave a short last batch;
+    # occupancy's 1200 (positives and negatives) too.
+    CFG = TrainConfig(epochs=4, hidden_size=24, seed=3)
 
     @pytest.fixture(scope="class")
     def cloud(self):
+        assert 600 % BATCH_SIZE and 1200 % BATCH_SIZE
         rng = np.random.default_rng(21)
-        pts = _box_surface(rng, 250)
-        return _Cloud(pts, colors=rng.uniform(0, 1, (250, 3)),
-                      segmentation=rng.choice([2, 5, 9], 250))
+        pts = _box_surface(rng, 600)
+        return _Cloud(pts, colors=rng.uniform(0, 1, (600, 3)),
+                      segmentation=rng.choice([2, 5, 9], 600))
 
     @pytest.mark.parametrize("head, train", [
         ("occupancy", train_occupancy),
@@ -455,8 +458,8 @@ class TestFloat32Training:
     @pytest.mark.parametrize("train", [train_occupancy, train_segmentation,
                                        train_color])
     def test_numpy_scalar_step_sizes_train_in_float32(self, monkeypatch, train):
-        """NumPy float64 step sizes give the weights that Python floats give,
-        and every step's gradients stay float32."""
+        """A NumPy float64 learning rate gives the weights that a Python
+        float gives, and every step's gradients stay float32."""
         rng = np.random.default_rng(22)
         cloud = _Cloud(_box_surface(rng, 300), colors=rng.uniform(0, 1, (300, 3)),
                        segmentation=rng.choice([1, 4], 300))
@@ -471,7 +474,7 @@ class TestFloat32Training:
 
         monkeypatch.setattr(fields, "_forward_backward", spy)
         got = train(cloud, dataclasses.replace(
-            cfg, learning_rate=np.float64(1e-2), momentum=np.float64(0.9)))
+            cfg, learning_rate=np.float64(1e-2)))
         assert dtypes == {np.dtype(np.float32)}
         for name in ("W1", "b1", "W2", "b2"):
             assert getattr(got, name).dtype == np.float32
@@ -499,11 +502,11 @@ class TestFloat32Training:
 
 class TestTrainingInputs:
     @pytest.mark.parametrize("change", [
-        {"batch_size": 0}, {"hidden_size": 0}, {"epochs": 0}, {"epochs": 2.5},
-        {"num_frequencies": -1}, {"num_frequencies": 0, "include_raw": False},
-        {"seed": -1}, {"learning_rate": float("nan")}, {"momentum": float("inf")},
-        {"negatives_per_positive": -3.0},
-        {"neg_bounds": ((np.nan, 0, 0), (1, 1, 1))},
+        {"hidden_size": 0}, {"hidden_size": 2.5}, {"epochs": 0}, {"epochs": 2.5},
+        {"epochs": True}, {"seed": -1}, {"learning_rate": float("nan")},
+        {"learning_rate": "0.1"}, {"negatives_per_positive": -3.0},
+        {"negatives_per_positive": 0.0},
+        {"negatives_per_positive": float("inf")},
     ])
     def test_bad_config_rejected(self, change):
         pts = _box_surface(np.random.default_rng(0), 50)
@@ -519,6 +522,12 @@ class TestTrainingInputs:
                        segmentation=np.arange(50) % 2)
         with pytest.raises(InputError):
             train(cloud, FAST)
+
+    def test_flat_negative_box_rejected(self):
+        # Far from the origin, the box around one repeated point rounds to a
+        # point along every axis.
+        with pytest.raises(DegenerateBounds):
+            train_occupancy(_Cloud(np.full((10, 3), 1e12)), FAST)
 
     def test_points_not_n_by_3_rejected(self):
         with pytest.raises(InputError):

@@ -361,7 +361,7 @@ def _model_dict(head):
         norm_center=np.zeros(3), norm_half=np.ones(3),
         num_classes=out if seg else 1,
         class_values=np.array([2, 5, 7]) if seg else None,
-        train_config=TrainConfig(neg_bounds=((0, 0, 0), (1, 1, 1))),
+        train_config=TrainConfig(),
     ).to_dict()
 
 

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from jcr.calibration import CalibrationResult
+from jcr import reconstruction
 from jcr.errors import (
+    DimensionMismatch,
     InputError,
     MissingView,
     UncalibratedInput,
@@ -127,6 +129,16 @@ class TestTransformToBase:
                 _calib_result(Pose.identity(), 1.0),
             )
 
+    def test_negative_view_pose(self):
+        # A list would index view -1 from its end.
+        cloud = _cloud(np.zeros((2, 3)), views=np.array([0, -1]))
+        with pytest.raises(MissingView):
+            transform_to_base(
+                cloud, [Pose.identity()] * 2, [Pose.identity()] * 2,
+                _calib_result(Pose.identity(), 1.0),
+            )
+
+
 
 class TestJoinPixelLabels:
     def _cloud_with_pixels(self, pixels, views):
@@ -161,6 +173,11 @@ class TestJoinPixelLabels:
         with pytest.raises(MissingView):
             join_pixel_labels(cloud, segmentation_images=[np.zeros((2, 2), int)])
 
+    def test_negative_view_image(self):
+        cloud = self._cloud_with_pixels([[0, 0]], [-1])
+        with pytest.raises(MissingView):
+            join_pixel_labels(cloud, segmentation_images=[np.zeros((2, 2), int)])
+
     def test_out_of_range_pixel(self):
         from jcr.errors import DimensionMismatch
 
@@ -179,9 +196,12 @@ class TestHelpers:
                 pixels=np.zeros((3, 2), dtype=int),
             )
 
-    def test_adaptive_threshold_is_percentile(self):
+    def test_adaptive_threshold_is_percentile(self, monkeypatch):
         conf = [np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[0.0, 5.0]])]
-        got = adaptive_confidence_threshold(conf, percentile=50.0)
+        want = np.percentile([1, 2, 3, 4, 5], 65.0)
+        assert adaptive_confidence_threshold(conf) == pytest.approx(want)
+        monkeypatch.setattr(reconstruction, "CONFIDENCE_PERCENTILE", 50.0)
+        got = adaptive_confidence_threshold(conf)
         assert got == pytest.approx(np.percentile([1, 2, 3, 4, 5], 50))
 
     def test_estimate_height_noiseless(self):
@@ -255,6 +275,23 @@ class TestPipeline:
             )
             assert {k: got[k] for k in want} == want
             assert got["heights"].keys() == {1, 2}
+
+    @pytest.mark.parametrize("which", ["color", "segmentation"])
+    @pytest.mark.parametrize("change", ["larger", "one-more", "one-fewer"])
+    def test_label_images_must_match_the_maps(self, benchmark_tabletop, which,
+                                               change):
+        _, runs = benchmark_tabletop
+        ds, (aligned, calib, _) = runs[0]
+        images = list(getattr(ds, f"{which}_images"))
+        if change == "larger":
+            images[3] = np.repeat(np.repeat(images[3], 2, axis=0), 2, axis=1)
+        elif change == "one-more":
+            images.append(images[0])
+        else:
+            images.pop()
+        kwargs = {f"{which}_images": images}
+        with pytest.raises(DimensionMismatch):
+            reconstruct(aligned, ds.ee_poses, calib, **kwargs)
 
     def test_truth_errors_need_a_table(self):
         calib = _calib_result(Pose.identity(), 1.0)

@@ -13,6 +13,7 @@ from jcr.synth import (
     NoiseProfile,
     PlanePrimitive,
     SceneSpec,
+    WORKSPACE,
     TrajectoryConfig,
     ray_cast,
     sample_surface,
@@ -95,7 +96,7 @@ class TestTrajectories:
 
         poses = single_axis_trajectory(8)
         with pytest.raises(InsufficientDiversity):
-            _check_rotation_diversity(poses, 5.0)
+            _check_rotation_diversity(poses)
 
 
 class TestSceneSpec:
@@ -121,6 +122,14 @@ class TestNoiseProfile:
     def test_negative_sigma_rejected(self):
         with pytest.raises(InputError):
             NoiseProfile(sigma_rot=-1.0)
+
+    @pytest.mark.parametrize("change", [
+        {"dropout": 1.5}, {"dropout": -0.1}, {"dropout": float("nan")},
+        {"pair_scale_jitter": -0.1}, {"pair_scale_jitter": float("nan")},
+    ])
+    def test_out_of_range_rejected(self, change):
+        with pytest.raises(InputError):
+            NoiseProfile(**change)
 
     def test_zero_profile(self):
         z = NoiseProfile.zero()
@@ -202,5 +211,5 @@ class TestSampleSurface:
         rng = np.random.default_rng(2)
         scene = tabletop_scene()
         pts, _, _ = sample_surface(scene, rng)
-        lo, hi = np.asarray(scene.workspace[0]), np.asarray(scene.workspace[1])
+        lo, hi = np.asarray(WORKSPACE[0]), np.asarray(WORKSPACE[1])
         assert (pts >= lo - 1e-9).all() and (pts <= hi + 1e-9).all()
