@@ -10,23 +10,29 @@ scales sigma_e and per-view global pointmaps Xhat^n by minimizing
 
 with first-order gradient descent on a good closed-form initialization.
 Line-search trials evaluate the objective only; the gradient is taken only
-at accepted points. Residual terms are grouped by target view i and stored
-pixels last: r = Xhat^i - (A X + b) with A = sigma_e R_n and
-b = sigma_e t_n. Consecutive groups are packed into blocks of (T, 3, HW)
-points, up to BLOCK_BYTES each, so that one batched matmul and one call of
+at accepted points. A trial stops at the first block whose running sum
+reaches the current objective: every summand is >= 0, so the trial is
+rejected whatever the later blocks add, and an accepted trial always runs
+every block. Residual terms are grouped by target view i and stored
+pixels last: r = Xhat^i - [A | b] [X; 1] with A = sigma_e R_n and
+b = sigma_e t_n, the points X stored once with a row of ones below them.
+Consecutive groups are packed into blocks of (T, 4, HW) points, up to
+BLOCK_BYTES of residuals each, so that one batched matmul and one call of
 each other NumPy operation cover a block; on a sparse graph of small maps
 that is several groups per call, where the cost is call overhead and not
 arithmetic. Every evaluation writes r and the smoothed norms into per-block
-buffers allocated once per descent. Poses and global pointmaps are stacks,
-(V, 3, 3), (V, 3) and (V, 3, HW), until the descent ends, so a line-search
-trial is one ``exp_map`` of all V rotation steps and a few array
-operations. The accepted trial is always the last one evaluated, so the
-gradient reads its buffers and computes no residual again. With the moment
-matrix M = (A X) w^T of the weighted residuals w and s = sum w, sigma folds
-into the pose and scale gradients: -axial(M) for the rotation and
--(tr M + s . b) for log sigma. The iterates are the same, bit for bit, as
-with one group per call. The result reports why the descent stopped
-(``stop_reason``).
+buffers, and [A | b] for all terms into one buffer, all allocated once per
+descent. Poses and global pointmaps are stacks, (V, 3, 3), (V, 3) and
+(V, 3, HW), until the descent ends, so a line-search trial is one
+``exp_map`` of all V rotation steps and a few array operations. The
+accepted trial is always the last one evaluated, so the gradient reads its
+buffers and computes no residual again. With the moment matrix
+M = (A X) w^T of the weighted residuals w and s = sum w, sigma folds into
+the pose and scale gradients: -axial(M) for the rotation and
+-(tr M + s . b) for log sigma; each is formed once over all terms and
+summed per view or edge by one ``np.bincount``. The iterates are the same,
+bit for bit, as with one group per call and every trial run to the end.
+The result reports why the descent stopped (``stop_reason``).
 Gauge: P_1 = identity and sigma of the first edge = 1.
 """
 
@@ -130,9 +136,10 @@ MAX_ITERS = 2000
 # Objective floor per residual term; noiseless problems stop here.
 ABS_FLOOR_PER_TERM = 1e-16
 # Target-view groups are packed into blocks of at most this many bytes of
-# points, so that one NumPy call covers many small groups. One stack of all
-# terms was as fast, but its multi-megabyte buffers did not fit the heap
-# that set-up leaves free and raised tabletop-10v's peak RSS by 9%.
+# residuals (three rows per term), so that one NumPy call covers many small
+# groups. One stack of all terms was as fast, but its multi-megabyte buffers
+# did not fit the heap that set-up leaves free and raised tabletop-10v's
+# peak RSS by 9%.
 BLOCK_BYTES = 512 * 1024
 # The L2 residual norm is smoothed as sqrt(|r|^2 + eps^2) - eps so the
 # kink at exactly-zero residuals does not stall the descent.
@@ -288,9 +295,11 @@ def _initialize(preds, graph):
 
 class _Block(NamedTuple):
     """Consecutive target-view groups of residual terms, pixel axis last:
-    points (T, 3, HW) and confidences (T, HW) of the T terms, their
-    reference views (T,) and edges (T,), and per group (view, lo, hi), the
-    group's rows lo:hi."""
+    points (T, 4, HW), each term's (3, HW) points with a row of ones below
+    them, so that one matmul by [sigma R | sigma t] applies the translation
+    too (1 * b, added last, rounds as a separate r += b did), and
+    confidences (T, HW) of the T terms, their reference views (T,) and
+    edges (T,), and per group (view, lo, hi), the group's rows lo:hi."""
 
     points: np.ndarray
     confidences: np.ndarray
@@ -305,7 +314,7 @@ def _terms(preds):
     Each edge contributes view n's self-map and view m's map, both in frame
     n. The terms that predict one view form its group; groups are sorted by
     view and packed, consecutively, into blocks of at most BLOCK_BYTES of
-    points (a larger group is a block of its own), so that several small
+    residuals (a larger group is a block of its own), so that several small
     groups share each NumPy call while a block's buffers stay small enough
     for the heap that set-up leaves free. Every view has the same pixel
     count, so the terms of a block stack; they are written straight into the
@@ -331,10 +340,11 @@ def _terms(preds):
     blocks = []
     for views in packed:
         rows = [t for view in views for t in by_view[view]]
-        points = np.empty((len(rows), 3, hw))
+        points = np.empty((len(rows), 4, hw))
+        points[:, 3] = 1.0
         confidences = np.empty((len(rows), hw))
         for k, (_, _, pm, conf) in enumerate(rows):
-            points[k] = pm.reshape(-1, 3).T
+            points[k, :3] = pm.reshape(-1, 3).T
             confidences[k] = conf.reshape(-1)
         bounds = list(accumulate((len(by_view[v]) for v in views), initial=0))
         blocks.append(_Block(points, confidences,
@@ -345,41 +355,62 @@ def _terms(preds):
 
 
 class _Evaluation:
-    """Per-block buffers of the latest objective evaluation.
+    """Buffers of the latest objective evaluation.
 
     Allocated once per descent, next to ``_terms``: for each block the
-    residuals r = Xhat - (A X + b) as (T, 3, HW) and the smoothed norms
-    q = sqrt(|r|^2 + eps^2) as (T, HW), and the pointmap gradients as
-    (V, 3, HW). Every ``objective`` call overwrites r and q and keeps its
-    A = sigma R, b = sigma t and sigma; ``gradients`` reads them and
-    computes no residual again. Each NumPy call covers a whole block,
-    except three per group that keep the summation order of one group per
-    call: the subtraction of Xhat, the objective's dot product and the
-    pointmap gradient's sum over terms.
+    residuals r = Xhat - [A | b] [X; 1] as (T, 3, HW) and the smoothed norms
+    q = sqrt(|r|^2 + eps^2) as (T, HW); over all terms, in block order,
+    [A | b] = sigma [R | t] as (terms, 3, 4) and the gradient's moment
+    matrices (terms, 3, 3) and weight sums (terms, 3); and the pointmap
+    gradients as (V, 3, HW). ``objective`` overwrites them and keeps sigma;
+    ``gradients`` reads them and computes no residual again. Each NumPy call
+    covers a whole block or all terms, except three per group that keep the
+    summation order of one group per call: the subtraction of Xhat, the
+    objective's dot product and the pointmap gradient's sum over terms.
+    ``evaluations`` and ``stopped_early`` count the ``objective`` calls and
+    those that returned at their bound.
     """
 
     def __init__(self, blocks, num_views, norm_eps):
         self.blocks, self.norm_eps = blocks, norm_eps
-        self.r = [np.empty_like(blk.points) for blk in blocks]
+        self.r = [np.empty_like(blk.points[:, :3]) for blk in blocks]
         self.q = [np.empty_like(blk.confidences) for blk in blocks]
-        self.g_pm = np.zeros((num_views,) + blocks[0].points.shape[1:])
-        self.Ab = [None] * len(blocks)
+        self.g_pm = np.zeros((num_views,) + self.r[0].shape[1:])
+        self.refs = np.concatenate([blk.refs for blk in blocks])
+        self.edges = np.concatenate([blk.edges for blk in blocks])
+        bounds = list(accumulate((len(blk.refs) for blk in blocks), initial=0))
+        self.rows = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+        self.Ab = np.empty((bounds[-1], 3, 4))
+        self.M = np.empty((bounds[-1], 3, 3))
+        self.s = np.empty((bounds[-1], 3))
+        # np.bincount bins of the per-term pose gradients in (V, 3).
+        self.pose_bins = (3 * self.refs[:, None] + np.arange(3)).reshape(-1)
         self.sigmas = None
+        self.evaluations = self.stopped_early = 0
 
-    def objective(self, rotations, translations, log_sigmas, xhat):
+    def objective(self, rotations, translations, log_sigmas, xhat,
+                  bound=np.inf):
         """Objective sum C (sqrt(|r|^2 + eps^2) - eps) over all terms, with
         rotations (V, 3, 3), translations (V, 3) and the global pointmaps
-        ``xhat`` as (V, 3, HW)."""
+        ``xhat`` as (V, 3, HW).
+
+        Returns the running sum as soon as it reaches ``bound``, after the
+        block that brings it there; the default bound runs every block.
+        Every summand is >= 0, so the full sum is >= ``bound`` too and a
+        trial that must lower the objective below ``bound`` is rejected as
+        surely; one that runs every block has its exact sum. After an early
+        return the later blocks' r and q are stale, so ``gradients`` is
+        valid only after a call that did not stop early.
+        """
+        self.evaluations += 1
         self.sigmas = sigmas = np.exp(log_sigmas)
-        eps = self.norm_eps
+        Ab, eps = self.Ab, self.norm_eps
+        sig = sigmas[self.edges]
+        np.multiply(sig[:, None, None], rotations[self.refs], out=Ab[:, :, :3])
+        np.multiply(sig[:, None], translations[self.refs], out=Ab[:, :, 3])
         obj = 0.0
-        for i, blk in enumerate(self.blocks):
-            sig = sigmas[blk.edges]
-            A = sig[:, None, None] * rotations[blk.refs]
-            b = sig[:, None] * translations[blk.refs]
-            r, q = self.r[i], self.q[i]
-            np.matmul(A, blk.points, out=r)
-            r += b[:, :, None]
+        for blk, rows, r, q in zip(self.blocks, self.rows, self.r, self.q):
+            np.matmul(Ab[rows], blk.points, out=r)
             for view, lo, hi in blk.groups:
                 np.subtract(xhat[view], r[lo:hi], out=r[lo:hi])
             np.einsum("kip,kip->kp", r, r, out=q)
@@ -388,7 +419,9 @@ class _Evaluation:
             smooth = q - eps
             for _, lo, hi in blk.groups:
                 obj += float(np.vdot(blk.confidences[lo:hi], smooth[lo:hi]))
-            self.Ab[i] = A, b
+            if obj >= bound and rows.stop < len(Ab):
+                self.stopped_early += 1
+                break
         return obj
 
     def gradients(self):
@@ -396,7 +429,7 @@ class _Evaluation:
         (rotations, translations, log sigmas, pointmaps), the pointmap
         gradients as (V, 3, HW) in a buffer that the next call overwrites.
         Turns the buffers into the weighted residuals w in place, so it is
-        valid once per evaluation.
+        valid once per evaluation, and only after one that ran every block.
 
         Rotation gradients are taken w.r.t. a left-multiplied axis-angle
         increment delta: R <- exp(delta) R. Per term, with Y_i = sigma R x_i,
@@ -407,25 +440,31 @@ class _Evaluation:
         gradient is -sigma s; and d r_i / d log sigma = -(Y_i + b), so that
         gradient is -(tr M + s . b). Every pixel of a view's group adds to
         that view's pointmap gradient (d r / d Xhat = I); the pose and scale
-        gradients gather per term, never per pixel.
+        gradients gather per term, never per pixel, with one np.bincount
+        each over all terms in block order.
         """
-        g_pm = self.g_pm
-        g_rot = np.zeros((len(g_pm), 3))
-        g_trn = np.zeros((len(g_pm), 3))
-        g_sig = np.zeros_like(self.sigmas)
-        for i, blk in enumerate(self.blocks):
-            (A, b), w, q = self.Ab[i], self.r[i], self.q[i]
+        g_pm, Ab, M, s = self.g_pm, self.Ab, self.M, self.s
+        for blk, rows, w, q in zip(self.blocks, self.rows, self.r, self.q):
             w *= np.divide(blk.confidences, q, out=q)[:, None, :]
             for view, lo, hi in blk.groups:
                 w[lo:hi].sum(0, out=g_pm[view])
-            s = w.sum(2)
-            M = A @ (blk.points @ w.transpose(0, 2, 1))  # Y w^T, Y not formed
-            np.add.at(g_rot, blk.refs, -np.stack(
-                [M[:, 1, 2] - M[:, 2, 1], M[:, 2, 0] - M[:, 0, 2],
-                 M[:, 0, 1] - M[:, 1, 0]], axis=1))
-            np.add.at(g_trn, blk.refs, -self.sigmas[blk.edges][:, None] * s)
-            np.add.at(g_sig, blk.edges,
-                      -(np.trace(M, axis1=1, axis2=2) + (s * b).sum(1)))
+            w.sum(2, out=s[rows])
+            xw = blk.points[:, :3] @ w.transpose(0, 2, 1)
+            np.matmul(Ab[rows, :, :3], xw, out=M[rows])  # Y w^T, Y not formed
+        num_views = len(g_pm)
+
+        def per_view(x):  # sum the (terms, 3) rows x by reference view
+            return np.bincount(self.pose_bins, x.reshape(-1),
+                               minlength=3 * num_views).reshape(num_views, 3)
+
+        g_rot = per_view(-np.stack(
+            [M[:, 1, 2] - M[:, 2, 1], M[:, 2, 0] - M[:, 0, 2],
+             M[:, 0, 1] - M[:, 1, 0]], axis=1))
+        g_trn = per_view(-self.sigmas[self.edges][:, None] * s)
+        g_sig = np.bincount(
+            self.edges,
+            -(np.trace(M, axis1=1, axis2=2) + (s * Ab[:, :, 3]).sum(1)),
+            minlength=len(self.sigmas))
         return g_rot, g_trn, g_sig, g_pm
 
 
@@ -548,7 +587,8 @@ def align_global(preds, graph: PairGraph | None = None):
             new_ls[0] = log_sigmas[0]
             np.subtract(pointmaps, np.multiply(step, g_pm, out=trial_pm),
                         out=trial_pm)
-            new_obj = ev.objective(new_rot, new_trn, new_ls, trial_pm)
+            new_obj = ev.objective(new_rot, new_trn, new_ls, trial_pm,
+                                   bound=obj)
             if new_obj < obj:
                 accepted = True
                 break
@@ -574,8 +614,9 @@ def align_global(preds, graph: PairGraph | None = None):
                 MAX_ITERS, last_rel,
             )
     log.info(
-        "alignment stopped (%s) after %d iterations, objective %.6g",
-        stop_reason, len(trace) - 1, obj,
+        "alignment stopped (%s) after %d iterations, objective %.6g, "
+        "%d objective evaluations (%d stopped early)",
+        stop_reason, len(trace) - 1, obj, ev.evaluations, ev.stopped_early,
     )
 
     # Re-orthonormalize after many small increments.

@@ -197,7 +197,7 @@ def _stage_fields(cloud, cfg, out_dir, seed):
 
 def cmd_synth(args):
     cfg = _load_manifest(args.manifest).get("synth", {}) if args.manifest else {}
-    if args.num_poses:
+    if args.num_poses is not None:
         cfg["num_poses"] = args.num_poses
     if args.zero_noise:
         cfg["noise"] = "zero"
@@ -452,7 +452,9 @@ def cmd_run(args):
     seed = args.seed if args.seed is not None else int(manifest.get("seed", 0))
     stage = "input"
     try:
-        if "synth" in manifest or not manifest.get("ee_poses"):
+        inputs = [k for k in ("ee_poses", "pointmaps", "labels")
+                  if k in manifest]
+        if "synth" in manifest or not inputs:
             stage = "synth"
             ds = _stage_synth(manifest.get("synth", {}), out / "synth", seed)
             ee_poses = ds.ee_poses
@@ -461,6 +463,11 @@ def cmd_run(args):
             segs = ds.segmentation_images
         else:
             stage = "input"
+            for key in ("ee_poses", "pointmaps"):
+                if key not in manifest:
+                    raise InputError(
+                        f"manifest key {key}: needed in a run without synth "
+                        f"that names {', '.join(inputs)}")
             ee_poses = io.load_poses(manifest["ee_poses"])
             pairs, graph = io.load_pair_set(manifest["pointmaps"])
             colors, segs = (_load_labels(manifest["labels"])

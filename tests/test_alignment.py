@@ -17,9 +17,11 @@ from jcr.alignment import (
     TOL,
     PairGraph,
     PairwisePrediction,
+    _Evaluation,
     _gradients,
     _initialize,
     _objective,
+    _pixels_last,
     _terms,
     align_global,
     default_pair_graph,
@@ -581,6 +583,91 @@ class TestSameIterates:
         # A gradient that read a rejected trial's residuals would show here.
         ref, _ = runs
         assert ref[5] > 0
+
+
+def _tabletop_1000():
+    """The benchmark's 10-view tabletop scene of seed 1000, with its
+    predictions in graph order."""
+    ds = pose_dataset(
+        seed=1000, num_poses=10, with_pointmaps=True,
+        noise=NoiseProfile(), camera=CameraConfig(width=32, height=24),
+    )
+    preds = [next(p for p in ds.pairs if (p.n, p.m) == e)
+             for e in ds.graph.edges]
+    return ds, preds
+
+
+class TestEarlyStop:
+    """Line-search trials stop at the first block whose running sum reaches
+    the current objective; accepted trials run every block."""
+
+    @pytest.fixture(scope="class")
+    def problem(self):
+        ds, preds = _tabletop_1000()
+        rot, trn, sigmas, pms, _ = _initialize(preds, ds.graph)
+        return ds.graph.num_views, _terms(preds), rot, trn, np.log(sigmas), pms
+
+    def test_bound_below_first_block_returns_its_sum(self, problem):
+        num_views, blocks, rot, trn, log_sigmas, pms = problem
+        point = (np.array(rot), np.array(trn), log_sigmas, _pixels_last(pms))
+        assert len(blocks) > 1
+        first = _Evaluation(blocks[:1], num_views, NORM_EPS).objective(*point)
+        ev = _Evaluation(blocks, num_views, NORM_EPS)
+        assert ev.objective(*point, bound=first / 2) == first
+        assert (ev.evaluations, ev.stopped_early) == (1, 1)
+
+    def test_no_bound_equals_objective(self, problem):
+        num_views, blocks, rot, trn, log_sigmas, pms = problem
+        point = (np.array(rot), np.array(trn), log_sigmas, _pixels_last(pms))
+        full = _objective(blocks, rot, trn, log_sigmas, pms, NORM_EPS)
+        ev = _Evaluation(blocks, num_views, NORM_EPS)
+        assert ev.objective(*point) == full
+        # A bound that the running sum reaches only at the last block.
+        assert ev.objective(*point, bound=full) == full
+        assert (ev.evaluations, ev.stopped_early) == (2, 0)
+
+    def test_only_rejected_trials_stop_early(self, monkeypatch):
+        # A trial that stopped early and was accepted would leave the later
+        # blocks' buffers stale for the gradient. Every call must return its
+        # full sum or a partial sum that has reached its bound.
+        ds, _ = _tabletop_1000()
+        full_objective = _Evaluation.objective
+        calls = []
+
+        def spy(self, *point, bound=np.inf):
+            value = full_objective(self, *point, bound=bound)
+            fresh = _Evaluation(self.blocks, len(self.g_pm), self.norm_eps)
+            calls.append((bound, value, full_objective(fresh, *point)))
+            return value
+
+        monkeypatch.setattr(_Evaluation, "objective", spy)
+        trace = align_global(ds.pairs, ds.graph).objective_trace
+        # The first call evaluates the start; each trial is bounded by the
+        # objective at the current point.
+        assert calls[0][0] == np.inf
+        assert all(bound in trace for bound, _, _ in calls[1:])
+        assert all(value == full or value >= bound
+                   for bound, value, full in calls)
+        assert any(value < full for _, value, full in calls)
+
+    def test_log_reports_evaluations(self, caplog, monkeypatch):
+        ds, _ = _tabletop_1000()
+        full_objective = _Evaluation.objective
+        evaluations = []
+
+        def spy(self, *point, bound=np.inf):
+            value = full_objective(self, *point, bound=bound)
+            evaluations.append(self.stopped_early)
+            return value
+
+        monkeypatch.setattr(_Evaluation, "objective", spy)
+        with caplog.at_level(logging.INFO, logger="jcr.alignment"):
+            align_global(ds.pairs, ds.graph)
+        found = re.search(r"(\d+) objective evaluations \((\d+) stopped "
+                          r"early\)", caplog.text)
+        assert found
+        assert int(found[1]) == len(evaluations)
+        assert int(found[2]) == evaluations[-1] > 0
 
 
 @pytest.fixture(scope="module")

@@ -77,6 +77,22 @@ class TestRun:
         assert code == 2
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("manifest, missing", [
+        ({"ee_poses": "ee.json"}, "pointmaps"),
+        ({"pointmaps": "pairs.json"}, "ee_poses"),
+        ({"labels": "labels.npz"}, "ee_poses"),
+        ({"labels": "labels.npz", "ee_poses": "ee.json"}, "pointmaps"),
+    ])
+    def test_input_files_without_both_exit_2(self, tmp_path, capsys, manifest,
+                                             missing):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest))
+        out = tmp_path / "out"
+        code = main(["run", "--manifest", str(path), "--out", str(out)])
+        assert code == 2
+        assert f"manifest key {missing}:" in capsys.readouterr().err
+        assert not (out / "synth").exists()
+
     def test_readme_manifest_is_valid(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         block = re.search(r"with a manifest such as:\s*```json\n(.*?)```",
@@ -135,6 +151,14 @@ class TestStages:
                      "--out", str(tmp_path / "align")])
         assert code == 2
         assert "view 1 is 3x5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("num_poses", ["0", "-1", "2"])
+    def test_synth_too_few_poses_exit_2(self, tmp_path, capsys, num_poses):
+        code = main(["synth", "--out", str(tmp_path / "synth"),
+                     "--num-poses", num_poses])
+        assert code == 2
+        assert "need at least 3 poses" in capsys.readouterr().err
+        assert not (tmp_path / "synth" / "ee_poses.json").exists()
 
     def test_synth_then_align_then_calibrate(self, tmp_path):
         synth_dir = tmp_path / "synth"
