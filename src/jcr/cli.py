@@ -186,9 +186,19 @@ def _stage_fields(cloud, cfg, out_dir, seed):
             learning_rate=float(cfg.get("color_learning_rate", 0.05)),
         )
         models["color"] = train_color(cloud, color_cfg)
+    _require_finite_loss(*models.values())
     for name, model in models.items():
         io.save_json(out_dir / f"field_{name}.json", model.to_dict())
     return models
+
+
+def _require_finite_loss(*models):
+    """Raise NonConvergence, naming the heads, if any model's final training
+    loss is not finite: such weights are not worth saving."""
+    diverged = [m.head for m in models if not math.isfinite(m.final_loss)]
+    if diverged:
+        raise NonConvergence(f"field training diverged (final loss not finite) "
+                             f"for head(s): {', '.join(diverged)}")
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +259,7 @@ def cmd_train_field(args):
         "color": train_color,
     }[args.kind]
     model = trainer(cloud, cfg)
+    _require_finite_loss(model)
     io.save_json(args.out, model.to_dict())
     return EXIT_OK
 

@@ -9,10 +9,16 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from jcr import io
+from jcr import cli, io
 from jcr.alignment import PairGraph, PairwisePrediction
 from jcr.cli import _check_manifest, main
-from jcr.fields import FieldModel, TrainConfig, query, train_segmentation
+from jcr.fields import (
+    MAX_FREQUENCIES,
+    FieldModel,
+    TrainConfig,
+    query,
+    train_segmentation,
+)
 from jcr.reconstruction import estimate_height
 from jcr.synth import single_axis_trajectory
 
@@ -92,6 +98,25 @@ class TestRun:
         assert code == 2
         assert f"manifest key {missing}:" in capsys.readouterr().err
         assert not (out / "synth").exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverged_field_exit_4_and_not_saved(self, tmp_path, capsys):
+        """A head whose training loss ends non-finite stops the run with
+        NonConvergence (exit 4), and no field model is written."""
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({
+            "synth": {"num_poses": 6, "camera": {"width": 16, "height": 12}},
+            "fields": {"epochs": 3, "hidden_size": 16,
+                       "color_learning_rate": 1e6},
+        }))
+        out = tmp_path / "out"
+        code = main(["run", "--seed", "3", "--manifest", str(path),
+                     "--out", str(out)])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "error in stage train-field" in err and "color" in err
+        assert (out / "reconstruct" / "cloud.ply").exists()
+        assert not list(out.glob("fields/field_*.json"))
 
     def test_readme_manifest_is_valid(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -242,6 +267,33 @@ class TestQueryAndEval:
         want = tmp_path / "want.csv"
         np.savetxt(want, query(model, q), delimiter=",", fmt="%.8g")
         assert outf.read_text() == want.read_text()
+
+    def test_train_field_diverged_exit_4(self, pipeline, tmp_path, capsys,
+                                         monkeypatch):
+        def diverging(cloud, cfg):
+            model = train_segmentation(cloud, cfg)
+            model.final_loss = float("nan")
+            return model
+
+        monkeypatch.setattr(cli, "train_segmentation", diverging)
+        model_path = tmp_path / "seg.json"
+        assert main(["train-field", "--cloud",
+                     str(pipeline / "reconstruct" / "cloud.ply"), "--kind",
+                     "segmentation", "--epochs", "2", "--out",
+                     str(model_path)]) == 4
+        assert "segmentation" in capsys.readouterr().err
+        assert not model_path.exists()
+
+    def test_query_too_many_frequencies_exit_2(self, pipeline, tmp_path, capsys):
+        model = io.load_json(pipeline / "fields" / "field_occupancy.json")
+        model["encoding"]["num_frequencies"] = MAX_FREQUENCIES + 1
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(model))
+        pts = tmp_path / "pts.csv"
+        pts.write_text("0,0,0.05\n")
+        assert main(["query", "--model", str(path), "--points", str(pts),
+                     "--out", str(tmp_path / "q.csv")]) == 2
+        assert f"num_frequencies={MAX_FREQUENCIES + 1}" in capsys.readouterr().err
 
     def test_query_malformed_model_exit_2(self, pipeline, tmp_path):
         model = io.load_json(pipeline / "fields" / "field_color.json")

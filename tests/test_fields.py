@@ -15,6 +15,7 @@ from jcr.errors import DegenerateBounds, EmptyCloud, InputError, SingleClass
 from jcr.fields import (
     BATCH_SIZE,
     BOUNDS_INFLATION,
+    MAX_FREQUENCIES,
     MOMENTUM,
     QUERY_CHUNK,
     FieldModel,
@@ -69,7 +70,55 @@ class TestPositionalEncoding:
         for k in range(3):
             expect += list(np.sin(2.0**k * np.pi * x))
             expect += list(np.cos(2.0**k * np.pi * x))
-        assert np.allclose(got, expect)
+        np.testing.assert_allclose(got, expect, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("L", range(11))
+    def test_matches_per_frequency_libm(self, L):
+        """The angle-doubling recurrence stays within 1e-13 of np.sin and
+        np.cos at every frequency up to L = 10, random points and exact
+        fractions of pi alike."""
+        enc = PositionalEncoding(num_frequencies=L)
+        x = _encoder_points()
+        assert np.abs(enc.encode(x) - _libm_encode(x, L)).max() <= 1e-13
+
+    @pytest.mark.parametrize("L", [6, 10])
+    def test_float32_out_rounds_libm(self, L):
+        """Rounded once to float32, all but a few values in 1e5 equal the
+        libm features rounded to float32, and none is more than an ulp off.
+        Random points only: at exact fractions of pi, both forms give a
+        rounding residue of ~1e-16 for a sine or cosine that is 0 in exact
+        arithmetic, equal to 1e-13 but not in float32's relative ulps."""
+        x = np.random.default_rng(17).uniform(-1, 1, (20000, 3))
+        out = np.full((len(x), 3 + 6 * L), np.nan, np.float32)
+        got = PositionalEncoding(num_frequencies=L).encode(x, out=out)
+        assert got is out
+        want = _libm_encode(x, L).astype(np.float32)
+        off = got != want
+        assert off.mean() <= 1e-5
+        ulp = np.spacing(np.maximum(np.abs(got), np.abs(want)))
+        assert (np.abs(got - want)[off] <= ulp[off]).all()
+
+    def test_frequency_limit(self):
+        PositionalEncoding(num_frequencies=MAX_FREQUENCIES)
+        with pytest.raises(InputError):
+            PositionalEncoding(num_frequencies=MAX_FREQUENCIES + 1)
+
+
+def _encoder_points(n=1000):
+    """Uniform points in [-1, 1]^3, then rows of 0, +-1, +-1/2, +-1/4, 1/3."""
+    special = np.array([0.0, 1.0, -1.0, 0.5, -0.5, 0.25, -0.25, 1.0 / 3.0])
+    rows = np.stack([special, np.roll(special, 1), np.roll(special, 2)], axis=1)
+    return np.vstack([np.random.default_rng(16).uniform(-1, 1, (n, 3)), rows])
+
+
+def _libm_encode(x, num_frequencies=6):
+    """The per-frequency encoding in float64: the coordinates, then np.sin
+    and np.cos of 2^k pi x for k = 0..L-1."""
+    cols = [x]
+    for k in range(num_frequencies):
+        ang = (2.0**k) * np.pi * x
+        cols += [np.sin(ang), np.cos(ang)]
+    return np.hstack(cols)
 
 
 class TestGradientCheck:
@@ -317,8 +366,8 @@ def _reference_train(head, cloud, cfg):
     """The training loop written plainly: every epoch (re)builds and encodes
     the whole training set, occupancy's positives and fresh negatives
     stacked, and steps with ``_reference_step``. Parameters, features and
-    float targets are float32; the features are encoded in float64, then
-    rounded."""
+    float targets are float32; the features are the per-frequency libm
+    encoding (``_libm_encode``) in float64, then rounded."""
     pts = cloud.points
     if head == "occupancy":
         center, half = _norm_box(pts, inflation=BOUNDS_INFLATION)
@@ -345,7 +394,7 @@ def _reference_train(head, cloud, cfg):
             y = y.astype(np.float32)
         else:
             x = pts
-        feat = enc.encode((x - center) / half).astype(np.float32)
+        feat = _libm_encode((x - center) / half).astype(np.float32)
         order = rng.permutation(len(feat))
         total, nb = 0.0, 0
         for s in range(0, len(order), BATCH_SIZE):
@@ -362,8 +411,10 @@ def _reference_train(head, cloud, cfg):
 
 
 class TestSameIterates:
-    """The training loop reuses one hidden-layer buffer and encodes the
-    fixed points once; it must give the plain loop's iterates bit for bit."""
+    """The training loop reuses one hidden-layer buffer, encodes the fixed
+    points once and doubles the encoding's angles by recurrence; it must
+    give the plain loop's iterates, on per-frequency libm features, bit for
+    bit."""
 
     # 600 points in batches of BATCH_SIZE = 512 leave a short last batch;
     # occupancy's 1200 (positives and negatives) too.
