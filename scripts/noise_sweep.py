@@ -17,7 +17,7 @@ import numpy as np
 
 from jcr.alignment import align_global
 from jcr.calibration import CalibrationConfig, calibrate
-from jcr.errors import DegenerateGeometry, NonConvergence
+from jcr.errors import DegenerateGeometry
 from jcr.reconstruction import reconstruct, truth_errors
 from jcr.synth import (
     HiddenParams,
@@ -55,7 +55,7 @@ def run_once(seed, level, num_poses):
             ds.ee_poses, [p.inverse() for p in aligned.poses],
             CalibrationConfig(all_pairs=True),
         )
-    except (DegenerateGeometry, NonConvergence):
+    except DegenerateGeometry:
         return None
     if not calib.converged:
         return None

@@ -371,8 +371,8 @@ class _Evaluation:
     those that returned at their bound.
     """
 
-    def __init__(self, blocks, num_views, norm_eps):
-        self.blocks, self.norm_eps = blocks, norm_eps
+    def __init__(self, blocks, num_views):
+        self.blocks = blocks
         self.r = [np.empty_like(blk.points[:, :3]) for blk in blocks]
         self.q = [np.empty_like(blk.confidences) for blk in blocks]
         self.g_pm = np.zeros((num_views,) + self.r[0].shape[1:])
@@ -404,7 +404,7 @@ class _Evaluation:
         """
         self.evaluations += 1
         self.sigmas = sigmas = np.exp(log_sigmas)
-        Ab, eps = self.Ab, self.norm_eps
+        Ab, eps = self.Ab, NORM_EPS
         sig = sigmas[self.edges]
         np.multiply(sig[:, None, None], rotations[self.refs], out=Ab[:, :, :3])
         np.multiply(sig[:, None], translations[self.refs], out=Ab[:, :, 3])
@@ -473,29 +473,6 @@ def _pixels_last(pointmaps):
     return np.stack([pm.reshape(-1, 3).T for pm in pointmaps])
 
 
-def _objective(terms, rotations, translations, log_sigmas, pointmaps,
-               norm_eps):
-    """Objective sum C (sqrt(|r|^2 + eps^2) - eps) over all terms, with
-    per-view poses and (H, W, 3) pointmaps."""
-    return _Evaluation(terms, len(pointmaps), norm_eps).objective(
-        np.asarray(rotations), np.asarray(translations), log_sigmas,
-        _pixels_last(pointmaps))
-
-
-def _gradients(terms, rotations, translations, log_sigmas, pointmaps,
-               norm_eps):
-    """Gradients of ``_objective`` w.r.t. (rotations, translations,
-    log sigmas, pointmaps), pointmap gradients as (H, W, 3): evaluates the
-    objective at the point, then reads that evaluation's buffers as the
-    descent does (see ``_Evaluation.gradients``)."""
-    ev = _Evaluation(terms, len(pointmaps), norm_eps)
-    ev.objective(np.asarray(rotations), np.asarray(translations), log_sigmas,
-                 _pixels_last(pointmaps))
-    g_rot, g_trn, g_sig, g_pm = ev.gradients()
-    return g_rot, g_trn, g_sig, [
-        g.T.reshape(pm.shape) for g, pm in zip(g_pm, pointmaps)]
-
-
 def align_global(preds, graph: PairGraph | None = None):
     """Recover globally consistent poses, scales, and pointmaps.
 
@@ -556,7 +533,7 @@ def align_global(preds, graph: PairGraph | None = None):
 
     n_terms = sum(2 * p.height * p.width for p in preds)
     floor = ABS_FLOOR_PER_TERM * n_terms
-    ev = _Evaluation(_terms(preds), graph.num_views, NORM_EPS)
+    ev = _Evaluation(_terms(preds), graph.num_views)
     shape = pointmaps[0].shape  # every view's: checked above, graph connected
     rotations, translations = np.array(rotations), np.array(translations)
     pointmaps = _pixels_last(pointmaps)  # (V, 3, HW) until the descent ends
@@ -621,7 +598,7 @@ def align_global(preds, graph: PairGraph | None = None):
 
     # Re-orthonormalize after many small increments.
     poses = [
-        Pose(project_to_rotation(R), t, frame="camera_model")
+        Pose(project_to_rotation(R), t)
         for R, t in zip(rotations, translations)
     ]
     return AlignmentResult(

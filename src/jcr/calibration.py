@@ -63,7 +63,7 @@ class CalibrationResult:
 
     @property
     def pose(self) -> Pose:
-        return Pose(self.rotation, self.translation, frame="camera_metric")
+        return Pose(self.rotation, self.translation)
 
     @property
     def mean_residual_t(self):
@@ -174,7 +174,10 @@ def solve_rotation(pairs):
     except DegenerateMatrix as exc:
         raise DegenerateMotion(str(exc)) from exc
     if np.linalg.det(R) < 0:
-        R = project_to_rotation(R)
+        # With det M < 0 the polar factor above is a reflection, whose
+        # singular values are all 1; projecting it would flip an arbitrary
+        # axis. The Kabsch projection of M^T flips M's least-determined one.
+        R = project_to_rotation(M.T)
     return R
 
 

@@ -331,7 +331,7 @@ def _load_alignment(align_dir):
         raise InputError(f"{path}: needs the keys {', '.join(keys)}")
     try:
         poses = [
-            Pose.from_matrix(np.array(m, dtype=float), frame="camera_model")
+            Pose.from_matrix(np.array(m, dtype=float))
             for m in meta["poses_camera_to_global"]
         ]
         sigmas = np.array(meta["sigmas"], dtype=float)

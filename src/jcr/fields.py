@@ -528,8 +528,9 @@ def query(model: FieldModel, points):
     return z
 
 
-def gradient_check(head, seed=0, hidden=8, n_samples=20, fd_step=1e-5):
+def gradient_check(head, seed=0):
     """Analytic backprop vs central finite differences; max relative error."""
+    hidden, n_samples, fd_step = 8, 20, 1e-5
     rng = np.random.default_rng(seed)
     enc = PositionalEncoding(num_frequencies=2)
     pts = rng.uniform(-1, 1, size=(n_samples, 3))

@@ -3,8 +3,8 @@
 Conventions:
     * A rotation matrix R acts on column vectors, p_out = R @ p.
     * A ``Pose`` (R, t) maps p_out = R @ p + t.  Which frames the map
-      connects is carried in the ``frame`` tag and documented at the call
-      sites; composition is ``A @ B`` meaning "apply B first".
+      connects is documented at the call sites; composition is ``A @ B``
+      meaning "apply B first".
 """
 
 from __future__ import annotations
@@ -15,16 +15,16 @@ import numpy as np
 
 from .errors import DegenerateMatrix, InputError
 
-# Frame tags used by the pipeline.
+# Frames of a LabeledPointCloud.
 ROBOT_BASE = "robot_base"
-END_EFFECTOR = "end_effector"
 CAMERA_MODEL = "camera_model"
-CAMERA_METRIC = "camera_metric"
 
 _EPS_ANGLE_ZERO = 1e-8
 _EPS_ANGLE_PI = 1e-6
 # inv_sqrt_psd refuses a matrix whose smallest eigenvalue is at or below this.
 _EPS_EIG_MIN = 1e-12
+# Pose.from_matrix refuses a bottom row further than this from (0, 0, 0, 1).
+_EPS_BOTTOM_ROW = 1e-9
 
 
 def skew(v):
@@ -121,7 +121,6 @@ class Pose:
 
     rotation: np.ndarray
     translation: np.ndarray
-    frame: str | None = None
 
     def __post_init__(self):
         object.__setattr__(
@@ -134,21 +133,27 @@ class Pose:
         )
 
     @staticmethod
-    def identity(frame=None):
-        return Pose(np.eye(3), np.zeros(3), frame)
+    def identity():
+        return Pose(np.eye(3), np.zeros(3))
 
     @staticmethod
-    def from_matrix(M, frame=None):
-        """Build from a 4x4 homogeneous matrix, re-orthonormalizing R.
+    def from_matrix(M):
+        """Build from a row-major 4x4 homogeneous matrix, re-orthonormalizing R.
 
         Serialized matrices accumulate rounding error, so ingestion goes
         through a polar projection. Raises InputError for a matrix with NaN
-        or infinite entries.
+        or infinite entries, or with a bottom row off (0, 0, 0, 1), such as
+        a column-major one.
         """
         M = np.asarray(M, dtype=float).reshape(4, 4)
         if not np.isfinite(M).all():
             raise InputError("pose matrix has non-finite entries")
-        return Pose(project_to_rotation(M[:3, :3]), M[:3, 3], frame)
+        if np.abs(M[3] - [0.0, 0.0, 0.0, 1.0]).max() > _EPS_BOTTOM_ROW:
+            raise InputError(
+                f"pose matrix bottom row is {M[3].tolist()}, not (0, 0, 0, 1); "
+                "is the matrix column-major?"
+            )
+        return Pose(project_to_rotation(M[:3, :3]), M[:3, 3])
 
     def matrix(self):
         M = np.eye(4)
@@ -161,12 +166,11 @@ class Pose:
         return Pose(
             self.rotation @ other.rotation,
             self.rotation @ other.translation + self.translation,
-            self.frame,
         )
 
     def inverse(self) -> "Pose":
         Rt = self.rotation.T
-        return Pose(Rt, -Rt @ self.translation, self.frame)
+        return Pose(Rt, -Rt @ self.translation)
 
     def apply(self, points):
         """Apply to one 3-vector or an (N, 3) array."""
@@ -177,7 +181,7 @@ class Pose:
 
     def scaled_translation(self, scale) -> "Pose":
         """Same rotation, translation multiplied by ``scale``."""
-        return Pose(self.rotation, scale * self.translation, self.frame)
+        return Pose(self.rotation, scale * self.translation)
 
 
 def random_rotation(rng, max_angle=np.pi):

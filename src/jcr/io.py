@@ -1,8 +1,9 @@
 """File formats: pose lists, pairwise pointmap containers, PLY clouds.
 
 Formats:
-    * Pose list: JSON array of {"frame": str, "matrix": [16 floats]}
-      (row-major 4x4).
+    * Pose list: JSON array of {"matrix": [16 floats]}, a row-major 4x4
+      with bottom row (0, 0, 0, 1). Other keys, such as the "frame" of
+      older files, are ignored.
     * Pointmap container ("JCRPM1"): per-pair binary file with a header of
       magic bytes plus W, H, n, m as little-endian int32, followed by four
       float32 arrays in row-major order (pointmap_self, pointmap_other,
@@ -35,10 +36,7 @@ PM_MAGIC = b"JCRPM1"
 
 
 def save_poses(path, poses):
-    data = [
-        {"frame": p.frame or "", "matrix": p.matrix().reshape(-1).tolist()}
-        for p in poses
-    ]
+    data = [{"matrix": p.matrix().reshape(-1).tolist()} for p in poses]
     Path(path).write_text(json.dumps(data, indent=1))
 
 
@@ -54,7 +52,7 @@ def load_poses(path):
             m = None
         if m is None or m.shape != (16,):
             raise InputError(f"{path}: entry {i} lacks a 16-number matrix")
-        poses.append(Pose.from_matrix(m, frame=entry.get("frame") or None))
+        poses.append(Pose.from_matrix(m))
     return poses
 
 

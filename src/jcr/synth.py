@@ -23,14 +23,7 @@ import numpy as np
 
 from .alignment import PairGraph, PairwisePrediction, default_pair_graph
 from .errors import InputError, InsufficientDiversity
-from .geometry import (
-    CAMERA_MODEL,
-    END_EFFECTOR,
-    Pose,
-    exp_map,
-    log_map,
-    random_rotation,
-)
+from .geometry import Pose, exp_map, log_map, random_rotation
 
 _FAR = np.inf
 # Confidences of hit pixels are rescaled to this range; misses get 0.
@@ -436,7 +429,6 @@ class GroundTruth:
     camera_to_base: list        # metric C_n
     ee_poses_clean: list
     object_heights: dict        # class id -> top z (meters)
-    seed: int
 
 
 @dataclass
@@ -447,7 +439,6 @@ class SynthDataset:
     graph: PairGraph | None
     color_images: list          # per-view (H, W, 3)
     segmentation_images: list   # per-view (H, W) int, -1 for miss
-    camera: CameraConfig
     ground_truth: GroundTruth
 
 
@@ -488,31 +479,20 @@ def generate_dataset(
     X = hidden.calib
     lam = hidden.scale
 
-    ee_clean = [
-        Pose(
-            (X.compose(C.inverse())).rotation,
-            (X.compose(C.inverse())).translation,
-            frame=END_EFFECTOR,
-        )
-        for C in cam_to_base
-    ]
+    ee_clean = [X.compose(C.inverse()) for C in cam_to_base]
     ee_noisy = []
     for E in ee_clean:
         if noise.sigma_rot > 0 or noise.sigma_trans > 0:
             dR = exp_map(rng.normal(0.0, noise.sigma_rot, size=3))
             dt = rng.normal(0.0, noise.sigma_trans, size=3)
-            ee_noisy.append(Pose(dR @ E.rotation, E.translation + dt, E.frame))
+            ee_noisy.append(Pose(dR @ E.rotation, E.translation + dt))
         else:
             ee_noisy.append(E)
 
-    camera_poses = [
-        Pose(
-            C.inverse().rotation,
-            C.inverse().translation / lam,
-            frame=CAMERA_MODEL,
-        )
-        for C in cam_to_base
-    ]
+    camera_poses = []
+    for C in cam_to_base:
+        C_inv = C.inverse()
+        camera_poses.append(Pose(C_inv.rotation, C_inv.translation / lam))
 
     pairs = []
     color_images = []
@@ -576,7 +556,6 @@ def generate_dataset(
         camera_to_base=cam_to_base,
         ee_poses_clean=ee_clean,
         object_heights=scene.object_heights(),
-        seed=seed,
     )
     return SynthDataset(
         ee_poses=ee_noisy,
@@ -585,7 +564,6 @@ def generate_dataset(
         graph=used_graph,
         color_images=color_images,
         segmentation_images=seg_images,
-        camera=camera or CameraConfig(),
         ground_truth=gt,
     )
 

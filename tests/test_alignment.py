@@ -18,9 +18,7 @@ from jcr.alignment import (
     PairGraph,
     PairwisePrediction,
     _Evaluation,
-    _gradients,
     _initialize,
-    _objective,
     _pixels_last,
     _terms,
     align_global,
@@ -266,7 +264,9 @@ class TestAlignGlobal:
 
 
 class TestObjectiveGradients:
-    """``_gradients`` against central differences of ``_objective``."""
+    """``_Evaluation.gradients`` against central differences of
+    ``_Evaluation.objective``, at a point given as rotations (V, 3, 3),
+    translations (V, 3), log sigmas and pointmaps (V, 3, HW)."""
 
     H = 1e-6
 
@@ -285,40 +285,44 @@ class TestObjectiveGradients:
         trn = [t + rng.normal(scale=0.02, size=3) for t in trn]
         log_sigmas = np.log(sigmas) + rng.normal(scale=0.05, size=len(sigmas))
         pms = [pm + rng.normal(scale=0.01, size=pm.shape) for pm in pms]
-        return preds, _terms(preds), rot, trn, log_sigmas, pms
+        point = (np.array(rot), np.array(trn), log_sigmas, _pixels_last(pms))
+        return preds, _terms(preds), point
 
     def _fd(self, problem, perturb):
-        """Central difference of the objective along ``perturb(args, h)``."""
-        _, terms, *args = problem
+        """Central difference of the objective along ``perturb(point, h)``."""
+        _, terms, point = problem
         vals = []
         for h in (self.H, -self.H):
-            moved = [list(a) if isinstance(a, list) else a.copy() for a in args]
+            moved = [a.copy() for a in point]
             perturb(moved, h)
-            vals.append(_objective(terms, *moved, norm_eps=1e-8))
+            vals.append(_Evaluation(terms, len(moved[0])).objective(*moved))
         return (vals[0] - vals[1]) / (2 * self.H)
 
     def _check(self, analytic, numeric):
         assert abs(analytic - numeric) <= 1e-5 * max(1.0, abs(numeric))
 
     def test_objective_is_direct_sum(self, problem):
-        preds, terms, rot, trn, log_sigmas, pms = problem
+        preds, terms, point = problem
+        rot, trn, log_sigmas, xhat = point
         eps = 1e-8
         direct = 0.0
         for e, p in enumerate(preds):
             sigma = np.exp(log_sigmas[e])
             for view, pm, conf in ((p.n, p.pointmap_self, p.confidence_self),
                                    (p.m, p.pointmap_other, p.confidence_other)):
-                for h, w in np.ndindex(conf.shape):
-                    r = pms[view][h, w] - sigma * (rot[p.n] @ pm[h, w] + trn[p.n])
-                    direct += conf[h, w] * (np.sqrt(r @ r + eps**2) - eps)
-        obj = _objective(terms, rot, trn, log_sigmas, pms, norm_eps=eps)
+                for k, (x, c) in enumerate(zip(pm.reshape(-1, 3),
+                                               conf.reshape(-1))):
+                    r = xhat[view][:, k] - sigma * (rot[p.n] @ x + trn[p.n])
+                    direct += c * (np.sqrt(r @ r + eps**2) - eps)
+        obj = _Evaluation(terms, len(rot)).objective(*point)
         assert obj == pytest.approx(direct, rel=1e-12)
 
     def test_gradients_match_finite_differences(self, problem):
-        _, terms, rot, trn, log_sigmas, pms = problem
-        g_rot, g_trn, g_sig, g_pm = _gradients(
-            terms, rot, trn, log_sigmas, pms, norm_eps=1e-8
-        )
+        _, terms, point = problem
+        rot, _, log_sigmas, xhat = point
+        ev = _Evaluation(terms, len(rot))
+        ev.objective(*point)
+        g_rot, g_trn, g_sig, g_pm = ev.gradients()
         for v in range(len(rot)):
             for k in range(3):
                 delta = np.eye(3)[k]
@@ -338,11 +342,10 @@ class TestObjectiveGradients:
             self._check(g_sig[e], self._fd(problem, rescale))
         rng = np.random.default_rng(1)
         for _ in range(6):
-            v = int(rng.integers(len(pms)))
-            idx = tuple(int(rng.integers(d)) for d in pms[v].shape)
+            v = int(rng.integers(len(xhat)))
+            idx = tuple(int(rng.integers(d)) for d in xhat[v].shape)
 
             def nudge(a, h, v=v, idx=idx):
-                a[3][v] = a[3][v].copy()
                 a[3][v][idx] += h
 
             self._check(g_pm[v][idx], self._fd(problem, nudge))
@@ -367,7 +370,8 @@ class TestObjectiveGradientsUneven(TestObjectiveGradients):
         trn = [t + rng.normal(scale=0.02, size=3) for t in trn]
         log_sigmas = np.log(sigmas) + rng.normal(scale=0.05, size=len(sigmas))
         pms = [pm + rng.normal(scale=0.01, size=pm.shape) for pm in pms]
-        return preds, _terms(preds), rot, trn, log_sigmas, pms
+        point = (np.array(rot), np.array(trn), log_sigmas, _pixels_last(pms))
+        return preds, _terms(preds), point
 
     def test_target_views_have_uneven_term_counts(self, problem):
         preds = problem[0]
@@ -605,22 +609,21 @@ class TestEarlyStop:
     def problem(self):
         ds, preds = _tabletop_1000()
         rot, trn, sigmas, pms, _ = _initialize(preds, ds.graph)
-        return ds.graph.num_views, _terms(preds), rot, trn, np.log(sigmas), pms
+        point = (np.array(rot), np.array(trn), np.log(sigmas), _pixels_last(pms))
+        return ds.graph.num_views, _terms(preds), point
 
     def test_bound_below_first_block_returns_its_sum(self, problem):
-        num_views, blocks, rot, trn, log_sigmas, pms = problem
-        point = (np.array(rot), np.array(trn), log_sigmas, _pixels_last(pms))
+        num_views, blocks, point = problem
         assert len(blocks) > 1
-        first = _Evaluation(blocks[:1], num_views, NORM_EPS).objective(*point)
-        ev = _Evaluation(blocks, num_views, NORM_EPS)
+        first = _Evaluation(blocks[:1], num_views).objective(*point)
+        ev = _Evaluation(blocks, num_views)
         assert ev.objective(*point, bound=first / 2) == first
         assert (ev.evaluations, ev.stopped_early) == (1, 1)
 
     def test_no_bound_equals_objective(self, problem):
-        num_views, blocks, rot, trn, log_sigmas, pms = problem
-        point = (np.array(rot), np.array(trn), log_sigmas, _pixels_last(pms))
-        full = _objective(blocks, rot, trn, log_sigmas, pms, NORM_EPS)
-        ev = _Evaluation(blocks, num_views, NORM_EPS)
+        num_views, blocks, point = problem
+        full = _Evaluation(blocks, num_views).objective(*point)
+        ev = _Evaluation(blocks, num_views)
         assert ev.objective(*point) == full
         # A bound that the running sum reaches only at the last block.
         assert ev.objective(*point, bound=full) == full
@@ -636,7 +639,7 @@ class TestEarlyStop:
 
         def spy(self, *point, bound=np.inf):
             value = full_objective(self, *point, bound=bound)
-            fresh = _Evaluation(self.blocks, len(self.g_pm), self.norm_eps)
+            fresh = _Evaluation(self.blocks, len(self.g_pm))
             calls.append((bound, value, full_objective(fresh, *point)))
             return value
 

@@ -21,7 +21,7 @@ from jcr.errors import (
     ScaleAtBound,
     TooFewPoses,
 )
-from jcr.geometry import Pose, exp_map, random_rotation
+from jcr.geometry import Pose, exp_map, log_map, random_rotation
 from jcr.synth import single_axis_trajectory
 
 from util import consistent_motion_pairs, pose_dataset, rotation_error
@@ -102,6 +102,25 @@ class TestSolveRotation:
             pairs.append(MotionPair(T_E=T, T_P=T))
         with pytest.raises(DegenerateMotion):
             solve_rotation(pairs)
+
+    def test_negative_determinant_recovers_rotation(self):
+        """Axes beta_k = m_k Q e_k and alpha_k = R beta_k, the last negated,
+        give det M < 0; the fit then flips M's least-determined axis and
+        keeps R, instead of flipping an arbitrary one."""
+        rng = np.random.default_rng(9)
+        for _ in range(5):
+            R, Q = random_rotation(rng), random_rotation(rng)
+            pairs = []
+            for k, (m, sign) in enumerate(((0.9, 1), (0.5, 1), (0.1, -1))):
+                beta = m * Q[:, k]
+                pairs.append(MotionPair(
+                    T_E=Pose(exp_map(sign * R @ beta), np.zeros(3)),
+                    T_P=Pose(exp_map(beta), np.zeros(3)),
+                ))
+            M = sum(np.outer(log_map(p.T_P.rotation), log_map(p.T_E.rotation))
+                    for p in pairs)
+            assert np.linalg.det(M) < 0
+            assert rotation_error(solve_rotation(pairs), R) < 1e-6
 
 
 class TestSolveTranslationScale:

@@ -163,6 +163,20 @@ class TestStages:
         )
         assert code == 2
 
+    def test_calibrate_column_major_poses_exit_2(self, tmp_path, capsys):
+        poses = single_axis_trajectory(4)
+        ee = tmp_path / "ee.json"
+        cam = tmp_path / "cam.json"
+        ee.write_text(json.dumps(
+            [{"matrix": p.matrix().T.reshape(-1).tolist()} for p in poses]))
+        io.save_poses(cam, poses)
+        code = main(
+            ["calibrate", "--ee-poses", str(ee), "--camera-poses", str(cam),
+             "--out", str(tmp_path / "calib")]
+        )
+        assert code == 2
+        assert "column-major" in capsys.readouterr().err
+
     def test_align_view_of_two_sizes_exit_2(self, tmp_path, capsys):
         # View 1 is 4x5 in pair (0,1) and 3x5 in pair (1,2).
         pairs = []

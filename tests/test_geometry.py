@@ -186,10 +186,9 @@ class TestPose:
 
     def test_matrix_round_trip(self):
         rng = np.random.default_rng(6)
-        P = Pose(random_rotation(rng), rng.normal(size=3), frame="camera_metric")
-        Q = Pose.from_matrix(P.matrix(), frame=P.frame)
+        P = Pose(random_rotation(rng), rng.normal(size=3))
+        Q = Pose.from_matrix(P.matrix())
         assert np.allclose(P.matrix(), Q.matrix(), atol=1e-12)
-        assert Q.frame == P.frame
 
     def test_scaled_translation(self):
         rng = np.random.default_rng(8)

@@ -33,8 +33,7 @@ class TestPoses:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
         poses = [
-            Pose(random_rotation(rng), rng.normal(size=3), frame="end_effector")
-            for _ in range(5)
+            Pose(random_rotation(rng), rng.normal(size=3)) for _ in range(5)
         ]
         path = tmp_path / "poses.json"
         io.save_poses(path, poses)
@@ -42,7 +41,33 @@ class TestPoses:
         assert len(back) == 5
         for a, b in zip(poses, back):
             assert np.abs(a.matrix() - b.matrix()).max() < 1e-9
-            assert b.frame == "end_effector"
+
+    def test_entries_hold_only_the_matrix(self, tmp_path):
+        path = tmp_path / "poses.json"
+        io.save_poses(path, [Pose.identity()] * 2)
+        assert [set(e) for e in json.loads(path.read_text())] == [{"matrix"}] * 2
+
+    def test_frame_tagged_file_loads_the_same(self, tmp_path):
+        """Files whose entries also carry a "frame" string, as older
+        versions wrote, load to the same matrices bit for bit."""
+        rng = np.random.default_rng(3)
+        poses = [Pose(random_rotation(rng), rng.normal(size=3)) for _ in range(4)]
+        new, old = tmp_path / "new.json", tmp_path / "old.json"
+        io.save_poses(new, poses)
+        old.write_text(json.dumps([
+            {"frame": "end_effector", "matrix": p.matrix().reshape(-1).tolist()}
+            for p in poses
+        ]))
+        for a, b in zip(io.load_poses(new), io.load_poses(old)):
+            assert np.array_equal(a.matrix(), b.matrix())
+
+    def test_column_major_matrix(self, tmp_path):
+        rng = np.random.default_rng(4)
+        P = Pose(random_rotation(rng), rng.normal(size=3))
+        path = tmp_path / "transposed.json"
+        path.write_text(json.dumps([{"matrix": P.matrix().T.reshape(-1).tolist()}]))
+        with pytest.raises(InputError, match="column-major"):
+            io.load_poses(path)
 
     def test_malformed_entry(self, tmp_path):
         path = tmp_path / "bad.json"
