@@ -33,7 +33,9 @@ the pose and scale gradients: -axial(M) for the rotation and
 summed per view or edge by one ``np.bincount``. The iterates are the same,
 bit for bit, as with one group per call and every trial run to the end.
 The result reports why the descent stopped (``stop_reason``).
-Gauge: P_1 = identity and sigma of the first edge = 1.
+Gauge: P_0 (view 0's pose) = identity and sigma of the first edge = 1.
+A view's pose enters the objective only through the edges whose reference
+view n it is, so every view must be the reference view of some edge.
 """
 
 from __future__ import annotations
@@ -192,101 +194,68 @@ def _weighted_umeyama(src, dst, w):
     return s, R, t
 
 
-def _initialize(preds, graph):
+def _initialize(preds, num_views):
     """Spanning-tree initialization of poses, scales, and global maps.
 
     For an edge (n, m) the prediction holds view m's pixels in frame n;
-    corresponding them with view m's self-map (from any edge referenced
-    by m) gives the frame-m -> frame-n similarity via weighted Umeyama.
+    corresponding them with view m's self-map (from the first edge that m
+    is the reference view of) gives the frame-m -> frame-n similarity via
+    weighted Umeyama. Every view must be a reference view and reachable
+    from view 0, as ``align_global`` checks. Returns rotations (V, 3, 3),
+    translations (V, 3), per-edge scales, pointmaps (V, H, W, 3) and
+    confidences (V, H, W).
     """
-    by_ref = {}
+    self_maps = {}
     for p in preds:
-        by_ref.setdefault(p.n, []).append(p)
-    num_views = graph.num_views
-
-    # Edge weights for tree selection: total confidence mass.
-    def edge_weight(p):
-        return float(p.confidence_self.sum() + p.confidence_other.sum())
-
-    # sim[v] = (s, R, t) mapping frame v into the global (frame-0) frame.
+        self_maps.setdefault(p.n, p)
+    # sims[v] = (s, R, t) maps frame v into the global (frame-0) frame; the
+    # tree grows along the edges of most confidence mass first.
     sims = {0: (1.0, np.eye(3), np.zeros(3))}
-    candidates = sorted(preds, key=edge_weight, reverse=True)
-    changed = True
-    while changed:
-        changed = False
+    candidates = sorted(preds, reverse=True, key=lambda p: float(
+        p.confidence_self.sum() + p.confidence_other.sum()))
+    grown = True
+    while grown:
+        grown = False
         for p in candidates:
-            known, new = None, None
-            if p.n in sims and p.m not in sims:
-                known, new = p.n, p.m
-            elif p.m in sims and p.n not in sims:
-                known, new = p.m, p.n
-            else:
+            if (p.n in sims) == (p.m in sims):
                 continue
-            if p.m not in by_ref:
-                continue  # no self-map for m; try another edge
-            self_m = by_ref[p.m][0]
-            src = self_m.pointmap_self.reshape(-1, 3)
-            dst = p.pointmap_other.reshape(-1, 3)
-            w = (
+            self_m = self_maps[p.m]
+            s, R, t = _weighted_umeyama(  # m -> n
+                self_m.pointmap_self.reshape(-1, 3),
+                p.pointmap_other.reshape(-1, 3),
                 self_m.confidence_self.reshape(-1)
-                * p.confidence_other.reshape(-1)
-            )
-            s_rel, R_rel, t_rel = _weighted_umeyama(src, dst, w)  # m -> n
+                * p.confidence_other.reshape(-1))
+            known, new = (p.n, p.m) if p.n in sims else (p.m, p.n)
+            if new == p.n:  # global <- m <- n: invert the m -> n similarity
+                s, R = 1.0 / s, R.T
+                t = -s * (R @ t)
             s_k, R_k, t_k = sims[known]
-            if new == p.m:
-                # global <- n <- m
-                sims[new] = (
-                    s_k * s_rel,
-                    R_k @ R_rel,
-                    s_k * (R_k @ t_rel) + t_k,
-                )
-            else:
-                # global <- m <- n : invert the m -> n similarity
-                s_inv = 1.0 / s_rel
-                R_inv = R_rel.T
-                t_inv = -s_inv * (R_inv @ t_rel)
-                sims[new] = (
-                    s_k * s_inv,
-                    R_k @ R_inv,
-                    s_k * (R_k @ t_inv) + t_k,
-                )
-            changed = True
-    for v in range(num_views):
-        sims.setdefault(v, (1.0, np.eye(3), np.zeros(3)))
+            sims[new] = (s_k * s, R_k @ R, s_k * (R_k @ t) + t_k)
+            grown = True
 
-    rotations = [sims[v][1] for v in range(num_views)]
+    rotations = np.array([sims[v][1] for v in range(num_views)])
     # The model predicts sigma_e (R x + t), so with sigma_e ~ s_n the pose
     # translation is the similarity translation divided by the view scale.
-    translations = [sims[v][2] / sims[v][0] for v in range(num_views)]
+    translations = np.array([sims[v][2] / sims[v][0] for v in range(num_views)])
     # Global pointmaps: confidence-weighted average of every edge's
-    # prediction of the view (the squared-loss optimum given the poses).
-    num = [None] * num_views
-    den = [None] * num_views
-    conf_acc = [[] for _ in range(num_views)]
+    # prediction of the view (the squared-loss optimum given the poses);
+    # confidences: the mean of the view's self-maps.
+    shape = (num_views,) + preds[0].confidence_self.shape
+    num, den = np.zeros(shape + (3,)), np.zeros(shape)
+    conf_sum, conf_count = np.zeros(shape), np.zeros(num_views)
     for p in preds:
         s, R, t = sims[p.n]
         for view, pm, conf in (
             (p.n, p.pointmap_self, p.confidence_self),
             (p.m, p.pointmap_other, p.confidence_other),
         ):
-            pred = (s * (pm.reshape(-1, 3) @ R.T) + t).reshape(pm.shape)
-            if num[view] is None:
-                num[view] = np.zeros_like(pred)
-                den[view] = np.zeros(pm.shape[:2])
-            num[view] += conf[..., None] * pred
+            num[view] += conf[..., None] * (
+                s * (pm.reshape(-1, 3) @ R.T) + t).reshape(pm.shape)
             den[view] += conf
-            if view == p.n:
-                conf_acc[view].append(conf)
-    pointmaps, confidences = [], []
-    for v in range(num_views):
-        safe = np.maximum(den[v], 1e-12)[..., None]
-        pointmaps.append(num[v] / safe)
-        if conf_acc[v]:
-            confidences.append(np.mean(conf_acc[v], axis=0))
-        else:
-            donor = next(p for p in preds if p.m == v)
-            confidences.append(donor.confidence_other.copy())
-
+        conf_sum[p.n] += p.confidence_self
+        conf_count[p.n] += 1
+    pointmaps = num / np.maximum(den, 1e-12)[..., None]
+    confidences = conf_sum / conf_count[:, None, None]
     # Per-edge scale: the reference view's similarity scale (the model's
     # pair frame is view n's frame up to that scale).
     sigmas = np.array([sims[p.n][0] for p in preds])
@@ -489,7 +458,8 @@ def align_global(preds, graph: PairGraph | None = None):
     predictions for one edge, an edge with a view outside the graph, a
     graph that lists an edge twice, a graph edge without a prediction or a
     view whose pointmaps differ in size between edges, and
-    DisconnectedGraph when the graph does not connect all views.
+    DisconnectedGraph when the graph does not connect all views or a view
+    is no edge's reference view (nothing then determines its pose).
     """
     if not preds:
         raise InputError("no pairwise predictions")
@@ -519,24 +489,27 @@ def align_global(preds, graph: PairGraph | None = None):
                     f"but {size[0]}x{size[1]} in another edge")
     if not graph.is_connected():
         raise DisconnectedGraph("pair graph does not connect all views")
+    unreferenced = sorted(set(range(graph.num_views)) - {n for n, _ in graph.edges})
+    if unreferenced:
+        raise DisconnectedGraph(f"views {unreferenced} are no edge's reference "
+                                "view, so no edge determines their pose")
 
     rotations, translations, sigmas, pointmaps, confidences = _initialize(
-        preds, graph
+        preds, graph.num_views
     )
     # Gauge: view 0 pose = identity, first edge scale = 1. The initializer
     # anchors view 0; rescaling the global frame by 1/sigma_0 fixes the
     # scale gauge and leaves the pose parameters untouched.
     s0 = sigmas[0]
     sigmas = sigmas / s0
-    pointmaps = [pm / s0 for pm in pointmaps]
     log_sigmas = np.log(np.maximum(sigmas, 1e-12))
 
     n_terms = sum(2 * p.height * p.width for p in preds)
     floor = ABS_FLOOR_PER_TERM * n_terms
     ev = _Evaluation(_terms(preds), graph.num_views)
-    shape = pointmaps[0].shape  # every view's: checked above, graph connected
-    rotations, translations = np.array(rotations), np.array(translations)
-    pointmaps = _pixels_last(pointmaps)  # (V, 3, HW) until the descent ends
+    shape = pointmaps.shape[1:]  # every view's: checked above, graph connected
+    # (V, 3, HW) until the descent ends.
+    pointmaps = _pixels_last(pointmaps / s0)
     # The line search writes its trial pointmaps here; an accepted trial
     # swaps buffers with the current point.
     trial_pm = np.empty_like(pointmaps)
@@ -606,7 +579,7 @@ def align_global(preds, graph: PairGraph | None = None):
         sigmas=np.exp(log_sigmas),
         pointmaps=[np.ascontiguousarray(pm.T).reshape(shape)
                    for pm in pointmaps],
-        confidences=confidences,
+        confidences=list(confidences),
         objective=obj,
         objective_trace=np.array(trace),
         converged=converged,

@@ -29,6 +29,7 @@ from .errors import (
     TooFewPoses,
 )
 from .geometry import Pose, inv_sqrt_psd, log_map, project_to_rotation
+from .io import is_int, is_number
 
 log = logging.getLogger(__name__)
 
@@ -86,37 +87,39 @@ class CalibrationResult:
 
     @staticmethod
     def from_dict(d):
-        """Inverse of ``to_dict``; a missing key, a wrongly sized array or a
-        non-finite value raises ``InputError``. Other keys, such as the
+        """Inverse of ``to_dict``. Raises ``InputError`` for a missing key,
+        a num_pairs that is not a positive integer, a converged flag that is
+        not a JSON boolean, a scale outside SCALE_RANGE, an array that is not
+        a list of that many finite numbers or a rotation that is not
+        orthonormal with determinant +1 within 1e-6. Other keys, such as the
         ``tau_t`` and ``tau_r`` of older files, are ignored."""
         try:
-            result = CalibrationResult(
-                rotation=np.array(d["rotation"], dtype=float).reshape(-1),
-                translation=np.array(d["translation"], dtype=float),
-                scale=float(d["scale"]),
-                residuals_t=np.array(d["residuals_t"], dtype=float),
-                residuals_r=np.array(d["residuals_r"], dtype=float),
-                converged=bool(d["converged"]),
-                num_pairs=int(d["num_pairs"]),
-            )
-        except (AttributeError, KeyError, OverflowError, TypeError,
-                ValueError) as exc:
+            n, scale, converged = d["num_pairs"], d["scale"], d["converged"]
+            sizes = {"rotation": 9, "translation": 3, "residuals_t": n,
+                     "residuals_r": n}
+            arrays = {k: d[k] for k in sizes}
+        except (KeyError, TypeError) as exc:
             raise InputError(f"malformed calibration: {exc!r}") from exc
-        if result.num_pairs < 1:
-            raise InputError(f"calibration with {result.num_pairs} pairs")
-        expect = {"rotation": (9,), "translation": (3,),
-                  "residuals_t": (result.num_pairs,),
-                  "residuals_r": (result.num_pairs,)}
-        for name, shape in expect.items():
-            if getattr(result, name).shape != shape:
-                raise InputError(f"calibration {name} has shape "
-                                 f"{getattr(result, name).shape}, expected {shape}")
-        values = (result.rotation, result.translation, result.residuals_t,
-                  result.residuals_r, result.scale)
-        if not all(np.isfinite(v).all() for v in values):
-            raise InputError("calibration has non-finite values")
-        result.rotation = result.rotation.reshape(3, 3)
-        return result
+        lo, hi = SCALE_RANGE
+        if not (is_int(n) and n >= 1 and isinstance(converged, bool)
+                and is_number(scale) and lo < scale < hi):
+            raise InputError(
+                "calibration needs a positive integer num_pairs, converged "
+                f"true or false and a scale in ({lo:g}, {hi:g}), not {n!r}, "
+                f"{converged!r} and {scale!r}")
+        for name, a in arrays.items():
+            if not (isinstance(a, list) and len(a) == sizes[name]
+                    and all(map(is_number, a))):
+                raise InputError(f"calibration {name}: expected {sizes[name]} "
+                                 "finite numbers")
+            arrays[name] = np.array(a, dtype=float)
+        R = arrays["rotation"] = arrays["rotation"].reshape(3, 3)
+        if not (np.abs(R @ R.T - np.eye(3)).max() <= 1e-6
+                and abs(np.linalg.det(R) - 1.0) <= 1e-6):
+            raise InputError("calibration rotation is not orthonormal with "
+                             "determinant +1")
+        return CalibrationResult(**arrays, scale=float(scale),
+                                 converged=converged, num_pairs=n)
 
 
 def motion_pairs(end_effector, camera, all_pairs=False):

@@ -319,8 +319,9 @@ def _print_report(report, indent=""):
 
 def _load_alignment(align_dir):
     """AlignmentResult from ``jcr align``'s output directory; raises
-    InputError for a missing key, a malformed value or a pointmap that
-    does not match its confidence map."""
+    InputError for a missing key, a value of the wrong JSON type, an edge
+    outside the views or a pointmap that does not match its confidence
+    map."""
     from .alignment import AlignmentResult, PairGraph
 
     path = align_dir / "alignment.json"
@@ -329,16 +330,19 @@ def _load_alignment(align_dir):
             "edges")
     if not isinstance(meta, dict) or not all(k in meta for k in keys):
         raise InputError(f"{path}: needs the keys {', '.join(keys)}")
-    try:
-        poses = [
-            Pose.from_matrix(np.array(m, dtype=float))
-            for m in meta["poses_camera_to_global"]
-        ]
-        sigmas = np.array(meta["sigmas"], dtype=float)
-        objective = float(meta["objective"])
-        graph = PairGraph(len(poses), tuple(map(tuple, meta["edges"])))
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"{path}: malformed alignment: {exc!r}") from exc
+    matrices, sigmas, objective, converged, edges = (meta[k] for k in keys)
+    if not (isinstance(matrices, list) and all(map(_MATRIX[1], matrices))
+            and isinstance(edges, list) and all(
+                isinstance(e, list) and all(map(io.is_int, e)) for e in edges)
+            and isinstance(sigmas, list) and len(sigmas) == len(edges)
+            and all(map(io.is_number, sigmas)) and io.is_number(objective)
+            and isinstance(converged, bool)):
+        raise InputError(
+            f"{path}: needs poses as 16 numbers each, edges as lists of "
+            "integers, one number per edge in sigmas, a number objective and "
+            "converged true or false")
+    poses = [Pose.from_matrix(np.array(m, dtype=float)) for m in matrices]
+    graph = PairGraph(len(poses), tuple(map(tuple, edges)))
     if not poses:
         raise InputError(f"{path}: no poses")
     names = [f"{kind}_{v}" for v in range(len(poses))
@@ -353,12 +357,12 @@ def _load_alignment(align_dir):
                              f"{pm.dtype} and confidence {conf.shape} {conf.dtype}")
     return AlignmentResult(
         poses=poses,
-        sigmas=sigmas,
+        sigmas=np.array(sigmas, dtype=float),
         pointmaps=pointmaps,
         confidences=confidences,
-        objective=objective,
+        objective=float(objective),
         objective_trace=np.array([]),
-        converged=bool(meta["converged"]),
+        converged=converged,
         # Absent from alignment.json files written before it was recorded.
         stop_reason=meta.get("stop_reason"),
         graph=graph,
@@ -382,31 +386,23 @@ def _load_ground_truth(path):
     and, optionally, object_heights mapping class ids to numbers."""
     gt = io.load_json(path)
     if not (isinstance(gt, dict) and _MATRIX[1](gt.get("calib"))
-            and _is_number(gt.get("scale")) and gt["scale"] > 0):
+            and io.is_number(gt.get("scale")) and gt["scale"] > 0):
         raise InputError(f"{path}: ground truth needs calib as 16 numbers "
                          "and a positive scale")
     heights = gt.get("object_heights")
     if heights is not None and not (isinstance(heights, dict) and all(
-            k.isdecimal() and _is_number(h) for k, h in heights.items())):
+            k.isdecimal() and io.is_number(h) for k, h in heights.items())):
         raise InputError(f"{path}: object_heights must map class ids to numbers")
     return gt
 
 
-def _is_int(v):
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _is_number(v):
-    return _is_int(v) or (isinstance(v, float) and math.isfinite(v))
-
-
-_INT = ("an integer", _is_int)
-_SEED = ("a non-negative integer", lambda v: _is_int(v) and v >= 0)
-_NUMBER = ("a finite number", _is_number)
+_INT = ("an integer", io.is_int)
+_SEED = ("a non-negative integer", lambda v: io.is_int(v) and v >= 0)
+_NUMBER = ("a finite number", io.is_number)
 _BOOL = ("true or false", lambda v: isinstance(v, bool))
 _PATH = ("a path", lambda v: isinstance(v, str))
 _MATRIX = ("16 numbers (a 4x4 matrix)", lambda v: (
-    isinstance(v, list) and len(v) == 16 and all(map(_is_number, v))))
+    isinstance(v, list) and len(v) == 16 and all(map(io.is_number, v))))
 
 # Every key that `jcr run` reads from a manifest, and what its value must
 # be; a dict is an object with keys of its own. synth.noise may also be

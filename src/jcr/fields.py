@@ -28,6 +28,7 @@ from .errors import (
     InputError,
     SingleClass,
 )
+from .io import is_int, is_real
 
 log = logging.getLogger(__name__)
 
@@ -202,12 +203,16 @@ class FieldModel:
     @staticmethod
     def from_dict(d):
         """Inverse of ``to_dict``; a malformed or inconsistent dict raises
-        ``InputError``."""
+        ``InputError``, as does a num_classes that is not an integer or a
+        loss that is not a number (NaN is one)."""
         def unblob(s, shape):
             a = np.frombuffer(base64.b64decode(s), dtype=np.float32)
             return a.reshape(shape).copy()
 
         try:
+            if not (is_int(d["num_classes"]) and is_real(d["final_loss"])
+                    and is_real(d["initial_loss"])):
+                raise InputError("num_classes must be an integer, losses numbers")
             enc = PositionalEncoding(**d["encoding"])
             w1_shape = d["shapes"]["W1"]
             w2_shape = d["shapes"]["W2"]

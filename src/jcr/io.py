@@ -18,7 +18,9 @@ Formats:
 from __future__ import annotations
 
 import json
+import math
 import struct
+import sys
 import zipfile
 from pathlib import Path
 
@@ -46,13 +48,10 @@ def load_poses(path):
         raise InputError(f"{path}: expected a JSON list of pose objects")
     poses = []
     for i, entry in enumerate(data):
-        try:
-            m = np.array(entry.get("matrix"), dtype=float)
-        except (TypeError, ValueError, OverflowError):
-            m = None
-        if m is None or m.shape != (16,):
+        m = entry.get("matrix")
+        if not (isinstance(m, list) and len(m) == 16 and all(map(is_real, m))):
             raise InputError(f"{path}: entry {i} lacks a 16-number matrix")
-        poses.append(Pose.from_matrix(m))
+        poses.append(Pose.from_matrix(np.array(m, dtype=float)))
     return poses
 
 
@@ -257,6 +256,21 @@ def load_npz(path, keys):
 
 # ---------------------------------------------------------------------------
 # JSON helpers
+
+
+def is_int(v):
+    """A JSON integer, not a bool."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def is_real(v):
+    """A JSON number that fits a float, NaN and infinities included."""
+    return isinstance(v, float) or (is_int(v) and abs(v) <= sys.float_info.max)
+
+
+def is_number(v):
+    """A finite JSON number."""
+    return is_real(v) and math.isfinite(v)
 
 
 def save_json(path, obj):

@@ -5,6 +5,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from jcr import alignment
 from jcr.alignment import (
@@ -29,12 +31,25 @@ from jcr.errors import DisconnectedGraph, EmptyCloud, InputError
 from jcr.geometry import exp_map, project_to_rotation, rotation_angle
 from jcr.synth import CameraConfig, NoiseProfile
 
+from test_io import _FUZZ
 from util import pose_dataset
 
 
 def _model_relative_pose(ds, n):
     """Ground-truth camera n -> camera 0 pose in model units."""
     return ds.camera_poses[0].compose(ds.camera_poses[n].inverse())
+
+
+def _assert_poses_recovered(ds, poses):
+    """Every pose within 0.5 degrees and 1% of the truth."""
+    for n, est in enumerate(poses):
+        gt = _model_relative_pose(ds, n)
+        assert np.degrees(
+            rotation_angle(est.rotation @ gt.rotation.T)
+        ) < 0.5
+        t_gt = gt.translation
+        denom = max(np.linalg.norm(t_gt), 1e-9)
+        assert np.linalg.norm(est.translation - t_gt) / denom < 0.01
 
 
 class TestPairwisePrediction:
@@ -156,15 +171,8 @@ class TestAlignGlobal:
         result = align_global(ds.pairs, ds.graph)
         n_terms = sum(2 * p.height * p.width for p in ds.pairs)
         assert result.objective / n_terms < 1e-8
-        for n in range(4):
-            gt = _model_relative_pose(ds, n)
-            est = result.poses[n]
-            assert np.degrees(
-                rotation_angle(est.rotation @ gt.rotation.T)
-            ) < 0.5
-            t_gt = gt.translation
-            denom = max(np.linalg.norm(t_gt), 1e-9)
-            assert np.linalg.norm(est.translation - t_gt) / denom < 0.01
+        assert len(result.poses) == 4
+        _assert_poses_recovered(ds, result.poses)
 
     def test_zeroed_pair_matches_removed_pair(self):
         ds = pose_dataset(seed=32, num_poses=4, with_pointmaps=True)
@@ -228,6 +236,16 @@ class TestAlignGlobal:
         with pytest.raises(DisconnectedGraph):
             align_global(sub, graph)
 
+    def test_view_that_is_no_reference_view_raises(self):
+        # Without the edges (3, m) view 3 is only ever a target view: the
+        # graph stays connected, but no edge determines view 3's pose.
+        ds = pose_dataset(seed=31, num_poses=4, with_pointmaps=True)
+        sub = [p for p in ds.pairs if p.n != 3]
+        graph = PairGraph(4, tuple((p.n, p.m) for p in sub))
+        assert graph.is_connected()
+        with pytest.raises(DisconnectedGraph, match=r"views \[3\]"):
+            align_global(sub, graph)
+
     def test_missing_edge_prediction_raises(self):
         ds = pose_dataset(seed=35, num_poses=4, with_pointmaps=True)
         with pytest.raises(InputError):
@@ -263,6 +281,27 @@ class TestAlignGlobal:
             align_global(ds.pairs, graph)
 
 
+class TestEdgeSubsets:
+    """On any subset of the noiseless 4-view scene's edges, ``align_global``
+    either refuses the graph or recovers every pose: it never returns a pose
+    that no edge determines."""
+
+    @pytest.fixture(scope="class")
+    def scene(self):
+        return pose_dataset(seed=31, num_poses=4, with_pointmaps=True)
+
+    @_FUZZ
+    @given(keep=st.lists(st.booleans(), min_size=12, max_size=12))
+    def test_refused_or_recovered(self, scene, keep):
+        sub = [p for p, k in zip(scene.pairs, keep, strict=True) if k]
+        try:
+            result = align_global(sub, PairGraph(4, tuple((p.n, p.m)
+                                                          for p in sub)))
+        except (InputError, DisconnectedGraph):
+            return
+        _assert_poses_recovered(scene, result.poses)
+
+
 class TestObjectiveGradients:
     """``_Evaluation.gradients`` against central differences of
     ``_Evaluation.objective``, at a point given as rotations (V, 3, 3),
@@ -278,7 +317,7 @@ class TestObjectiveGradients:
         )
         preds = [next(p for p in ds.pairs if (p.n, p.m) == e)
                  for e in ds.graph.edges]
-        rot, trn, sigmas, pms, _ = _initialize(preds, ds.graph)
+        rot, trn, sigmas, pms, _ = _initialize(preds, ds.graph.num_views)
         rng = np.random.default_rng(0)
         # Move off the initializer's point so no block sits at its optimum.
         rot = [exp_map(rng.normal(scale=0.02, size=3)) @ R for R in rot]
@@ -364,7 +403,7 @@ class TestObjectiveGradientsUneven(TestObjectiveGradients):
         )
         preds = [next(p for p in ds.pairs if (p.n, p.m) == e)
                  for e in ds.graph.edges]
-        rot, trn, sigmas, pms, _ = _initialize(preds, ds.graph)
+        rot, trn, sigmas, pms, _ = _initialize(preds, ds.graph.num_views)
         rng = np.random.default_rng(2)
         rot = [exp_map(rng.normal(scale=0.02, size=3)) @ R for R in rot]
         trn = [t + rng.normal(scale=0.02, size=3) for t in trn]
@@ -384,7 +423,113 @@ class TestObjectiveGradientsUneven(TestObjectiveGradients):
 # packed into blocks. Every call computes its residuals afresh, one target-view
 # group at a time; poses and pointmaps stay per-view lists, the pointmaps
 # (H, W, 3), converted to (3, HW) on every evaluation; each trial step calls
-# exp_map once per view.
+# exp_map once per view. It starts from the initializer as it was before the
+# tree growth composed one similarity per step and the accumulation moved to
+# stacked arrays: per-view lists, one composition spelled out per direction.
+
+
+def _ref_umeyama(src, dst, w):
+    w = w.reshape(-1)
+    wsum = w.sum()
+    if wsum <= 0:
+        return 1.0, np.eye(3), np.zeros(3)
+    mu_s = (w[:, None] * src).sum(0) / wsum
+    mu_d = (w[:, None] * dst).sum(0) / wsum
+    src_c = src - mu_s
+    dst_c = dst - mu_d
+    cov = (w[:, None] * dst_c).T @ src_c / wsum
+    U, S, Vt = np.linalg.svd(cov)
+    d = np.sign(np.linalg.det(U @ Vt))
+    D = np.diag([1.0, 1.0, d])
+    R = U @ D @ Vt
+    var_s = (w * (src_c**2).sum(1)).sum() / wsum
+    s = float(np.trace(np.diag(S) @ D) / var_s) if var_s > 0 else 1.0
+    t = mu_d - s * (R @ mu_s)
+    return s, R, t
+
+
+def _ref_initialize(preds, graph):
+    by_ref = {}
+    for p in preds:
+        by_ref.setdefault(p.n, []).append(p)
+    num_views = graph.num_views
+
+    def edge_weight(p):
+        return float(p.confidence_self.sum() + p.confidence_other.sum())
+
+    sims = {0: (1.0, np.eye(3), np.zeros(3))}
+    candidates = sorted(preds, key=edge_weight, reverse=True)
+    changed = True
+    while changed:
+        changed = False
+        for p in candidates:
+            known, new = None, None
+            if p.n in sims and p.m not in sims:
+                known, new = p.n, p.m
+            elif p.m in sims and p.n not in sims:
+                known, new = p.m, p.n
+            else:
+                continue
+            if p.m not in by_ref:
+                continue
+            self_m = by_ref[p.m][0]
+            src = self_m.pointmap_self.reshape(-1, 3)
+            dst = p.pointmap_other.reshape(-1, 3)
+            w = (
+                self_m.confidence_self.reshape(-1)
+                * p.confidence_other.reshape(-1)
+            )
+            s_rel, R_rel, t_rel = _ref_umeyama(src, dst, w)
+            s_k, R_k, t_k = sims[known]
+            if new == p.m:
+                sims[new] = (
+                    s_k * s_rel,
+                    R_k @ R_rel,
+                    s_k * (R_k @ t_rel) + t_k,
+                )
+            else:
+                s_inv = 1.0 / s_rel
+                R_inv = R_rel.T
+                t_inv = -s_inv * (R_inv @ t_rel)
+                sims[new] = (
+                    s_k * s_inv,
+                    R_k @ R_inv,
+                    s_k * (R_k @ t_inv) + t_k,
+                )
+            changed = True
+    for v in range(num_views):
+        sims.setdefault(v, (1.0, np.eye(3), np.zeros(3)))
+
+    rotations = [sims[v][1] for v in range(num_views)]
+    translations = [sims[v][2] / sims[v][0] for v in range(num_views)]
+    num = [None] * num_views
+    den = [None] * num_views
+    conf_acc = [[] for _ in range(num_views)]
+    for p in preds:
+        s, R, t = sims[p.n]
+        for view, pm, conf in (
+            (p.n, p.pointmap_self, p.confidence_self),
+            (p.m, p.pointmap_other, p.confidence_other),
+        ):
+            pred = (s * (pm.reshape(-1, 3) @ R.T) + t).reshape(pm.shape)
+            if num[view] is None:
+                num[view] = np.zeros_like(pred)
+                den[view] = np.zeros(pm.shape[:2])
+            num[view] += conf[..., None] * pred
+            den[view] += conf
+            if view == p.n:
+                conf_acc[view].append(conf)
+    pointmaps, confidences = [], []
+    for v in range(num_views):
+        safe = np.maximum(den[v], 1e-12)[..., None]
+        pointmaps.append(num[v] / safe)
+        if conf_acc[v]:
+            confidences.append(np.mean(conf_acc[v], axis=0))
+        else:
+            donor = next(p for p in preds if p.m == v)
+            confidences.append(donor.confidence_other.copy())
+    sigmas = np.array([sims[p.n][0] for p in preds])
+    return rotations, translations, sigmas, pointmaps, confidences
 
 
 def _ref_terms(preds):
@@ -471,7 +616,8 @@ def _ref_gradients(terms, rotations, translations, log_sigmas, pointmaps,
 def _reference_descent(preds, graph):
     """Returns (objective trace, rotations, translations, sigmas,
     pointmaps, number of rejected trials)."""
-    rotations, translations, sigmas, pointmaps, _ = _initialize(preds, graph)
+    rotations, translations, sigmas, pointmaps, _ = _ref_initialize(preds,
+                                                                    graph)
     s0 = sigmas[0]
     sigmas = sigmas / s0
     pointmaps = [pm / s0 for pm in pointmaps]
@@ -521,8 +667,9 @@ def _reference_descent(preds, graph):
 
 
 class TestSameIterates:
-    """``align_global`` takes the same iterates as the reference descent,
-    bit for bit: on the 10-view tabletop scene of the benchmark's seed 1000,
+    """``_initialize`` gives the reference initializer's outputs and
+    ``align_global`` takes the same iterates as the reference descent, bit
+    for bit: on the 10-view tabletop scene of the benchmark's seed 1000,
     whose blocks hold one target-view group each; on a 6-view graph with
     pair dropout, whose groups hold different numbers of terms; and on a
     16-view sliding-window graph with pair dropout, whose blocks hold
@@ -530,7 +677,8 @@ class TestSameIterates:
 
     @pytest.fixture(scope="class",
                     params=["tabletop-1000", "dropout-6v", "window-16v"])
-    def runs(self, request):
+    def scene(self, request):
+        """The dataset and its predictions in graph order."""
         if request.param == "tabletop-1000":
             ds = pose_dataset(
                 seed=1000, num_poses=10, with_pointmaps=True,
@@ -559,8 +707,20 @@ class TestSameIterates:
         elif request.param == "window-16v":
             assert any(len({hi - lo for _, lo, hi in blk.groups}) > 1
                        for blk in blocks)
+        return ds, preds
+
+    @pytest.fixture(scope="class")
+    def runs(self, scene):
+        ds, preds = scene
         return _reference_descent(preds, ds.graph), align_global(
             ds.pairs, ds.graph)
+
+    def test_initializer(self, scene):
+        ds, preds = scene
+        ref = _ref_initialize(preds, ds.graph)
+        outputs = _initialize(preds, ds.graph.num_views)
+        for ref_out, out in zip(ref, outputs, strict=True):
+            assert np.array_equal(np.array(ref_out), out)
 
     def test_objective_trace(self, runs):
         ref, result = runs
@@ -608,7 +768,7 @@ class TestEarlyStop:
     @pytest.fixture(scope="class")
     def problem(self):
         ds, preds = _tabletop_1000()
-        rot, trn, sigmas, pms, _ = _initialize(preds, ds.graph)
+        rot, trn, sigmas, pms, _ = _initialize(preds, ds.graph.num_views)
         point = (np.array(rot), np.array(trn), np.log(sigmas), _pixels_last(pms))
         return ds.graph.num_views, _terms(preds), point
 

@@ -22,6 +22,8 @@ from jcr.fields import (
 from jcr.reconstruction import estimate_height
 from jcr.synth import single_axis_trajectory
 
+from util import pose_dataset
+
 
 def _noiseless_manifest(tmp_path, num_poses=6):
     manifest = {
@@ -190,6 +192,19 @@ class TestStages:
                      "--out", str(tmp_path / "align")])
         assert code == 2
         assert "view 1 is 3x5" in capsys.readouterr().err
+
+    def test_align_view_that_is_no_reference_view_exit_3(self, tmp_path,
+                                                          capsys):
+        # Without the edges (3, m) no edge determines view 3's pose.
+        ds = pose_dataset(seed=31, num_poses=4, with_pointmaps=True)
+        pairs = [p for p in ds.pairs if p.n != 3]
+        path = io.save_pair_set(tmp_path / "pairs", pairs,
+                                PairGraph(4, tuple((p.n, p.m) for p in pairs)))
+        code = main(["align", "--pointmaps", str(path),
+                     "--out", str(tmp_path / "align")])
+        assert code == 3
+        assert "views [3]" in capsys.readouterr().err
+        assert not (tmp_path / "align").exists()
 
     @pytest.mark.parametrize("num_poses", ["0", "-1", "2"])
     def test_synth_too_few_poses_exit_2(self, tmp_path, capsys, num_poses):
@@ -493,8 +508,9 @@ class TestBadFilesExit2:
         {"sigmas": []},
         {"poses_camera_to_global": [[1, 2]], "sigmas": [], "objective": 0,
          "converged": True, "edges": []},
-        {"poses_camera_to_global": [np.eye(4).tolist()] * 2, "sigmas": [1.0],
-         "objective": 0, "converged": True, "edges": [[0, 2]]},
+        {"poses_camera_to_global": [np.eye(4).reshape(-1).tolist()] * 2,
+         "sigmas": [1.0], "objective": 0, "converged": True,
+         "edges": [[0, 2]]},
     ], ids=["missing-keys", "pose", "edge-view"])
     def test_reconstruct_alignment_json(self, pipeline, tmp_path, meta):
         align_dir = self._align_copy(pipeline, tmp_path)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from jcr import io
+from jcr import cli, io
 from jcr.alignment import PairGraph, PairwisePrediction
 from jcr.calibration import CalibrationResult
 from jcr.errors import InputError, JCRError
@@ -476,3 +476,74 @@ class TestCalibrationFuzz:
     def test_unedited_dict_round_trips(self):
         calib = CalibrationResult.from_dict(_CALIB_DICT)
         assert calib.to_dict() == _CALIB_DICT
+
+
+_EYE = np.eye(4).reshape(-1).tolist()
+_ALIGN_META = {"poses_camera_to_global": [_EYE] * 2, "sigmas": [1.0, 0.9],
+               "objective": 0.5, "converged": True, "edges": [[0, 1], [1, 0]]}
+
+
+def _align_dir(path, meta):
+    np.savez(path / "alignment_maps.npz",
+             **{f"pointmap_{v}": np.zeros((2, 3, 3)) for v in range(2)},
+             **{f"confidence_{v}": np.ones((2, 3)) for v in range(2)})
+    (path / "alignment.json").write_text(json.dumps(meta))
+    return path
+
+
+class TestReadersCheckTypes:
+    """The artifact readers refuse a flag that is not a JSON boolean, an
+    integer given as a fraction or a boolean and a number given as a string
+    or a boolean, instead of coercing them; a calibration's scale must lie
+    in SCALE_RANGE and its rotation be one."""
+
+    @pytest.mark.parametrize("key, value", [
+        ("converged", "false"), ("converged", 0), ("num_pairs", 3.5),
+        ("num_pairs", 3.0), ("scale", "1.5"), ("scale", True), ("scale", -2),
+        ("scale", 0), ("scale", 2e3), ("rotation", [2.0] * 9),
+        ("rotation", np.diag([1.0, 1.0, -1.0]).reshape(-1).tolist()),
+        ("translation", ["0.1", "0.2", "0.3"]),
+        ("residuals_t", [0.01, 0.02, True]),
+    ])
+    def test_calibration(self, key, value):
+        with pytest.raises(InputError):
+            CalibrationResult.from_dict(dict(_CALIB_DICT, **{key: value}))
+
+    @pytest.mark.parametrize("key, value", [
+        ("converged", "no"), ("converged", 1), ("objective", "12"),
+        ("sigmas", ["1.0", "0.9"]), ("sigmas", [1.0]),
+        ("poses_camera_to_global", [[str(x) for x in _EYE]] * 2),
+        ("edges", [[0, 1], [True, 0]]), ("edges", [[0, 1.0], [1, 0]]),
+    ])
+    def test_alignment(self, tmp_path, key, value):
+        with pytest.raises(InputError):
+            cli._load_alignment(_align_dir(tmp_path,
+                                           dict(_ALIGN_META, **{key: value})))
+
+    @pytest.mark.parametrize("key, value", [
+        ("num_classes", 1.7), ("num_classes", 1.0), ("num_classes", True),
+        ("initial_loss", True), ("final_loss", "0.5"),
+    ])
+    def test_field_model(self, key, value):
+        with pytest.raises(InputError):
+            FieldModel.from_dict(dict(_MODEL_DICTS["occupancy"], **{key: value}))
+
+    @pytest.mark.parametrize("matrix", [
+        [str(x) for x in _EYE], [bool(x) for x in _EYE], _EYE[:15] + ["1"],
+    ], ids=["strings", "booleans", "one-string"])
+    def test_pose_list(self, tmp_path, matrix):
+        path = tmp_path / "poses.json"
+        path.write_text(json.dumps([{"matrix": matrix}]))
+        with pytest.raises(InputError, match="16-number matrix"):
+            io.load_poses(path)
+
+    def test_unedited_files_read(self, tmp_path):
+        result = cli._load_alignment(_align_dir(tmp_path, _ALIGN_META))
+        assert result.converged is True and result.objective == 0.5
+        assert np.array_equal(result.sigmas, [1.0, 0.9])
+        path = tmp_path / "poses.json"
+        path.write_text(json.dumps([{"matrix": _EYE}]))
+        assert np.array_equal(io.load_poses(path)[0].matrix(), np.eye(4))
+        model = _MODEL_DICTS["occupancy"]
+        loaded = FieldModel.from_dict(dict(model, final_loss=float("nan")))
+        assert np.isnan(loaded.final_loss)
