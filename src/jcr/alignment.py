@@ -35,7 +35,8 @@ bit for bit, as with one group per call and every trial run to the end.
 The result reports why the descent stopped (``stop_reason``).
 Gauge: P_0 (view 0's pose) = identity and sigma of the first edge = 1.
 A view's pose enters the objective only through the edges whose reference
-view n it is, so every view must be the reference view of some edge.
+view n it is, so every view must be the reference view of some edge with
+nonzero confidence.
 """
 
 from __future__ import annotations
@@ -458,8 +459,9 @@ def align_global(preds, graph: PairGraph | None = None):
     predictions for one edge, an edge with a view outside the graph, a
     graph that lists an edge twice, a graph edge without a prediction or a
     view whose pointmaps differ in size between edges, and
-    DisconnectedGraph when the graph does not connect all views or a view
-    is no edge's reference view (nothing then determines its pose).
+    DisconnectedGraph when the graph does not connect all views, or a view
+    is no edge's reference view or its reference-view edges carry zero
+    confidence (nothing then determines its pose).
     """
     if not preds:
         raise InputError("no pairwise predictions")
@@ -493,6 +495,14 @@ def align_global(preds, graph: PairGraph | None = None):
     if unreferenced:
         raise DisconnectedGraph(f"views {unreferenced} are no edge's reference "
                                 "view, so no edge determines their pose")
+    mass = np.zeros(graph.num_views)
+    for p in preds:
+        mass[p.n] += p.confidence_self.sum() + p.confidence_other.sum()
+    weightless = np.flatnonzero(mass <= 0).tolist()
+    if weightless:
+        raise DisconnectedGraph(f"views {weightless} carry no confidence in the "
+                                "edges they are the reference view of, so no "
+                                "edge determines their pose")
 
     rotations, translations, sigmas, pointmaps, confidences = _initialize(
         preds, graph.num_views

@@ -35,8 +35,9 @@ log = logging.getLogger(__name__)
 HEAD_OCCUPANCY = "occupancy"      # sigmoid scalar
 HEAD_SEGMENTATION = "segmentation"  # softmax over K classes
 HEAD_COLOR = "color"              # linear 3-vector
-# Rows per pass of FieldModel.forward, which bounds a query's memory.
-QUERY_CHUNK = 8192
+# Rows per pass of FieldModel.forward, which bounds a query's memory; at
+# 2048 rows a pass's hidden block stays near the size of a core's L2 cache.
+QUERY_CHUNK = 2048
 # Samples per training step, and the momentum of the descent.
 BATCH_SIZE = 512
 MOMENTUM = 0.9
@@ -146,19 +147,23 @@ class FieldModel:
         the last whole chunk join that chunk: BLAS then multiplies only
         large blocks that start where one pass's blocks start, and gives
         one pass's result bit for bit (on one BLAS thread). Each chunk's
-        features are rounded to float32, as in training.
+        features are rounded to float32, as in training, and end in a
+        column of ones that multiplies b1 stacked under W1 (see
+        ``_first_layer``).
         """
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        n = len(points)
+        n, d = len(points), self.encoding.output_dim
+        Wb = np.vstack([self.W1, self.b1])
         out = np.empty((n, self.W2.shape[1]), self.W2.dtype)
         starts = [QUERY_CHUNK * k for k in range(max(n // QUERY_CHUNK, 1))]
-        buf = np.empty((min(n, 2 * QUERY_CHUNK), self.encoding.output_dim),
-                       np.float32)
+        rows = min(n, 2 * QUERY_CHUNK)
+        feat = np.empty((rows, d + 1), np.float32)
+        feat[:, d] = 1.0
+        hidden = np.empty((rows, Wb.shape[1]), np.result_type(feat, Wb))
         for lo, hi in zip(starts, starts[1:] + [n]):
-            feat = self.encoding.encode(self.normalize(points[lo:hi]),
-                                        out=buf[: hi - lo])
-            h = feat @ self.W1
-            h += self.b1
+            f = feat[: hi - lo]
+            self.encoding.encode(self.normalize(points[lo:hi]), out=f[:, :d])
+            h = _first_layer(f, Wb, hidden[: hi - lo])
             np.maximum(h, 0.0, out=h)
             out[lo:hi] = h @ self.W2 + self.b2
         return out
@@ -274,12 +279,12 @@ class FieldModel:
 
 
 def _sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """The logistic function without branches or overflow: with
+    e = exp(-|z|), 1 / (1 + e) where z >= 0 and e / (1 + e) elsewhere."""
+    e = np.exp(-np.abs(z))
+    den = 1.0 + e
+    np.copyto(e, 1.0, where=z >= 0)
+    return np.divide(e, den, out=e)
 
 
 def _softmax(z):
@@ -288,8 +293,13 @@ def _softmax(z):
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _loss_and_dz(head, z, y):
-    """Mean loss and its gradient w.r.t. the pre-activation output."""
+def _loss_and_dz(head, z, y, onehot=None):
+    """Mean loss and its gradient w.r.t. the pre-activation output.
+
+    For segmentation, ``y`` holds class indices and ``onehot`` their one-hot
+    rows in ``z``'s dtype (built here when not given); the gradient is then
+    ``(p - onehot) / n``.
+    """
     n = len(z)
     if head == HEAD_OCCUPANCY:
         p = _sigmoid(z[:, 0])
@@ -301,13 +311,16 @@ def _loss_and_dz(head, z, y):
         p = _softmax(z)
         idx = y.astype(int).reshape(-1)
         loss = -np.mean(np.log(p[np.arange(n), idx] + 1e-12))
-        dz = p.copy()
-        dz[np.arange(n), idx] -= 1.0
+        if onehot is None:
+            onehot = np.zeros_like(p)
+            onehot[np.arange(n), idx] = 1.0
+        dz = np.subtract(p, onehot, out=p)
         dz /= n
     elif head == HEAD_COLOR:
-        # Squared L2 per sample, averaged over the batch. Note the MSE
-        # gradients run much smaller than the classification heads', so
-        # this head wants a learning rate around 0.05 rather than 1e-2.
+        # Squared L2 per sample, averaged over the batch. Its gradients run
+        # smaller than the classification heads'. Measured on sample_surface
+        # seeds 0-4: at hidden 256, learning rate 0.05 diverges to NaN on
+        # seeds 1 and 4; hidden 64 at 0.05, or hidden 256 at 1e-2, trains.
         diff = z - y
         loss = float(np.mean((diff**2).sum(axis=1)))
         dz = 2.0 * diff / n
@@ -316,35 +329,60 @@ def _loss_and_dz(head, z, y):
     return float(loss), dz
 
 
-def _forward_backward(params, feat, y, head, hidden=None):
-    """Batch loss and gradients.
+def _first_layer(feat, Wb, out=None):
+    """``feat[:, :-1] @ W1 + b1``, for ``Wb`` = W1 with b1 stacked under it
+    as one more row, the weight of ``feat``'s last column, which holds ones.
+
+    Where BLAS sums each element's products in order, the last step adds
+    ``1 * b1``, so the one product ``feat @ Wb`` gives the bits of the
+    product and a separate bias add, with one pass over the hidden block
+    fewer. OpenBLAS's float32 kernels sum in order over whole blocks of 16
+    columns; its narrower kernels for the last columns of other widths, and
+    the matrix-vector kernel of a single row, do not, so there the bias is
+    added apart.
+    """
+    if len(feat) > 1 and Wb.shape[1] % 16 == 0:
+        return np.matmul(feat, Wb, out=out)
+    h = np.matmul(feat[:, :-1], Wb[:-1], out=out)
+    h += Wb[-1]
+    return h
+
+
+def _forward_backward(params, feat, y, head, hidden=None, onehot=None):
+    """Batch loss and gradients of ``params = [Wb, W2, b2]``, with ``Wb``
+    and ``feat`` as in ``_first_layer``.
+
+    The gradient of ``Wb`` is ``feat[:, :-1].T @ dz1`` over
+    ``dz1.sum(axis=0)``: the bias row taken from the product ``feat.T @ dz1``
+    would sum the rows in BLAS's blocked order, with other bits.
 
     ``hidden`` is an optional scratch buffer of at least ``len(feat)`` rows
     and one column per hidden unit. It holds the hidden layer's
     pre-activation, then its activation, then its gradient, so a training
     step allocates no batch-by-hidden temporaries besides the ReLU mask.
+    ``onehot`` is passed on to ``_loss_and_dz``.
     """
-    W1, b1, W2, b2 = params
-    h = np.matmul(feat, W1, out=None if hidden is None else hidden[: len(feat)])
-    h += b1
+    Wb, W2, b2 = params
+    h = _first_layer(feat, Wb, None if hidden is None else hidden[: len(feat)])
     mask = h > 0
     np.maximum(h, 0.0, out=h)
     z2 = h @ W2 + b2
-    loss, dz2 = _loss_and_dz(head, z2, y)
+    loss, dz2 = _loss_and_dz(head, z2, y, onehot)
     dW2 = h.T @ dz2
     db2 = dz2.sum(axis=0)
     # da = dz2 @ W2.T, written over the activation. With one output column
-    # that is an outer product: broadcasting forms each element with the
-    # same single multiplication as the k=1 matmul, at a fraction of its cost.
+    # that is an outer product: einsum forms each element with the same
+    # single multiplication as the k=1 matmul, at a fraction of its cost.
     if W2.shape[1] == 1:
-        np.multiply(dz2, W2[:, 0], out=h)
+        np.einsum("i,j->ij", dz2[:, 0], W2[:, 0], out=h)
     else:
         np.matmul(dz2, W2.T, out=h)
     # A multiply, not a masked store, so that NaN and inf propagate.
     h *= mask
-    dW1 = feat.T @ h
-    db1 = h.sum(axis=0)
-    return loss, (dW1, db1, dW2, db2)
+    dWb = np.empty_like(Wb)
+    np.matmul(feat[:, :-1].T, h, out=dWb[:-1])
+    np.sum(h, axis=0, out=dWb[-1])
+    return loss, (dWb, dW2, db2)
 
 
 def _init_params(rng, in_dim, hidden, out_dim):
@@ -380,35 +418,51 @@ def _train(points, y, head, out_dim, cfg: TrainConfig, negatives=None):
         box = np.vstack([points, lo, hi])
     center, half = _norm_box(box, inflation=0.05)
     f32 = np.float32
-    params = [p.astype(f32)
-              for p in _init_params(rng, enc.output_dim, cfg.hidden_size, out_dim)]
+    W1, b1, W2, b2 = _init_params(rng, enc.output_dim, cfg.hidden_size, out_dim)
+    # b1 is the weight of a constant feature (see _first_layer).
+    params = [np.vstack([W1, b1]).astype(f32), W2.astype(f32), b2.astype(f32)]
     velocity = [np.zeros_like(p) for p in params]
+    scaled = [np.empty_like(p) for p in params]  # learning_rate * gradient
     # A NumPy scalar learning rate would promote every step to float64.
     momentum, learning_rate = f32(MOMENTUM), f32(cfg.learning_rate)
 
     # The given points never change, so they are encoded once; each epoch
-    # encodes only its fresh negatives, into the rows after them.
-    feat = np.empty((len(points) + n_neg, enc.output_dim), f32)
-    enc.encode((points - center) / half, out=feat[: len(points)])
+    # encodes only its fresh negatives, into the rows after them. The last
+    # column is the constant feature.
+    n, d = len(points) + n_neg, enc.output_dim
+    feat = np.empty((n, d + 1), f32)
+    feat[:, d] = 1.0
+    enc.encode((points - center) / half, out=feat[: len(points), :d])
     if negatives is not None:
         y = np.concatenate([y, np.zeros(n_neg, y.dtype)])
-    hidden = np.empty((min(BATCH_SIZE, len(feat)), cfg.hidden_size), f32)
+    # Each epoch gathers its permutation of the rows once; batches are
+    # slices of the gathered rows.
+    tables = [feat, y]
+    if head == HEAD_SEGMENTATION:
+        onehot = np.zeros((n, out_dim), f32)
+        onehot[np.arange(n), y] = 1.0
+        tables.append(onehot)
+    gathered = [np.empty_like(t) for t in tables]
+    hidden = np.empty((min(BATCH_SIZE, n), cfg.hidden_size), f32)
     initial_loss = None
     for epoch in range(cfg.epochs):
         if negatives is not None:
             neg = rng.uniform(lo, hi, size=(n_neg, 3))
-            enc.encode((neg - center) / half, out=feat[len(points):])
-        order = rng.permutation(len(feat))
+            enc.encode((neg - center) / half, out=feat[len(points):, :d])
+        order = rng.permutation(n)
+        for t, g in zip(tables, gathered):
+            np.take(t, order, axis=0, out=g, mode="clip")
         epoch_loss = 0.0
         nb = 0
-        for s in range(0, len(order), BATCH_SIZE):
-            idx = order[s : s + BATCH_SIZE]
-            loss, grads = _forward_backward(params, feat[idx], y[idx], head, hidden)
+        for s in range(0, n, BATCH_SIZE):
+            feat_b, y_b, *onehot_b = (g[s : s + BATCH_SIZE] for g in gathered)
+            loss, grads = _forward_backward(params, feat_b, y_b, head, hidden,
+                                            *onehot_b)
             epoch_loss += loss
             nb += 1
-            for p, v, g in zip(params, velocity, grads):
+            for p, v, g, lg in zip(params, velocity, grads, scaled):
                 v *= momentum
-                v -= learning_rate * g
+                v -= np.multiply(learning_rate, g, out=lg)
                 p += v
         loss = epoch_loss / nb
         if initial_loss is None:
@@ -417,10 +471,10 @@ def _train(points, y, head, out_dim, cfg: TrainConfig, negatives=None):
     return FieldModel(
         head=head,
         encoding=enc,
-        W1=params[0],
-        b1=params[1],
-        W2=params[2],
-        b2=params[3],
+        W1=params[0][:-1].copy(),
+        b1=params[0][-1].copy(),
+        W2=params[1],
+        b2=params[2],
         norm_center=center,
         norm_half=half,
         num_classes=out_dim if head == HEAD_SEGMENTATION else 1,
@@ -535,11 +589,12 @@ def query(model: FieldModel, points):
 
 def gradient_check(head, seed=0):
     """Analytic backprop vs central finite differences; max relative error."""
-    hidden, n_samples, fd_step = 8, 20, 1e-5
+    # 16 hidden units: the first product folds in the bias (_first_layer).
+    hidden, n_samples, fd_step = 16, 20, 1e-5
     rng = np.random.default_rng(seed)
     enc = PositionalEncoding(num_frequencies=2)
     pts = rng.uniform(-1, 1, size=(n_samples, 3))
-    feat = enc.encode(pts)
+    feat = np.hstack([enc.encode(pts), np.ones((n_samples, 1))])
     out_dim = {HEAD_OCCUPANCY: 1, HEAD_SEGMENTATION: 3, HEAD_COLOR: 3}[head]
     if head == HEAD_OCCUPANCY:
         y = rng.integers(0, 2, n_samples).astype(float)
@@ -547,7 +602,9 @@ def gradient_check(head, seed=0):
         y = rng.integers(0, out_dim, n_samples)
     else:
         y = rng.uniform(0, 1, size=(n_samples, 3))
-    params = _init_params(rng, enc.output_dim, hidden, out_dim)
+    W1, b1, W2, b2 = _init_params(rng, enc.output_dim, hidden, out_dim)
+    # Every entry of W1 and b1 is perturbed in the block that trains them.
+    params = [np.vstack([W1, b1]), W2, b2]
     _, grads = _forward_backward(params, feat, y, head)
 
     max_rel = 0.0

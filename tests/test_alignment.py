@@ -32,7 +32,7 @@ from jcr.geometry import exp_map, project_to_rotation, rotation_angle
 from jcr.synth import CameraConfig, NoiseProfile
 
 from test_io import _FUZZ
-from util import pose_dataset
+from util import pose_dataset, zero_confidence_of_view
 
 
 def _model_relative_pose(ds, n):
@@ -245,6 +245,13 @@ class TestAlignGlobal:
         assert graph.is_connected()
         with pytest.raises(DisconnectedGraph, match=r"views \[3\]"):
             align_global(sub, graph)
+
+    def test_view_without_confidence_raises(self):
+        # View 3 is a reference view, but every edge touching it has zero
+        # confidence: the objective then does not depend on its pose.
+        ds = pose_dataset(seed=31, num_poses=4, with_pointmaps=True)
+        with pytest.raises(DisconnectedGraph, match=r"views \[3\] carry no"):
+            align_global(zero_confidence_of_view(ds.pairs, 3), ds.graph)
 
     def test_missing_edge_prediction_raises(self):
         ds = pose_dataset(seed=35, num_poses=4, with_pointmaps=True)

@@ -22,7 +22,7 @@ from jcr.fields import (
 from jcr.reconstruction import estimate_height
 from jcr.synth import single_axis_trajectory
 
-from util import pose_dataset
+from util import pose_dataset, zero_confidence_of_view
 
 
 def _noiseless_manifest(tmp_path, num_poses=6):
@@ -204,6 +204,17 @@ class TestStages:
                      "--out", str(tmp_path / "align")])
         assert code == 3
         assert "views [3]" in capsys.readouterr().err
+        assert not (tmp_path / "align").exists()
+
+    def test_align_view_without_confidence_exit_3(self, tmp_path, capsys):
+        # Every edge touching view 3 has zero confidence.
+        ds = pose_dataset(seed=31, num_poses=4, with_pointmaps=True)
+        path = io.save_pair_set(tmp_path / "pairs",
+                                zero_confidence_of_view(ds.pairs, 3), ds.graph)
+        code = main(["align", "--pointmaps", str(path),
+                     "--out", str(tmp_path / "align")])
+        assert code == 3
+        assert "views [3] carry no confidence" in capsys.readouterr().err
         assert not (tmp_path / "align").exists()
 
     @pytest.mark.parametrize("num_poses", ["0", "-1", "2"])

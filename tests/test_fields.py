@@ -441,6 +441,23 @@ class TestSameIterates:
         assert model.initial_loss == initial
         assert model.final_loss == final
 
+    @pytest.mark.parametrize("head, train", [
+        ("occupancy", train_occupancy),
+        ("segmentation", train_segmentation),
+        ("color", train_color),
+    ])
+    def test_folded_bias_weights_and_losses_bit_identical(self, cloud, head,
+                                                          train):
+        """At 32 hidden units the first product folds in the bias
+        (``fields._first_layer``); at 24 it adds it apart."""
+        cfg = dataclasses.replace(self.CFG, hidden_size=32)
+        model = train(cloud, cfg)
+        params, initial, final = _reference_train(head, cloud, cfg)
+        for got, want in zip((model.W1, model.b1, model.W2, model.b2), params):
+            assert np.array_equal(got, want)
+        assert model.initial_loss == initial
+        assert model.final_loss == final
+
     @pytest.mark.parametrize("head, out_dim", [
         ("occupancy", 1), ("segmentation", 3), ("color", 3),
     ])
@@ -458,9 +475,23 @@ class TestSameIterates:
     @pytest.mark.parametrize("head, out_dim", [
         ("occupancy", 1), ("segmentation", 3), ("color", 3),
     ])
+    @pytest.mark.parametrize("poison", [False, True])
+    @pytest.mark.parametrize("rows", [BATCH_SIZE, 432])
+    def test_float32_step_at_benchmark_shapes(self, head, out_dim, poison,
+                                              rows):
+        """A whole batch and a ragged one at hidden 256 on the training
+        encoding's 39 features: BLAS blocks both products, the first one
+        folds the bias, and occupancy's outer product is the einsum."""
+        _check_buffered_step(head, out_dim, poison, np.float32, rows=rows,
+                             hidden=256, frequencies=6)
+
+    @pytest.mark.parametrize("head, out_dim", [
+        ("occupancy", 1), ("segmentation", 3), ("color", 3),
+    ])
     def test_float32_gradients_match_float64(self, head, out_dim):
         feat, params, y = _step_inputs(head, out_dim, np.float64, rows=200,
                                        hidden=64, frequencies=6)
+        params, feat = _folded(params, feat)
         loss, grads = _forward_backward(params, feat, y, head)
         loss32, grads32 = _forward_backward(
             [p.astype(np.float32) for p in params], feat.astype(np.float32),
@@ -476,29 +507,45 @@ def _step_inputs(head, out_dim, dtype, rows=37, hidden=16, frequencies=2):
     rng = np.random.default_rng(4)
     feat = PositionalEncoding(frequencies).encode(rng.uniform(-1, 1, (rows, 3)))
     params = _init_params(rng, feat.shape[1], hidden, out_dim)
+    # A bias that is not zero, so that where it is added shows in the bits.
+    params[1] = rng.normal(0.0, 0.5, hidden)
     y = {"occupancy": rng.integers(0, 2, rows).astype(dtype),
          "segmentation": rng.integers(0, 3, rows),
          "color": rng.uniform(0, 1, (rows, 3)).astype(dtype)}[head]
     return feat.astype(dtype), [p.astype(dtype) for p in params], y
 
 
-def _check_buffered_step(head, out_dim, poison, dtype):
-    """The buffered step gives the plain step's loss and gradients bit for
-    bit, in ``dtype``."""
-    feat, params, y = _step_inputs(head, out_dim, dtype)
+def _folded(params, feat):
+    """``[W1, b1, W2, b2]`` and features as ``_forward_backward`` takes
+    them: W1 over b1 as one block, and the features with a last column of
+    ones."""
+    W1, b1, W2, b2 = params
+    ones = np.ones((len(feat), 1), feat.dtype)
+    return [np.vstack([W1, b1]), W2, b2], np.hstack([feat, ones])
+
+
+def _check_buffered_step(head, out_dim, poison, dtype, rows=37, hidden=16,
+                         frequencies=2):
+    """The folded step, with and without a buffer, gives the plain step's
+    loss and gradients bit for bit, in ``dtype``."""
+    feat, params, y = _step_inputs(head, out_dim, dtype, rows, hidden,
+                                   frequencies)
     if poison:
         # inf meets the ReLU mask's zeros: NaN must come out, as it
         # does from the plain multiply.
         params[2][3] = np.inf
+    folded, feat1 = _folded(params, feat)
+    # Training passes segmentation's one-hot targets.
+    onehot = np.eye(out_dim, dtype=dtype)[y] if head == "segmentation" else None
     with np.errstate(invalid="ignore"):
         want = _reference_step(params, feat, y, head)
-        plain = _forward_backward(params, feat, y, head)
+        plain = _forward_backward(folded, feat1, y, head)
         # A buffer with spare rows and stale contents.
-        buf = np.full((50, 16), np.nan, dtype)
-        buffered = _forward_backward(params, feat, y, head, buf)
-    for got in (plain, buffered):
-        assert repr(got[0]) == repr(want[0])
-        for g, w in zip(got[1], want[1]):
+        buf = np.full((rows + 13, hidden), np.nan, dtype)
+        buffered = _forward_backward(folded, feat1, y, head, buf, onehot)
+    for loss, (dWb, dW2, db2) in (plain, buffered):
+        assert repr(loss) == repr(want[0])
+        for g, w in zip((dWb[:-1], dWb[-1], dW2, db2), want[1]):
             assert g.dtype == dtype
             assert np.array_equal(g, w, equal_nan=True)
     if poison:

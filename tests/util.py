@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from jcr.alignment import PairwisePrediction
 from jcr.geometry import Pose, exp_map, random_rotation
 from jcr.synth import (
     HiddenParams,
@@ -27,6 +28,16 @@ def pose_dataset(seed, num_poses=10, noise=None, hidden=None,
         camera=camera,
         with_pointmaps=with_pointmaps,
     )
+
+
+def zero_confidence_of_view(pairs, view):
+    """``pairs`` with both confidence maps of every edge touching ``view``
+    set to zero."""
+    return [p if view not in (p.n, p.m) else PairwisePrediction(
+        n=p.n, m=p.m, pointmap_self=p.pointmap_self,
+        pointmap_other=p.pointmap_other,
+        confidence_self=np.zeros_like(p.confidence_self),
+        confidence_other=np.zeros_like(p.confidence_other)) for p in pairs]
 
 
 def consistent_motion_pairs(rng, num_pairs, calib: Pose, scale,
