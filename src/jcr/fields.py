@@ -336,10 +336,10 @@ def _first_layer(feat, Wb, out=None):
     Where BLAS sums each element's products in order, the last step adds
     ``1 * b1``, so the one product ``feat @ Wb`` gives the bits of the
     product and a separate bias add, with one pass over the hidden block
-    fewer. OpenBLAS's float32 kernels sum in order over whole blocks of 16
-    columns; its narrower kernels for the last columns of other widths, and
-    the matrix-vector kernel of a single row, do not, so there the bias is
-    added apart.
+    fewer. OpenBLAS's float32 kernels (AVX-512) sum in order over whole
+    blocks of 16 columns; its narrower kernels for the last columns of
+    other widths, and its matrix-vector kernel for a single row, do not
+    always, so there the bias is added apart.
     """
     if len(feat) > 1 and Wb.shape[1] % 16 == 0:
         return np.matmul(feat, Wb, out=out)

@@ -412,9 +412,10 @@ def _reference_train(head, cloud, cfg):
 
 class TestSameIterates:
     """The training loop reuses one hidden-layer buffer, encodes the fixed
-    points once and doubles the encoding's angles by recurrence; it must
-    give the plain loop's iterates, on per-frequency libm features, bit for
-    bit."""
+    points once, doubles the encoding's angles by recurrence, trains b1 as
+    the weight of a constant feature and gathers each epoch's rows once; it
+    must give the plain loop's iterates, on per-frequency libm features, bit
+    for bit."""
 
     # 600 points in batches of BATCH_SIZE = 512 leave a short last batch;
     # occupancy's 1200 (positives and negatives) too.
