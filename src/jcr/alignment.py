@@ -35,8 +35,8 @@ bit for bit, as with one group per call and every trial run to the end.
 The result reports why the descent stopped (``stop_reason``).
 Gauge: P_0 (view 0's pose) = identity and sigma of the first edge = 1.
 A view's pose enters the objective only through the edges whose reference
-view n it is, so every view must be the reference view of some edge with
-nonzero confidence.
+view n it is, and only through their terms of nonzero confidence; these
+terms must join every view's pose to view 0's.
 """
 
 from __future__ import annotations
@@ -110,7 +110,8 @@ class PairGraph:
                     f"pair graph edge {e} is not a pair of views "
                     f"0..{self.num_views - 1}")
 
-    def is_connected(self):
+    def reached(self):
+        """The views that edges join to view 0."""
         adj = {v: set() for v in range(self.num_views)}
         for n, m in self.edges:
             adj[n].add(m)
@@ -122,7 +123,10 @@ class PairGraph:
                 if nb not in seen:
                     seen.add(nb)
                     stack.append(nb)
-        return len(seen) == self.num_views
+        return seen
+
+    def is_connected(self):
+        return len(self.reached()) == self.num_views
 
 
 # default_pair_graph: complete up to this many views, else a sliding
@@ -459,9 +463,10 @@ def align_global(preds, graph: PairGraph | None = None):
     predictions for one edge, an edge with a view outside the graph, a
     graph that lists an edge twice, a graph edge without a prediction or a
     view whose pointmaps differ in size between edges, and
-    DisconnectedGraph when the graph does not connect all views, or a view
-    is no edge's reference view or its reference-view edges carry zero
-    confidence (nothing then determines its pose).
+    DisconnectedGraph when the graph does not connect all views, or terms
+    of nonzero confidence do not join a view's pose to view 0's (it is no
+    edge's reference view, or the confidence on the way is zero): nothing
+    then determines its pose.
     """
     if not preds:
         raise InputError("no pairwise predictions")
@@ -491,18 +496,21 @@ def align_global(preds, graph: PairGraph | None = None):
                     f"but {size[0]}x{size[1]} in another edge")
     if not graph.is_connected():
         raise DisconnectedGraph("pair graph does not connect all views")
-    unreferenced = sorted(set(range(graph.num_views)) - {n for n, _ in graph.edges})
-    if unreferenced:
-        raise DisconnectedGraph(f"views {unreferenced} are no edge's reference "
-                                "view, so no edge determines their pose")
-    mass = np.zeros(graph.num_views)
-    for p in preds:
-        mass[p.n] += p.confidence_self.sum() + p.confidence_other.sum()
-    weightless = np.flatnonzero(mass <= 0).tolist()
-    if weightless:
-        raise DisconnectedGraph(f"views {weightless} carry no confidence in the "
-                                "edges they are the reference view of, so no "
-                                "edge determines their pose")
+    # A term of edge (n, m) with nonzero confidence ties pose n to view n's
+    # global pointmap (the self-map) or to view m's (the other map). In the
+    # graph of poses 0..V-1 and pointmaps V..2V-1 these ties form, a pose
+    # that they do not join to pose 0 (the gauge) is free.
+    V = graph.num_views
+    ties = PairGraph(2 * V, tuple(
+        (p.n, V + view) for p in preds
+        for view, conf in ((p.n, p.confidence_self), (p.m, p.confidence_other))
+        if conf.any()))
+    free = sorted(set(range(V)) - ties.reached())
+    if free:
+        raise DisconnectedGraph(
+            f"nothing determines the pose of views {free}: they are no edge's "
+            "reference view, or the edges that join them to view 0 carry zero "
+            "confidence")
 
     rotations, translations, sigmas, pointmaps, confidences = _initialize(
         preds, graph.num_views

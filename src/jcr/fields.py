@@ -339,7 +339,8 @@ def _first_layer(feat, Wb, out=None):
     fewer. OpenBLAS's float32 kernels (AVX-512) sum in order over whole
     blocks of 16 columns; its narrower kernels for the last columns of
     other widths, and its matrix-vector kernel for a single row, do not
-    always, so there the bias is added apart.
+    always, so there the bias is added apart. The tests check the fold
+    against the separate add at every encoding up to MAX_FREQUENCIES.
     """
     if len(feat) > 1 and Wb.shape[1] % 16 == 0:
         return np.matmul(feat, Wb, out=out)

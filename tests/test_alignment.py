@@ -246,12 +246,15 @@ class TestAlignGlobal:
         with pytest.raises(DisconnectedGraph, match=r"views \[3\]"):
             align_global(sub, graph)
 
-    def test_view_without_confidence_raises(self):
+    @pytest.mark.parametrize("maps", [("self", "other"), ("other",)])
+    def test_view_without_confidence_raises(self, maps):
         # View 3 is a reference view, but every edge touching it has zero
-        # confidence: the objective then does not depend on its pose.
+        # confidence, or zero confidence on the other maps only: its self-maps
+        # then tie its pose to its own global pointmap, which the objective
+        # moves with it.
         ds = pose_dataset(seed=31, num_poses=4, with_pointmaps=True)
-        with pytest.raises(DisconnectedGraph, match=r"views \[3\] carry no"):
-            align_global(zero_confidence_of_view(ds.pairs, 3), ds.graph)
+        with pytest.raises(DisconnectedGraph, match=r"views \[3\]: .* zero"):
+            align_global(zero_confidence_of_view(ds.pairs, 3, maps), ds.graph)
 
     def test_missing_edge_prediction_raises(self):
         ds = pose_dataset(seed=35, num_poses=4, with_pointmaps=True)

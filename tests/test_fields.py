@@ -21,6 +21,7 @@ from jcr.fields import (
     FieldModel,
     PositionalEncoding,
     TrainConfig,
+    _first_layer,
     _forward_backward,
     _init_params,
     _loss_and_dz,
@@ -485,6 +486,26 @@ class TestSameIterates:
         folds the bias, and occupancy's outer product is the einsum."""
         _check_buffered_step(head, out_dim, poison, np.float32, rows=rows,
                              hidden=256, frequencies=6)
+
+    @pytest.mark.parametrize("frequencies", range(MAX_FREQUENCIES + 1))
+    def test_first_layer_at_every_encoding(self, frequencies):
+        """A loaded model may have any encoding up to MAX_FREQUENCIES. At
+        hidden 64 and 256 the first product folds in the bias and must give
+        the bits of the product and a separate add, on one row, two, a
+        query's chunk and its largest pass."""
+        rng = np.random.default_rng(frequencies)
+        enc = PositionalEncoding(frequencies)
+        d = enc.output_dim
+        for hidden in (64, 256):
+            W1 = rng.normal(0.0, 0.3, (d, hidden)).astype(np.float32)
+            b1 = rng.normal(0.0, 0.5, hidden).astype(np.float32)
+            Wb = np.vstack([W1, b1])
+            for rows in (1, 2, QUERY_CHUNK, 2 * QUERY_CHUNK - 1):
+                feat = np.ones((rows, d + 1), np.float32)
+                enc.encode(rng.uniform(-1, 1, (rows, 3)), out=feat[:, :d])
+                want = feat[:, :d] @ W1
+                want += b1
+                assert np.array_equal(_first_layer(feat, Wb), want)
 
     @pytest.mark.parametrize("head, out_dim", [
         ("occupancy", 1), ("segmentation", 3), ("color", 3),

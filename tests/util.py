@@ -1,8 +1,9 @@
 """Shared helpers for the test suite."""
 
+import dataclasses
+
 import numpy as np
 
-from jcr.alignment import PairwisePrediction
 from jcr.geometry import Pose, exp_map, random_rotation
 from jcr.synth import (
     HiddenParams,
@@ -30,14 +31,12 @@ def pose_dataset(seed, num_poses=10, noise=None, hidden=None,
     )
 
 
-def zero_confidence_of_view(pairs, view):
-    """``pairs`` with both confidence maps of every edge touching ``view``
-    set to zero."""
-    return [p if view not in (p.n, p.m) else PairwisePrediction(
-        n=p.n, m=p.m, pointmap_self=p.pointmap_self,
-        pointmap_other=p.pointmap_other,
-        confidence_self=np.zeros_like(p.confidence_self),
-        confidence_other=np.zeros_like(p.confidence_other)) for p in pairs]
+def zero_confidence_of_view(pairs, view, maps=("self", "other")):
+    """``pairs`` with the confidence maps named in ``maps`` (``"self"``,
+    ``"other"``) set to zero on every edge touching ``view``."""
+    return [p if view not in (p.n, p.m) else dataclasses.replace(p, **{
+        f"confidence_{k}": np.zeros_like(getattr(p, f"confidence_{k}"))
+        for k in maps}) for p in pairs]
 
 
 def consistent_motion_pairs(rng, num_pairs, calib: Pose, scale,
