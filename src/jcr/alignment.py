@@ -179,11 +179,12 @@ class AlignmentResult:
 
 
 def _weighted_umeyama(src, dst, w):
-    """Similarity (s, R, t) with dst ~= s R src + t, confidence-weighted."""
+    """Similarity (s, R, t) with dst ~= s R src + t, confidence-weighted;
+    None when the weights sum to zero, so that nothing determines it."""
     w = w.reshape(-1)
     wsum = w.sum()
     if wsum <= 0:
-        return 1.0, np.eye(3), np.zeros(3)
+        return None
     mu_s = (w[:, None] * src).sum(0) / wsum
     mu_d = (w[:, None] * dst).sum(0) / wsum
     src_c = src - mu_s
@@ -205,10 +206,12 @@ def _initialize(preds, num_views):
     For an edge (n, m) the prediction holds view m's pixels in frame n;
     corresponding them with view m's self-map (from the first edge that m
     is the reference view of) gives the frame-m -> frame-n similarity via
-    weighted Umeyama. Every view must be a reference view and reachable
-    from view 0, as ``align_global`` checks. Returns rotations (V, 3, 3),
-    translations (V, 3), per-edge scales, pointmaps (V, H, W, 3) and
-    confidences (V, H, W).
+    weighted Umeyama, with the product of the two confidences as weights.
+    Every view must be a reference view, as ``align_global`` checks. The
+    spanning tree skips an edge whose weights sum to zero, and a view that
+    no other edge reaches raises DisconnectedGraph. Returns rotations
+    (V, 3, 3), translations (V, 3), per-edge scales, pointmaps (V, H, W, 3)
+    and confidences (V, H, W).
     """
     self_maps = {}
     for p in preds:
@@ -225,11 +228,14 @@ def _initialize(preds, num_views):
             if (p.n in sims) == (p.m in sims):
                 continue
             self_m = self_maps[p.m]
-            s, R, t = _weighted_umeyama(  # m -> n
+            sim = _weighted_umeyama(  # m -> n
                 self_m.pointmap_self.reshape(-1, 3),
                 p.pointmap_other.reshape(-1, 3),
                 self_m.confidence_self.reshape(-1)
                 * p.confidence_other.reshape(-1))
+            if sim is None:
+                continue
+            s, R, t = sim
             known, new = (p.n, p.m) if p.n in sims else (p.m, p.n)
             if new == p.n:  # global <- m <- n: invert the m -> n similarity
                 s, R = 1.0 / s, R.T
@@ -237,6 +243,11 @@ def _initialize(preds, num_views):
             s_k, R_k, t_k = sims[known]
             sims[new] = (s_k * s, R_k @ R, s_k * (R_k @ t) + t_k)
             grown = True
+    unplaced = sorted(set(range(num_views)) - set(sims))
+    if unplaced:
+        raise DisconnectedGraph(
+            f"cannot initialize views {unplaced}: every edge that joins them "
+            "to a placed view has zero self-map times other-map confidence")
 
     rotations = np.array([sims[v][1] for v in range(num_views)])
     # The model predicts sigma_e (R x + t), so with sigma_e ~ s_n the pose
@@ -466,7 +477,9 @@ def align_global(preds, graph: PairGraph | None = None):
     DisconnectedGraph when the graph does not connect all views, or terms
     of nonzero confidence do not join a view's pose to view 0's (it is no
     edge's reference view, or the confidence on the way is zero): nothing
-    then determines its pose.
+    then determines its pose. It is raised too for a view that the
+    initializer's spanning tree reaches only through edges whose self-map
+    times other-map confidence is zero everywhere (``_initialize``).
     """
     if not preds:
         raise InputError("no pairwise predictions")

@@ -4,13 +4,17 @@ A small fully connected network (one hidden ReLU layer) over sinusoidally
 encoded, box-normalized 3D coordinates. The encoding takes one sine and one
 cosine per coordinate and doubles the angle by recurrence for each further
 frequency; within MAX_FREQUENCIES its float64 error stays near 2^L machine
-epsilons (``PositionalEncoding.encode``). Training is deterministic
-mini-batch gradient descent with momentum, in float32: the weights, the
-features (computed in float64 and rounded once) and the targets. A model
-keeps and saves its float32 weights, so a saved model queries bit for bit
-like the trained one. The backward pass is written out by hand, follows its
-inputs' dtype, and is validated in float64 against finite differences
-(``gradient_check``).
+epsilons (``PositionalEncoding.encode``); it is formed coordinate-major,
+one contiguous row per feature, and transposed once into the features.
+Training is deterministic mini-batch gradient descent with momentum, in
+float32: the weights, the features (computed in float64 and rounded once)
+and the targets. The weights are views of one flat vector, and so are
+their gradients, so the momentum step is one update of that vector. Only
+the first and the last epoch evaluate the loss, the two that
+``initial_loss`` and ``final_loss`` report. A model keeps and saves its
+float32 weights, so a saved model queries bit for bit like the trained one.
+The backward pass is written out by hand, follows its inputs' dtype, and
+is validated in float64 against finite differences (``gradient_check``).
 """
 
 from __future__ import annotations
@@ -82,27 +86,37 @@ class PositionalEncoding:
         L = 16 on uniform points), which is what bounds L by
         MAX_FREQUENCIES. In float32 that is below half an ulp of all but a
         few values in a million, which then round one ulp away.
+
+        The features are formed coordinate-major, one contiguous row of N
+        values per feature, so every ufunc runs over whole rows; one
+        transposing copy into ``out`` rounds them. Each value goes through
+        the same float64 operations as in the row-major form, so it has the
+        same bits.
         """
         x = np.atleast_2d(np.asarray(x, dtype=float))
+        n, L = len(x), self.num_frequencies
         if out is None:
-            out = np.empty((len(x), self.output_dim))
-        col = 0
+            out = np.empty((n, self.output_dim))
+        buf = np.empty((self.output_dim, n))
         if self.include_raw:
-            out[:, :3] = x
-            col = 3
-        ang = np.pi * x
-        s, c = np.sin(ang), np.cos(ang)
-        diff, prod = np.empty_like(s), np.empty_like(s)
-        for k in range(self.num_frequencies):
-            if k:  # double the angle
-                np.subtract(c, s, out=diff)
-                np.multiply(s, c, out=prod)
-                c += s
-                c *= diff
-                np.add(prod, prod, out=s)
-            out[:, col : col + 3] = s
-            out[:, col + 3 : col + 6] = c
-            col += 6
+            buf[:3] = x.T
+        # trig[k, 0] and trig[k, 1]: the (3, N) sines and cosines at 2^k pi.
+        trig = buf[3 * self.include_raw :].reshape(L, 2, 3, n)
+        diff = np.empty((3, n))
+        if L:
+            s, c = trig[0]
+            np.multiply(np.pi, x.T, out=s)
+            np.cos(s, out=c)
+            np.sin(s, out=s)
+        for k in range(1, L):  # double the angle
+            s, c = trig[k - 1]
+            s2, c2 = trig[k]
+            np.subtract(c, s, out=diff)
+            np.multiply(s, c, out=s2)
+            s2 += s2
+            np.add(c, s, out=c2)
+            c2 *= diff
+        out[...] = buf.T
         return out
 
 
@@ -293,24 +307,28 @@ def _softmax(z):
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _loss_and_dz(head, z, y, onehot=None):
+def _loss_and_dz(head, z, y, onehot=None, with_loss=True):
     """Mean loss and its gradient w.r.t. the pre-activation output.
 
     For segmentation, ``y`` holds class indices and ``onehot`` their one-hot
     rows in ``z``'s dtype (built here when not given); the gradient is then
-    ``(p - onehot) / n``.
+    ``(p - onehot) / n``. With ``with_loss`` False the loss is not evaluated
+    and is returned as None; the gradient is the same.
     """
     n = len(z)
+    loss = None
     if head == HEAD_OCCUPANCY:
         p = _sigmoid(z[:, 0])
         yv = y.reshape(-1)
         eps = 1e-12
-        loss = -np.mean(yv * np.log(p + eps) + (1 - yv) * np.log(1 - p + eps))
+        if with_loss:
+            loss = -np.mean(yv * np.log(p + eps) + (1 - yv) * np.log(1 - p + eps))
         dz = ((p - yv) / n)[:, None]
     elif head == HEAD_SEGMENTATION:
         p = _softmax(z)
         idx = y.astype(int).reshape(-1)
-        loss = -np.mean(np.log(p[np.arange(n), idx] + 1e-12))
+        if with_loss:
+            loss = -np.mean(np.log(p[np.arange(n), idx] + 1e-12))
         if onehot is None:
             onehot = np.zeros_like(p)
             onehot[np.arange(n), idx] = 1.0
@@ -322,11 +340,12 @@ def _loss_and_dz(head, z, y, onehot=None):
         # seeds 0-4: at hidden 256, learning rate 0.05 diverges to NaN on
         # seeds 1 and 4; hidden 64 at 0.05, or hidden 256 at 1e-2, trains.
         diff = z - y
-        loss = float(np.mean((diff**2).sum(axis=1)))
+        if with_loss:
+            loss = np.mean((diff**2).sum(axis=1))
         dz = 2.0 * diff / n
     else:
         raise InputError(f"unknown head {head!r}")
-    return float(loss), dz
+    return None if loss is None else float(loss), dz
 
 
 def _first_layer(feat, Wb, out=None):
@@ -349,7 +368,8 @@ def _first_layer(feat, Wb, out=None):
     return h
 
 
-def _forward_backward(params, feat, y, head, hidden=None, onehot=None):
+def _forward_backward(params, feat, y, head, hidden=None, onehot=None,
+                      grads=None, with_loss=True):
     """Batch loss and gradients of ``params = [Wb, W2, b2]``, with ``Wb``
     and ``feat`` as in ``_first_layer``.
 
@@ -361,16 +381,21 @@ def _forward_backward(params, feat, y, head, hidden=None, onehot=None):
     and one column per hidden unit. It holds the hidden layer's
     pre-activation, then its activation, then its gradient, so a training
     step allocates no batch-by-hidden temporaries besides the ReLU mask.
-    ``onehot`` is passed on to ``_loss_and_dz``.
+    ``onehot`` and ``with_loss`` are passed on to ``_loss_and_dz``. The
+    gradients are written into ``grads``, arrays shaped like ``params``,
+    or into new ones when it is None.
     """
     Wb, W2, b2 = params
+    if grads is None:
+        grads = [np.empty_like(p) for p in params]
+    dWb, dW2, db2 = grads
     h = _first_layer(feat, Wb, None if hidden is None else hidden[: len(feat)])
     mask = h > 0
     np.maximum(h, 0.0, out=h)
     z2 = h @ W2 + b2
-    loss, dz2 = _loss_and_dz(head, z2, y, onehot)
-    dW2 = h.T @ dz2
-    db2 = dz2.sum(axis=0)
+    loss, dz2 = _loss_and_dz(head, z2, y, onehot, with_loss)
+    np.matmul(h.T, dz2, out=dW2)
+    np.sum(dz2, axis=0, out=db2)
     # da = dz2 @ W2.T, written over the activation. With one output column
     # that is an outer product: einsum forms each element with the same
     # single multiplication as the k=1 matmul, at a fraction of its cost.
@@ -380,10 +405,9 @@ def _forward_backward(params, feat, y, head, hidden=None, onehot=None):
         np.matmul(dz2, W2.T, out=h)
     # A multiply, not a masked store, so that NaN and inf propagate.
     h *= mask
-    dWb = np.empty_like(Wb)
     np.matmul(feat[:, :-1].T, h, out=dWb[:-1])
     np.sum(h, axis=0, out=dWb[-1])
-    return loss, (dWb, dW2, db2)
+    return loss, grads
 
 
 def _init_params(rng, in_dim, hidden, out_dim):
@@ -392,6 +416,13 @@ def _init_params(rng, in_dim, hidden, out_dim):
     W2 = rng.normal(0.0, np.sqrt(1.0 / hidden), size=(hidden, out_dim))
     b2 = np.zeros(out_dim)
     return [W1, b1, W2, b2]
+
+
+def _views(flat, like):
+    """Consecutive views of the vector ``flat`` shaped like the arrays
+    ``like``."""
+    ends = np.cumsum([a.size for a in like])
+    return [flat[end - a.size : end].reshape(a.shape) for a, end in zip(like, ends)]
 
 
 def _norm_box(points, inflation=0.0):
@@ -420,10 +451,15 @@ def _train(points, y, head, out_dim, cfg: TrainConfig, negatives=None):
     center, half = _norm_box(box, inflation=0.05)
     f32 = np.float32
     W1, b1, W2, b2 = _init_params(rng, enc.output_dim, cfg.hidden_size, out_dim)
-    # b1 is the weight of a constant feature (see _first_layer).
-    params = [np.vstack([W1, b1]).astype(f32), W2.astype(f32), b2.astype(f32)]
-    velocity = [np.zeros_like(p) for p in params]
-    scaled = [np.empty_like(p) for p in params]  # learning_rate * gradient
+    # b1 is the weight of a constant feature (see _first_layer). The
+    # parameters are views of one flat vector, and so are their gradients,
+    # so the momentum step runs over one vector.
+    init = [np.vstack([W1, b1]), W2, b2]
+    flat = np.concatenate([p.astype(f32).reshape(-1) for p in init])
+    grad = np.empty_like(flat)
+    params, grads = _views(flat, init), _views(grad, init)
+    velocity = np.zeros_like(flat)
+    scaled = np.empty_like(flat)  # learning_rate * gradient
     # A NumPy scalar learning rate would promote every step to float64.
     momentum, learning_rate = f32(MOMENTUM), f32(cfg.learning_rate)
 
@@ -445,7 +481,10 @@ def _train(points, y, head, out_dim, cfg: TrainConfig, negatives=None):
         tables.append(onehot)
     gathered = [np.empty_like(t) for t in tables]
     hidden = np.empty((min(BATCH_SIZE, n), cfg.hidden_size), f32)
-    initial_loss = None
+    # Only the first and the last epoch's mean losses are read, so only
+    # those epochs evaluate the loss.
+    losses = []
+    starts = range(0, n, BATCH_SIZE)
     for epoch in range(cfg.epochs):
         if negatives is not None:
             neg = rng.uniform(lo, hi, size=(n_neg, 3))
@@ -453,29 +492,29 @@ def _train(points, y, head, out_dim, cfg: TrainConfig, negatives=None):
         order = rng.permutation(n)
         for t, g in zip(tables, gathered):
             np.take(t, order, axis=0, out=g, mode="clip")
+        with_loss = epoch in (0, cfg.epochs - 1)
         epoch_loss = 0.0
-        nb = 0
-        for s in range(0, n, BATCH_SIZE):
+        for s in starts:
             feat_b, y_b, *onehot_b = (g[s : s + BATCH_SIZE] for g in gathered)
-            loss, grads = _forward_backward(params, feat_b, y_b, head, hidden,
-                                            *onehot_b)
-            epoch_loss += loss
-            nb += 1
-            for p, v, g, lg in zip(params, velocity, grads, scaled):
-                v *= momentum
-                v -= np.multiply(learning_rate, g, out=lg)
-                p += v
-        loss = epoch_loss / nb
-        if initial_loss is None:
-            initial_loss = loss
+            loss, _ = _forward_backward(params, feat_b, y_b, head, hidden,
+                                        onehot_b[0] if onehot_b else None,
+                                        grads, with_loss)
+            if with_loss:
+                epoch_loss += loss
+            velocity *= momentum
+            velocity -= np.multiply(learning_rate, grad, out=scaled)
+            flat += velocity
+        if with_loss:
+            losses.append(epoch_loss / len(starts))
+    initial_loss, loss = losses[0], losses[-1]
     log.info("trained %s head: loss %.4g -> %.4g", head, initial_loss, loss)
     return FieldModel(
         head=head,
         encoding=enc,
         W1=params[0][:-1].copy(),
         b1=params[0][-1].copy(),
-        W2=params[1],
-        b2=params[2],
+        W2=params[1].copy(),
+        b2=params[2].copy(),
         norm_center=center,
         norm_half=half,
         num_classes=out_dim if head == HEAD_SEGMENTATION else 1,

@@ -32,7 +32,8 @@ from jcr.geometry import exp_map, project_to_rotation, rotation_angle
 from jcr.synth import CameraConfig, NoiseProfile
 
 from test_io import _FUZZ
-from util import pose_dataset, zero_confidence_of_view
+from util import (pose_dataset, split_confidence_of_view,
+                  zero_confidence_of_view)
 
 
 def _model_relative_pose(ds, n):
@@ -255,6 +256,15 @@ class TestAlignGlobal:
         ds = pose_dataset(seed=31, num_poses=4, with_pointmaps=True)
         with pytest.raises(DisconnectedGraph, match=r"views \[3\]: .* zero"):
             align_global(zero_confidence_of_view(ds.pairs, 3, maps), ds.graph)
+
+    def test_view_without_initializer_weight_raises(self):
+        # The terms still join view 1's pose to view 0's, but every edge
+        # touching view 1 gives the initializer's Umeyama fit zero weight,
+        # which used to place view 1 at the identity and report convergence.
+        ds = pose_dataset(seed=3, num_poses=3, with_pointmaps=True,
+                          camera=CameraConfig(width=16, height=12))
+        with pytest.raises(DisconnectedGraph, match=r"views \[1\]: "):
+            align_global(split_confidence_of_view(ds.pairs, 1), ds.graph)
 
     def test_missing_edge_prediction_raises(self):
         ds = pose_dataset(seed=35, num_poses=4, with_pointmaps=True)

@@ -20,9 +20,10 @@ from jcr.fields import (
     train_segmentation,
 )
 from jcr.reconstruction import estimate_height
-from jcr.synth import single_axis_trajectory
+from jcr.synth import CameraConfig, single_axis_trajectory
 
-from util import pose_dataset, zero_confidence_of_view
+from util import (pose_dataset, split_confidence_of_view,
+                  zero_confidence_of_view)
 
 
 def _noiseless_manifest(tmp_path, num_poses=6):
@@ -215,6 +216,19 @@ class TestStages:
                      "--out", str(tmp_path / "align")])
         assert code == 3
         assert "views [3]: " in capsys.readouterr().err
+        assert not (tmp_path / "align").exists()
+
+    def test_align_view_without_initializer_weight_exit_3(self, tmp_path,
+                                                          capsys):
+        # No edge touching view 1 has a pixel with both confidences.
+        ds = pose_dataset(seed=3, num_poses=3, with_pointmaps=True,
+                          camera=CameraConfig(width=16, height=12))
+        path = io.save_pair_set(tmp_path / "pairs",
+                                split_confidence_of_view(ds.pairs, 1), ds.graph)
+        code = main(["align", "--pointmaps", str(path),
+                     "--out", str(tmp_path / "align")])
+        assert code == 3
+        assert "views [1]: " in capsys.readouterr().err
         assert not (tmp_path / "align").exists()
 
     @pytest.mark.parametrize("num_poses", ["0", "-1", "2"])

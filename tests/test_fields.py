@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import itertools
 import os
 import subprocess
 import sys
@@ -103,6 +104,38 @@ class TestPositionalEncoding:
         PositionalEncoding(num_frequencies=MAX_FREQUENCIES)
         with pytest.raises(InputError):
             PositionalEncoding(num_frequencies=MAX_FREQUENCIES + 1)
+
+    @pytest.mark.parametrize("L, include_raw", [
+        (L, raw) for L in range(MAX_FREQUENCIES + 1) for raw in (True, False)
+        if raw or L])
+    def test_matches_row_major_form(self, L, include_raw):
+        """The coordinate-major encoding gives the row-major form's bits: in
+        float64 without ``out``, and rounded once into a float32 ``out``
+        that is a column slice, on one row and on QUERY_CHUNK + 1 rows."""
+        enc = PositionalEncoding(L, include_raw)
+        points = _encoder_points(QUERY_CHUNK - 7)
+        for x in (points[:1], points):
+            want = _row_major_encode(x, L, include_raw)
+            got = enc.encode(x)
+            assert got.dtype == np.float64
+            assert np.array_equal(got, want)
+            feat = np.full((len(x), enc.output_dim + 1), 7.0, np.float32)
+            out = feat[:, :-1]
+            assert enc.encode(x, out=out) is out
+            assert np.array_equal(out, want.astype(np.float32))
+            assert (feat[:, -1] == 7.0).all()
+
+
+def _row_major_encode(x, num_frequencies, include_raw=True):
+    """The angle-doubling encoding formed row-major, one (N, 3) block of
+    sines and one of cosines per frequency, in float64."""
+    cols = [x] if include_raw else []
+    s, c = np.sin(np.pi * x), np.cos(np.pi * x)
+    for k in range(num_frequencies):
+        if k:
+            s, c = s * c + s * c, (c + s) * (c - s)
+        cols += [s, c]
+    return np.hstack(cols)
 
 
 def _encoder_points(n=1000):
@@ -572,6 +605,87 @@ def _check_buffered_step(head, out_dim, poison, dtype, rows=37, hidden=16,
             assert np.array_equal(g, w, equal_nan=True)
     if poison:
         assert np.isnan(want[1][0]).any()
+
+
+class TestTrainingLoop:
+    """``_train`` evaluates the loss only in the first and the last epoch,
+    and steps the parameters as views of one flat vector."""
+
+    HEADS = [("occupancy", train_occupancy), ("segmentation", train_segmentation),
+             ("color", train_color)]
+
+    @pytest.fixture(scope="class")
+    def cloud(self):
+        """600 points: a short last batch, as in TestSameIterates."""
+        rng = np.random.default_rng(24)
+        return _Cloud(_box_surface(rng, 600), colors=rng.uniform(0, 1, (600, 3)),
+                      segmentation=rng.choice([1, 4, 6], 600))
+
+    @pytest.mark.parametrize("head, out_dim", [
+        ("occupancy", 1), ("segmentation", 3), ("color", 3),
+    ])
+    @pytest.mark.parametrize("poison", [False, True])
+    def test_step_without_loss(self, head, out_dim, poison):
+        """Without the loss, ``_loss_and_dz`` gives the same dz and
+        ``_forward_backward`` the same gradients, bit for bit, written into
+        the arrays it is given."""
+        feat, params, y = _step_inputs(head, out_dim, np.float32)
+        if poison:
+            params[2][3] = np.inf
+        folded, feat1 = _folded(params, feat)
+        onehot = np.eye(out_dim, dtype=np.float32)[y] if head == "segmentation" else None
+        z = np.random.default_rng(5).normal(0.0, 2.0, (len(y), out_dim)).astype(
+            np.float32)
+        with np.errstate(invalid="ignore", over="ignore"):
+            loss, dz = _loss_and_dz(head, z, y, onehot)
+            skipped, dz_skipped = _loss_and_dz(head, z, y, onehot, False)
+            want = _forward_backward(folded, feat1, y, head, None, onehot)
+            grads = [np.full_like(p, 7.0) for p in folded]
+            got = _forward_backward(folded, feat1, y, head, None, onehot, grads,
+                                    False)
+        assert np.isfinite(loss) and skipped is None
+        assert np.array_equal(dz_skipped, dz)
+        assert got[0] is None and got[1] is grads
+        for g, w in zip(grads, want[1]):
+            assert np.array_equal(g, w, equal_nan=True)
+
+    @pytest.mark.parametrize("head, train", HEADS)
+    @pytest.mark.parametrize("epochs", [1, 2])
+    @pytest.mark.parametrize("hidden", [24, 32])
+    def test_short_runs_match_reference(self, cloud, head, train, epochs,
+                                        hidden):
+        """With one epoch the first is the last; with two, no epoch lies
+        between them. Hidden 32 folds the bias into the first product, 24
+        does not."""
+        cfg = TrainConfig(epochs=epochs, hidden_size=hidden, seed=3)
+        model = train(cloud, cfg)
+        params, initial, final = _reference_train(head, cloud, cfg)
+        for got, want in zip((model.W1, model.b1, model.W2, model.b2), params):
+            assert np.array_equal(got, want)
+        assert model.initial_loss == initial
+        assert model.final_loss == final
+
+    def test_loss_only_in_first_and_last_epoch(self, monkeypatch, cloud):
+        calls, loss_and_dz = [], fields._loss_and_dz
+
+        def spy(*args):
+            calls.append(args[-1])
+            return loss_and_dz(*args)
+
+        monkeypatch.setattr(fields, "_loss_and_dz", spy)
+        train_color(cloud, TrainConfig(epochs=5, hidden_size=8))
+        # 600 points: two batches per epoch.
+        assert calls == [True] * 2 + [False] * 6 + [True] * 2
+
+    @pytest.mark.parametrize("train", [train_occupancy, train_segmentation,
+                                       train_color])
+    def test_model_arrays_share_no_memory(self, cloud, train):
+        """The model's weights are copies, not views of the flat vector."""
+        model = train(cloud, TrainConfig(epochs=1, hidden_size=8))
+        arrays = (model.W1, model.b1, model.W2, model.b2)
+        for a, b in itertools.combinations(arrays, 2):
+            assert not np.shares_memory(a, b)
+        assert all(a.flags.owndata for a in arrays)
 
 
 class TestFloat32Training:

@@ -39,6 +39,24 @@ def zero_confidence_of_view(pairs, view, maps=("self", "other")):
         for k in maps}) for p in pairs]
 
 
+def split_confidence_of_view(pairs, view):
+    """``pairs`` with every self-map confidence zero on the bottom half of
+    the image and, on the edges touching ``view``, every other-map
+    confidence zero on the top half. Terms of nonzero confidence still join
+    the view's pose to view 0's, but no pixel of an edge that touches it
+    has both a self-map and an other-map confidence."""
+    out = []
+    for p in pairs:
+        top = np.arange(p.height) < p.height // 2
+        conf_self = np.where(top[:, None], p.confidence_self, 0.0)
+        conf_other = p.confidence_other
+        if view in (p.n, p.m):
+            conf_other = np.where(top[:, None], 0.0, conf_other)
+        out.append(dataclasses.replace(p, confidence_self=conf_self,
+                                       confidence_other=conf_other))
+    return out
+
+
 def consistent_motion_pairs(rng, num_pairs, calib: Pose, scale,
                             rot_scale=0.8, trans_scale=0.3):
     """Motion pairs satisfying T_E X = X T_P(scale) exactly.
