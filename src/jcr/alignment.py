@@ -35,8 +35,9 @@ bit for bit, as with one group per call and every trial run to the end.
 The result reports why the descent stopped (``stop_reason``).
 Gauge: P_0 (view 0's pose) = identity and sigma of the first edge = 1.
 A view's pose enters the objective only through the edges whose reference
-view n it is, and only through their terms of nonzero confidence; these
-terms must join every view's pose to view 0's.
+view n it is, and only through their terms of nonzero confidence. The
+initializer's spanning tree places a view only through such terms, so a
+view that it cannot place is refused (``DisconnectedGraph``).
 """
 
 from __future__ import annotations
@@ -110,24 +111,6 @@ class PairGraph:
                     f"pair graph edge {e} is not a pair of views "
                     f"0..{self.num_views - 1}")
 
-    def reached(self):
-        """The views that edges join to view 0."""
-        adj = {v: set() for v in range(self.num_views)}
-        for n, m in self.edges:
-            adj[n].add(m)
-            adj[m].add(n)
-        seen = {0}
-        stack = [0]
-        while stack:
-            for nb in adj[stack.pop()]:
-                if nb not in seen:
-                    seen.add(nb)
-                    stack.append(nb)
-        return seen
-
-    def is_connected(self):
-        return len(self.reached()) == self.num_views
-
 
 # default_pair_graph: complete up to this many views, else a sliding
 # window that pairs views less than PAIR_WINDOW apart.
@@ -180,7 +163,9 @@ class AlignmentResult:
 
 def _weighted_umeyama(src, dst, w):
     """Similarity (s, R, t) with dst ~= s R src + t, confidence-weighted;
-    None when the weights sum to zero, so that nothing determines it."""
+    None when nothing determines it: the weights sum to zero, or the
+    weighted covariance has rank below 2 (Umeyama's condition), as for
+    collinear points."""
     w = w.reshape(-1)
     wsum = w.sum()
     if wsum <= 0:
@@ -191,11 +176,13 @@ def _weighted_umeyama(src, dst, w):
     dst_c = dst - mu_d
     cov = (w[:, None] * dst_c).T @ src_c / wsum
     U, S, Vt = np.linalg.svd(cov)
+    if S[1] <= 1e-8 * S[0]:
+        return None
     d = np.sign(np.linalg.det(U @ Vt))
     D = np.diag([1.0, 1.0, d])
     R = U @ D @ Vt
     var_s = (w * (src_c**2).sum(1)).sum() / wsum
-    s = float(np.trace(np.diag(S) @ D) / var_s) if var_s > 0 else 1.0
+    s = float(np.trace(np.diag(S) @ D) / var_s)
     t = mu_d - s * (R @ mu_s)
     return s, R, t
 
@@ -207,9 +194,11 @@ def _initialize(preds, num_views):
     corresponding them with view m's self-map (from the first edge that m
     is the reference view of) gives the frame-m -> frame-n similarity via
     weighted Umeyama, with the product of the two confidences as weights.
-    Every view must be a reference view, as ``align_global`` checks. The
-    spanning tree skips an edge whose weights sum to zero, and a view that
-    no other edge reaches raises DisconnectedGraph. Returns rotations
+    The spanning tree skips an edge whose view m is no edge's reference
+    view or whose fit nothing determines (``_weighted_umeyama``). This tree
+    is the one test of which views are determined: a view it places is
+    tied to a placed view by terms of nonzero confidence, and a view it
+    does not place raises DisconnectedGraph. Returns rotations
     (V, 3, 3), translations (V, 3), per-edge scales, pointmaps (V, H, W, 3)
     and confidences (V, H, W).
     """
@@ -227,7 +216,9 @@ def _initialize(preds, num_views):
         for p in candidates:
             if (p.n in sims) == (p.m in sims):
                 continue
-            self_m = self_maps[p.m]
+            self_m = self_maps.get(p.m)
+            if self_m is None:
+                continue
             sim = _weighted_umeyama(  # m -> n
                 self_m.pointmap_self.reshape(-1, 3),
                 p.pointmap_other.reshape(-1, 3),
@@ -246,8 +237,10 @@ def _initialize(preds, num_views):
     unplaced = sorted(set(range(num_views)) - set(sims))
     if unplaced:
         raise DisconnectedGraph(
-            f"cannot initialize views {unplaced}: every edge that joins them "
-            "to a placed view has zero self-map times other-map confidence")
+            f"nothing determines the pose of views {unplaced}: no edge joins "
+            "them to view 0, they are no edge's reference view, or every edge "
+            "that joins them to a placed view has zero self-map times "
+            "other-map confidence, or has it only on collinear points")
 
     rotations = np.array([sims[v][1] for v in range(num_views)])
     # The model predicts sigma_e (R x + t), so with sigma_e ~ s_n the pose
@@ -474,12 +467,11 @@ def align_global(preds, graph: PairGraph | None = None):
     predictions for one edge, an edge with a view outside the graph, a
     graph that lists an edge twice, a graph edge without a prediction or a
     view whose pointmaps differ in size between edges, and
-    DisconnectedGraph when the graph does not connect all views, or terms
-    of nonzero confidence do not join a view's pose to view 0's (it is no
-    edge's reference view, or the confidence on the way is zero): nothing
-    then determines its pose. It is raised too for a view that the
-    initializer's spanning tree reaches only through edges whose self-map
-    times other-map confidence is zero everywhere (``_initialize``).
+    DisconnectedGraph for a view that the initializer's spanning tree
+    cannot place (``_initialize``): no edge joins it to view 0, it is no
+    edge's reference view, or every edge that joins it to a placed view
+    has zero self-map times other-map confidence, or has it only on
+    collinear points. Nothing then determines its pose.
     """
     if not preds:
         raise InputError("no pairwise predictions")
@@ -507,24 +499,6 @@ def align_global(preds, graph: PairGraph | None = None):
                 raise InputError(
                     f"view {v} is {p.height}x{p.width} in edge ({p.n},{p.m}) "
                     f"but {size[0]}x{size[1]} in another edge")
-    if not graph.is_connected():
-        raise DisconnectedGraph("pair graph does not connect all views")
-    # A term of edge (n, m) with nonzero confidence ties pose n to view n's
-    # global pointmap (the self-map) or to view m's (the other map). In the
-    # graph of poses 0..V-1 and pointmaps V..2V-1 these ties form, a pose
-    # that they do not join to pose 0 (the gauge) is free.
-    V = graph.num_views
-    ties = PairGraph(2 * V, tuple(
-        (p.n, V + view) for p in preds
-        for view, conf in ((p.n, p.confidence_self), (p.m, p.confidence_other))
-        if conf.any()))
-    free = sorted(set(range(V)) - ties.reached())
-    if free:
-        raise DisconnectedGraph(
-            f"nothing determines the pose of views {free}: they are no edge's "
-            "reference view, or the edges that join them to view 0 carry zero "
-            "confidence")
-
     rotations, translations, sigmas, pointmaps, confidences = _initialize(
         preds, graph.num_views
     )
@@ -538,7 +512,7 @@ def align_global(preds, graph: PairGraph | None = None):
     n_terms = sum(2 * p.height * p.width for p in preds)
     floor = ABS_FLOOR_PER_TERM * n_terms
     ev = _Evaluation(_terms(preds), graph.num_views)
-    shape = pointmaps.shape[1:]  # every view's: checked above, graph connected
+    shape = pointmaps.shape[1:]  # every view's: checked above, every view placed
     # (V, 3, HW) until the descent ends.
     pointmaps = _pixels_last(pointmaps / s0)
     # The line search writes its trial pointmaps here; an accepted trial

@@ -533,10 +533,10 @@ def _check_config(cfg):
             raise InputError(f"TrainConfig.{name} must be an integer >= {low}, got {v!r}")
     for name in ("learning_rate", "negatives_per_positive"):
         v = getattr(cfg, name)
-        if not isinstance(v, (int, float, np.number)) or not np.isfinite(v):
-            raise InputError(f"TrainConfig.{name} must be a finite number, got {v!r}")
-    if cfg.negatives_per_positive <= 0:
-        raise InputError("TrainConfig.negatives_per_positive must be positive")
+        if (not isinstance(v, (int, float, np.number)) or not np.isfinite(v)
+                or v <= 0):
+            raise InputError(
+                f"TrainConfig.{name} must be a finite positive number, got {v!r}")
 
 
 def _training_inputs(cloud, cfg):

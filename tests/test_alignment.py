@@ -1,11 +1,12 @@
 """Global alignment of pairwise pointmaps."""
 
+import dataclasses
 import logging
 import re
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from jcr import alignment
@@ -32,7 +33,7 @@ from jcr.geometry import exp_map, project_to_rotation, rotation_angle
 from jcr.synth import CameraConfig, NoiseProfile
 
 from test_io import _FUZZ
-from util import (pose_dataset, split_confidence_of_view,
+from util import (connected, pose_dataset, split_confidence_of_view,
                   zero_confidence_of_view)
 
 
@@ -113,11 +114,11 @@ class TestPairGraph:
 
     def test_connected(self):
         g = PairGraph(3, ((0, 1), (1, 2)))
-        assert g.is_connected()
+        assert connected(g)
 
     def test_disconnected(self):
         g = PairGraph(4, ((0, 1), (2, 3)))
-        assert not g.is_connected()
+        assert not connected(g)
 
     def test_default_complete_for_small(self):
         g = default_pair_graph(5)
@@ -126,7 +127,7 @@ class TestPairGraph:
     def test_default_windowed_for_large(self):
         g = default_pair_graph(20)
         assert all(abs(n - m) < 5 for n, m in g.edges)
-        assert g.is_connected()
+        assert connected(g)
 
 
 def _two_identical_views():
@@ -192,7 +193,7 @@ class TestAlignGlobal:
         )
         removed = pairs[:victim] + pairs[victim + 1 :]
         g_removed = PairGraph(4, tuple((q.n, q.m) for q in removed))
-        assert g_removed.is_connected()
+        assert connected(g_removed)
         res_a = align_global(zeroed)
         res_b = align_global(removed, g_removed)
         for pa, pb in zip(res_a.poses, res_b.poses):
@@ -243,7 +244,7 @@ class TestAlignGlobal:
         ds = pose_dataset(seed=31, num_poses=4, with_pointmaps=True)
         sub = [p for p in ds.pairs if p.n != 3]
         graph = PairGraph(4, tuple((p.n, p.m) for p in sub))
-        assert graph.is_connected()
+        assert connected(graph)
         with pytest.raises(DisconnectedGraph, match=r"views \[3\]"):
             align_global(sub, graph)
 
@@ -265,6 +266,17 @@ class TestAlignGlobal:
                           camera=CameraConfig(width=16, height=12))
         with pytest.raises(DisconnectedGraph, match=r"views \[1\]: "):
             align_global(split_confidence_of_view(ds.pairs, 1), ds.graph)
+
+    @pytest.mark.parametrize("keep", [1, 2])
+    def test_view_placed_by_collinear_points_raises(self, keep):
+        # Every edge touching view 1 gives the initializer's Umeyama fit
+        # weight at only `keep` points of one row, which lie on a line, so
+        # that they determine no rotation.
+        ds = pose_dataset(seed=3, num_poses=3, with_pointmaps=True,
+                          camera=CameraConfig(width=16, height=12))
+        with pytest.raises(DisconnectedGraph, match=r"views \[1\]: "):
+            align_global(split_confidence_of_view(ds.pairs, 1, keep=keep),
+                         ds.graph)
 
     def test_missing_edge_prediction_raises(self):
         ds = pose_dataset(seed=35, num_poses=4, with_pointmaps=True)
@@ -301,22 +313,64 @@ class TestAlignGlobal:
             align_global(ds.pairs, graph)
 
 
+def _keep_confidence(conf, region, strip):
+    """``conf`` zero outside ``region`` (``"whole"``, the ``"top"`` or
+    ``"bottom"`` half, or ``"none"``), except at the first ``strip`` pixels
+    of the bottom half's first row."""
+    half = len(conf) // 2
+    keep = np.zeros(conf.shape, bool)
+    keep[{"whole": slice(None), "top": slice(half), "bottom": slice(half, None),
+          "none": slice(0)}[region]] = True
+    keep[half, :strip] = True
+    return np.where(keep, conf, 0.0)
+
+
+# One edge's edit: whether the edge is kept, and (region, strip) of
+# ``_keep_confidence`` for its self map and for its other map.
+_MAP_EDIT = st.tuples(st.sampled_from(["whole", "top", "bottom", "none"]),
+                      st.integers(0, 8))
+_EDGE_EDIT = st.tuples(st.booleans(), _MAP_EDIT, _MAP_EDIT)
+
+
+def _split_view_1(k):
+    """The 3-view scene's edits that ``split_confidence_of_view(pairs, 1,
+    keep=k)`` makes, padded to 12 edges: the edges touching view 1 have
+    both confidences only at k points of one row, which lie on a line."""
+    touching = (True, ("top", k), ("bottom", 0))
+    other = (True, ("top", 0), ("whole", 0))
+    return [touching, other, touching, touching, other, touching] + [other] * 6
+
+
 class TestEdgeSubsets:
-    """On any subset of the noiseless 4-view scene's edges, ``align_global``
-    either refuses the graph or recovers every pose: it never returns a pose
-    that no edge determines."""
+    """On any subset of the edges of a noiseless scene (the seed-31 4-view
+    scene, or the seed-3 3-view 16x12 one, which reads the first six
+    edits), with each kept edge's self and other confidence maps whole,
+    zeroed, half-zeroed or reduced to a strip of one row, ``align_global``
+    either refuses the input or recovers every pose: it never returns a
+    pose that nothing determines."""
 
     @pytest.fixture(scope="class")
-    def scene(self):
-        return pose_dataset(seed=31, num_poses=4, with_pointmaps=True)
+    def scenes(self):
+        return (pose_dataset(seed=31, num_poses=4, with_pointmaps=True),
+                pose_dataset(seed=3, num_poses=3, with_pointmaps=True,
+                             camera=CameraConfig(width=16, height=12)))
 
     @_FUZZ
-    @given(keep=st.lists(st.booleans(), min_size=12, max_size=12))
-    def test_refused_or_recovered(self, scene, keep):
-        sub = [p for p, k in zip(scene.pairs, keep, strict=True) if k]
+    @given(three_views=st.booleans(),
+           edits=st.lists(_EDGE_EDIT, min_size=12, max_size=12))
+    @example(three_views=True, edits=_split_view_1(1))
+    @example(three_views=True, edits=_split_view_1(2))
+    @example(three_views=True, edits=_split_view_1(3))
+    def test_refused_or_recovered(self, scenes, three_views, edits):
+        scene = scenes[three_views]
+        sub = [dataclasses.replace(
+            p, confidence_self=_keep_confidence(p.confidence_self, *self_map),
+            confidence_other=_keep_confidence(p.confidence_other, *other_map))
+            for p, (kept, self_map, other_map) in zip(scene.pairs, edits)
+            if kept]
         try:
-            result = align_global(sub, PairGraph(4, tuple((p.n, p.m)
-                                                          for p in sub)))
+            result = align_global(sub, PairGraph(
+                scene.graph.num_views, tuple((p.n, p.m) for p in sub)))
         except (InputError, DisconnectedGraph):
             return
         _assert_poses_recovered(scene, result.poses)

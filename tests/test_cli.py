@@ -231,6 +231,21 @@ class TestStages:
         assert "views [1]: " in capsys.readouterr().err
         assert not (tmp_path / "align").exists()
 
+    @pytest.mark.parametrize("keep", [1, 2])
+    def test_align_view_placed_by_collinear_points_exit_3(self, tmp_path,
+                                                          capsys, keep):
+        # Every edge touching view 1 has both confidences at only `keep`
+        # points of one row, which lie on a line.
+        ds = pose_dataset(seed=3, num_poses=3, with_pointmaps=True,
+                          camera=CameraConfig(width=16, height=12))
+        pairs = split_confidence_of_view(ds.pairs, 1, keep=keep)
+        path = io.save_pair_set(tmp_path / "pairs", pairs, ds.graph)
+        code = main(["align", "--pointmaps", str(path),
+                     "--out", str(tmp_path / "align")])
+        assert code == 3
+        assert "views [1]: " in capsys.readouterr().err
+        assert not (tmp_path / "align").exists()
+
     @pytest.mark.parametrize("num_poses", ["0", "-1", "2"])
     def test_synth_too_few_poses_exit_2(self, tmp_path, capsys, num_poses):
         code = main(["synth", "--out", str(tmp_path / "synth"),

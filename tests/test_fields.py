@@ -738,7 +738,8 @@ class TestTrainingInputs:
     @pytest.mark.parametrize("change", [
         {"hidden_size": 0}, {"hidden_size": 2.5}, {"epochs": 0}, {"epochs": 2.5},
         {"epochs": True}, {"seed": -1}, {"learning_rate": float("nan")},
-        {"learning_rate": "0.1"}, {"negatives_per_positive": -3.0},
+        {"learning_rate": "0.1"}, {"learning_rate": 0.0},
+        {"learning_rate": -0.01}, {"negatives_per_positive": -3.0},
         {"negatives_per_positive": 0.0},
         {"negatives_per_positive": float("inf")},
     ])

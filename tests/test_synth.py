@@ -22,7 +22,7 @@ from jcr.synth import (
     view_sphere_trajectory,
 )
 
-from util import pose_dataset, rotation_error
+from util import connected, pose_dataset, rotation_error
 
 
 def _camera_above(height):
@@ -163,7 +163,7 @@ class TestGenerateDataset:
             with_pointmaps=True,
             noise=NoiseProfile(dropout=0.95),
         )
-        assert ds.graph.is_connected()
+        assert connected(ds.graph)
         assert len(ds.pairs) < 30  # most non-chain edges dropped
 
     def test_confidence_range_and_misses(self):

@@ -39,12 +39,14 @@ def zero_confidence_of_view(pairs, view, maps=("self", "other")):
         for k in maps}) for p in pairs]
 
 
-def split_confidence_of_view(pairs, view):
+def split_confidence_of_view(pairs, view, keep=0):
     """``pairs`` with every self-map confidence zero on the bottom half of
     the image and, on the edges touching ``view``, every other-map
     confidence zero on the top half. Terms of nonzero confidence still join
     the view's pose to view 0's, but no pixel of an edge that touches it
-    has both a self-map and an other-map confidence."""
+    has both a self-map and an other-map confidence, except that such an
+    edge keeps both at the first ``keep`` pixels of the bottom half's first
+    row where both are positive: points on one line."""
     out = []
     for p in pairs:
         top = np.arange(p.height) < p.height // 2
@@ -52,9 +54,27 @@ def split_confidence_of_view(pairs, view):
         conf_other = p.confidence_other
         if view in (p.n, p.m):
             conf_other = np.where(top[:, None], 0.0, conf_other)
+            row = p.height // 2
+            both = (p.confidence_self[row] > 0) & (p.confidence_other[row] > 0)
+            cols = np.flatnonzero(both)[:keep]
+            conf_self[row, cols] = p.confidence_self[row, cols]
+            conf_other[row, cols] = p.confidence_other[row, cols]
         out.append(dataclasses.replace(p, confidence_self=conf_self,
                                        confidence_other=conf_other))
     return out
+
+
+def connected(graph):
+    """Whether the edges of ``graph`` join every view to view 0."""
+    seen, stack = {0}, [0]
+    while stack:
+        v = stack.pop()
+        for e in graph.edges:
+            if v in e:
+                for nb in set(e) - seen:
+                    seen.add(nb)
+                    stack.append(nb)
+    return len(seen) == graph.num_views
 
 
 def consistent_motion_pairs(rng, num_pairs, calib: Pose, scale,
