@@ -459,14 +459,14 @@ def align_global(preds, graph: PairGraph | None = None):
     objective only. ``stop_reason`` says why the loop ended: ``"floor"``
     (objective at the noiseless floor), ``"tolerance"`` (relative decrease
     below ``TOL``), ``"line_search"`` (no trial lowered the objective) or
-    ``"budget"`` (``MAX_ITERS`` used up). ``converged`` is False when the
-    budget runs out while the objective is still moving by more than 100x
-    ``TOL``.
+    ``"budget"`` (``MAX_ITERS`` used up). ``converged`` is True when the
+    descent stopped before its budget, for any of the first three reasons.
 
     Raises InputError for no predictions, fewer than 2 views, two
     predictions for one edge, an edge with a view outside the graph, a
-    graph that lists an edge twice, a graph edge without a prediction or a
-    view whose pointmaps differ in size between edges, and
+    graph that lists an edge twice, a graph edge without a prediction, a
+    prediction whose edge the graph does not list or a view whose
+    pointmaps differ in size between edges, and
     DisconnectedGraph for a view that the initializer's spanning tree
     cannot place (``_initialize``): no edge joins it to view 0, it is no
     edge's reference view, or every edge that joins it to a placed view
@@ -490,6 +490,9 @@ def align_global(preds, graph: PairGraph | None = None):
     missing = [e for e in graph.edges if e not in by_edge]
     if missing:
         raise InputError(f"graph edges without predictions: {missing[:5]}")
+    unlisted = sorted(by_edge.keys() - set(graph.edges))
+    if unlisted:
+        raise InputError(f"predictions for edges the graph lacks: {unlisted[:5]}")
     preds = [by_edge[e] for e in graph.edges]
     sizes = {}
     for p in preds:
@@ -521,9 +524,7 @@ def align_global(preds, graph: PairGraph | None = None):
     step = STEP
     obj = ev.objective(rotations, translations, log_sigmas, pointmaps)
     trace = [obj]
-    converged = True
     stop_reason = "budget"
-    last_rel = 0.0
     for it in range(MAX_ITERS):
         if obj <= floor:
             stop_reason = "floor"
@@ -562,12 +563,7 @@ def align_global(preds, graph: PairGraph | None = None):
             stop_reason = "tolerance"
             break
     else:
-        if last_rel > 100.0 * TOL:
-            converged = False
-            log.warning(
-                "alignment hit MAX_ITERS=%d with relative change %.3g",
-                MAX_ITERS, last_rel,
-            )
+        log.warning("alignment used up its budget of MAX_ITERS=%d", MAX_ITERS)
     log.info(
         "alignment stopped (%s) after %d iterations, objective %.6g, "
         "%d objective evaluations (%d stopped early)",
@@ -587,7 +583,7 @@ def align_global(preds, graph: PairGraph | None = None):
         confidences=list(confidences),
         objective=obj,
         objective_trace=np.array(trace),
-        converged=converged,
+        converged=stop_reason != "budget",
         stop_reason=stop_reason,
         graph=graph,
     )

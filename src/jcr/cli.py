@@ -74,9 +74,6 @@ def _write_artifact(path, payload, config, seed):
 
 
 def _stage_synth(cfg, out_dir, seed):
-    out_dir.mkdir(parents=True, exist_ok=True)
-    rng = np.random.default_rng(seed)
-    scene = tabletop_scene()
     traj = TrajectoryConfig(num_poses=int(cfg.get("num_poses", 10)))
     if "hidden" in cfg:
         h = cfg["hidden"]
@@ -86,15 +83,16 @@ def _stage_synth(cfg, out_dir, seed):
             Pose.from_matrix(np.array(h["calib"])), float(h["scale"])
         )
     else:
-        hidden = HiddenParams.random(rng)
+        hidden = HiddenParams.random(np.random.default_rng(seed))
     noise_cfg = cfg.get("noise", {})
     if noise_cfg == "zero":
         noise = NoiseProfile.zero()
     else:
         noise = NoiseProfile(**noise_cfg)
     camera = CameraConfig(**cfg.get("camera", {}))
+    out_dir.mkdir(parents=True, exist_ok=True)  # once every setting is checked
     ds = generate_dataset(
-        scene, traj, hidden, noise, seed=seed, camera=camera
+        tabletop_scene(), traj, hidden, noise, seed=seed, camera=camera
     )
     io.save_poses(out_dir / "ee_poses.json", ds.ee_poses)
     io.save_poses(out_dir / "camera_poses.json", ds.camera_poses)
@@ -168,23 +166,27 @@ def _stage_reconstruct(align_result, ee_poses, calib, out_dir, seed,
     return cloud
 
 
-def _stage_fields(cloud, cfg, out_dir, seed):
-    out_dir.mkdir(parents=True, exist_ok=True)
+def _field_configs(cfg, seed):
+    """TrainConfigs of the fields stage: for occupancy and segmentation, for color."""
     train_cfg = TrainConfig(
         seed=seed,
         epochs=int(cfg.get("epochs", 60)),
         hidden_size=int(cfg.get("hidden_size", 256)),
         learning_rate=float(cfg.get("learning_rate", 1e-2)),
     )
-    models = {}
-    models["occupancy"] = train_occupancy(cloud, train_cfg)
+    try:
+        return train_cfg, dataclasses.replace(
+            train_cfg, learning_rate=float(cfg.get("color_learning_rate", 0.05)))
+    except InputError as exc:
+        raise InputError(f"manifest key fields.color_learning_rate: {exc}") from None
+
+
+def _stage_fields(cloud, train_cfg, color_cfg, out_dir):
+    out_dir.mkdir(parents=True, exist_ok=True)
+    models = {"occupancy": train_occupancy(cloud, train_cfg)}
     if cloud.segmentation is not None and len(np.unique(cloud.segmentation)) > 1:
         models["segmentation"] = train_segmentation(cloud, train_cfg)
     if cloud.colors is not None:
-        color_cfg = dataclasses.replace(
-            train_cfg,
-            learning_rate=float(cfg.get("color_learning_rate", 0.05)),
-        )
         models["color"] = train_color(cloud, color_cfg)
     _require_finite_loss(*models.values())
     for name, model in models.items():
@@ -461,7 +463,11 @@ def cmd_run(args):
     try:
         inputs = [k for k in ("ee_poses", "pointmaps", "labels")
                   if k in manifest]
-        if "synth" in manifest or not inputs:
+        if "synth" in manifest and inputs:
+            raise InputError(f"manifest keys synth and {', '.join(inputs)}: "
+                             "a run synthesizes its inputs or reads them, not both")
+        field_configs = _field_configs(manifest.get("fields", {}), seed)
+        if not inputs:
             stage = "synth"
             ds = _stage_synth(manifest.get("synth", {}), out / "synth", seed)
             ee_poses = ds.ee_poses
@@ -469,7 +475,6 @@ def cmd_run(args):
             colors = ds.color_images
             segs = ds.segmentation_images
         else:
-            stage = "input"
             for key in ("ee_poses", "pointmaps"):
                 if key not in manifest:
                     raise InputError(
@@ -495,7 +500,7 @@ def cmd_run(args):
             force=args.force_uncalibrated,
         )
         stage = "train-field"
-        _stage_fields(cloud, manifest.get("fields", {}), out / "fields", seed)
+        _stage_fields(cloud, *field_configs, out / "fields")
     except JCRError as exc:
         print(f"error in stage {stage}: {exc}", file=sys.stderr)
         return _exit_code_for(exc)

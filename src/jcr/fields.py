@@ -8,13 +8,16 @@ epsilons (``PositionalEncoding.encode``); it is formed coordinate-major,
 one contiguous row per feature, and transposed once into the features.
 Training is deterministic mini-batch gradient descent with momentum, in
 float32: the weights, the features (computed in float64 and rounded once)
-and the targets. The weights are views of one flat vector, and so are
-their gradients, so the momentum step is one update of that vector. Only
-the first and the last epoch evaluate the loss, the two that
-``initial_loss`` and ``final_loss`` report. A model keeps and saves its
-float32 weights, so a saved model queries bit for bit like the trained one.
-The backward pass is written out by hand, follows its inputs' dtype, and
-is validated in float64 against finite differences (``gradient_check``).
+and the float targets. Every head steps through ``_forward_backward`` on
+its features and targets alone; segmentation's targets are class indices,
+from which ``_loss_and_dz`` forms the gradient in place. The weights are
+views of one flat vector, and so are their gradients, so the momentum step
+is one update of that vector. Only the first and the last epoch evaluate
+the loss, the two that ``initial_loss`` and ``final_loss`` report. A model
+keeps and saves its float32 weights, so a saved model queries bit for bit
+like the trained one. The backward pass is written out by hand, follows its
+inputs' dtype, and is validated in float64 against finite differences
+(``gradient_check``).
 """
 
 from __future__ import annotations
@@ -122,12 +125,26 @@ class PositionalEncoding:
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Training settings, checked when made: a bad value raises InputError."""
+
     learning_rate: float = 1e-2
     epochs: int = 200
     seed: int = 0
     hidden_size: int = 256
     # Occupancy-only: free-space negatives drawn per positive point.
     negatives_per_positive: float = 1.0
+
+    def __post_init__(self):
+        for name, low in (("epochs", 1), ("hidden_size", 1), ("seed", 0)):
+            v = getattr(self, name)
+            if not isinstance(v, (int, np.integer)) or isinstance(v, bool) or v < low:
+                raise InputError(
+                    f"TrainConfig.{name} must be an integer >= {low}, got {v!r}")
+        for name in ("learning_rate", "negatives_per_positive"):
+            v = getattr(self, name)
+            if not (isinstance(v, (int, float, np.number)) and 0 < v < np.inf):
+                raise InputError(
+                    f"TrainConfig.{name} must be a finite positive number, got {v!r}")
 
 
 @dataclass
@@ -307,13 +324,14 @@ def _softmax(z):
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _loss_and_dz(head, z, y, onehot=None, with_loss=True):
+def _loss_and_dz(head, z, y, with_loss=True):
     """Mean loss and its gradient w.r.t. the pre-activation output.
 
-    For segmentation, ``y`` holds class indices and ``onehot`` their one-hot
-    rows in ``z``'s dtype (built here when not given); the gradient is then
-    ``(p - onehot) / n``. With ``with_loss`` False the loss is not evaluated
-    and is returned as None; the gradient is the same.
+    For segmentation, ``y`` holds class indices; the gradient
+    ``(p - I[y]) / n``, I the identity, is formed in place by subtracting 1
+    at each row's class, which gives the bits of subtracting one-hot rows
+    (x - 0 is x). With ``with_loss`` False the loss is not evaluated and is
+    returned as None; the gradient is the same.
     """
     n = len(z)
     loss = None
@@ -325,14 +343,11 @@ def _loss_and_dz(head, z, y, onehot=None, with_loss=True):
             loss = -np.mean(yv * np.log(p + eps) + (1 - yv) * np.log(1 - p + eps))
         dz = ((p - yv) / n)[:, None]
     elif head == HEAD_SEGMENTATION:
-        p = _softmax(z)
-        idx = y.astype(int).reshape(-1)
+        dz = _softmax(z)
+        rows, idx = np.arange(n), y.astype(int).reshape(-1)
         if with_loss:
-            loss = -np.mean(np.log(p[np.arange(n), idx] + 1e-12))
-        if onehot is None:
-            onehot = np.zeros_like(p)
-            onehot[np.arange(n), idx] = 1.0
-        dz = np.subtract(p, onehot, out=p)
+            loss = -np.mean(np.log(dz[rows, idx] + 1e-12))
+        dz[rows, idx] -= 1.0
         dz /= n
     elif head == HEAD_COLOR:
         # Squared L2 per sample, averaged over the batch. Its gradients run
@@ -368,8 +383,8 @@ def _first_layer(feat, Wb, out=None):
     return h
 
 
-def _forward_backward(params, feat, y, head, hidden=None, onehot=None,
-                      grads=None, with_loss=True):
+def _forward_backward(params, feat, y, head, hidden=None, grads=None,
+                      with_loss=True):
     """Batch loss and gradients of ``params = [Wb, W2, b2]``, with ``Wb``
     and ``feat`` as in ``_first_layer``.
 
@@ -381,9 +396,9 @@ def _forward_backward(params, feat, y, head, hidden=None, onehot=None,
     and one column per hidden unit. It holds the hidden layer's
     pre-activation, then its activation, then its gradient, so a training
     step allocates no batch-by-hidden temporaries besides the ReLU mask.
-    ``onehot`` and ``with_loss`` are passed on to ``_loss_and_dz``. The
-    gradients are written into ``grads``, arrays shaped like ``params``,
-    or into new ones when it is None.
+    ``with_loss`` is passed on to ``_loss_and_dz``. The gradients are
+    written into ``grads``, arrays shaped like ``params``, or into new ones
+    when it is None.
     """
     Wb, W2, b2 = params
     if grads is None:
@@ -393,7 +408,7 @@ def _forward_backward(params, feat, y, head, hidden=None, onehot=None,
     mask = h > 0
     np.maximum(h, 0.0, out=h)
     z2 = h @ W2 + b2
-    loss, dz2 = _loss_and_dz(head, z2, y, onehot, with_loss)
+    loss, dz2 = _loss_and_dz(head, z2, y, with_loss)
     np.matmul(h.T, dz2, out=dW2)
     np.sum(dz2, axis=0, out=db2)
     # da = dz2 @ W2.T, written over the activation. With one output column
@@ -474,12 +489,7 @@ def _train(points, y, head, out_dim, cfg: TrainConfig, negatives=None):
         y = np.concatenate([y, np.zeros(n_neg, y.dtype)])
     # Each epoch gathers its permutation of the rows once; batches are
     # slices of the gathered rows.
-    tables = [feat, y]
-    if head == HEAD_SEGMENTATION:
-        onehot = np.zeros((n, out_dim), f32)
-        onehot[np.arange(n), y] = 1.0
-        tables.append(onehot)
-    gathered = [np.empty_like(t) for t in tables]
+    gathered = [np.empty_like(t) for t in (feat, y)]
     hidden = np.empty((min(BATCH_SIZE, n), cfg.hidden_size), f32)
     # Only the first and the last epoch's mean losses are read, so only
     # those epochs evaluate the loss.
@@ -490,14 +500,13 @@ def _train(points, y, head, out_dim, cfg: TrainConfig, negatives=None):
             neg = rng.uniform(lo, hi, size=(n_neg, 3))
             enc.encode((neg - center) / half, out=feat[len(points):, :d])
         order = rng.permutation(n)
-        for t, g in zip(tables, gathered):
+        for t, g in zip((feat, y), gathered):
             np.take(t, order, axis=0, out=g, mode="clip")
         with_loss = epoch in (0, cfg.epochs - 1)
         epoch_loss = 0.0
         for s in starts:
-            feat_b, y_b, *onehot_b = (g[s : s + BATCH_SIZE] for g in gathered)
+            feat_b, y_b = (g[s : s + BATCH_SIZE] for g in gathered)
             loss, _ = _forward_backward(params, feat_b, y_b, head, hidden,
-                                        onehot_b[0] if onehot_b else None,
                                         grads, with_loss)
             if with_loss:
                 epoch_loss += loss
@@ -524,25 +533,9 @@ def _train(points, y, head, out_dim, cfg: TrainConfig, negatives=None):
     )
 
 
-def _check_config(cfg):
-    """Raise InputError for a TrainConfig that cannot train."""
-    lows = {"epochs": 1, "hidden_size": 1, "seed": 0}
-    for name, low in lows.items():
-        v = getattr(cfg, name)
-        if not isinstance(v, (int, np.integer)) or isinstance(v, bool) or v < low:
-            raise InputError(f"TrainConfig.{name} must be an integer >= {low}, got {v!r}")
-    for name in ("learning_rate", "negatives_per_positive"):
-        v = getattr(cfg, name)
-        if (not isinstance(v, (int, float, np.number)) or not np.isfinite(v)
-                or v <= 0):
-            raise InputError(
-                f"TrainConfig.{name} must be a finite positive number, got {v!r}")
-
-
 def _training_inputs(cloud, cfg):
-    """The cloud's points as a finite (N, 3) array, and a checked config."""
-    cfg = cfg or TrainConfig()
-    _check_config(cfg)
+    """The cloud's points as a finite (N, 3) array, and the config (default
+    when None)."""
     pts = np.asarray(cloud.points if hasattr(cloud, "points") else cloud, dtype=float)
     if pts.size == 0:
         raise EmptyCloud("no points to train on")
@@ -550,7 +543,7 @@ def _training_inputs(cloud, cfg):
         raise InputError(f"points must be (N, 3), got shape {pts.shape}")
     if not np.isfinite(pts).all():
         raise InputError("points must be finite")
-    return pts, cfg
+    return pts, cfg or TrainConfig()
 
 
 def train_occupancy(cloud, cfg: TrainConfig | None = None) -> FieldModel:

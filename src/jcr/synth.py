@@ -414,6 +414,11 @@ class HiddenParams:
     calib: Pose        # camera -> end-effector, meters
     scale: float       # meters per model unit
 
+    def __post_init__(self):
+        if not 0 < self.scale < np.inf:
+            raise InputError(
+                f"HiddenParams.scale must be finite and > 0, got {self.scale!r}")
+
     @staticmethod
     def random(rng):
         R = random_rotation(rng, max_angle=np.pi / 2)

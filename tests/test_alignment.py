@@ -283,6 +283,31 @@ class TestAlignGlobal:
         with pytest.raises(InputError):
             align_global(ds.pairs[:-1], ds.graph)
 
+    def test_prediction_of_unlisted_edge_raises(self):
+        """A prediction whose edge the graph does not list is refused, not
+        left out of the objective."""
+        ds = pose_dataset(seed=35, num_poses=4, with_pointmaps=True)
+        last = ds.pairs[-1]
+        graph = PairGraph(4, tuple((p.n, p.m) for p in ds.pairs[:-1]))
+        with pytest.raises(InputError, match=re.escape(
+                f"graph lacks: [({last.n}, {last.m})]")):
+            align_global(ds.pairs, graph)
+
+    def test_budget_is_not_converged(self, monkeypatch):
+        """A descent stopped by its budget is not converged, however little
+        its last step moved the objective: the seed-37 scene of
+        ``test_stop_reason`` reaches tolerance at iteration 275."""
+        ds = pose_dataset(
+            seed=37, num_poses=4, with_pointmaps=True, noise=NoiseProfile(),
+            camera=CameraConfig(width=16, height=12),
+        )
+        monkeypatch.setattr(alignment, "MAX_ITERS", 274)
+        result = align_global(ds.pairs, ds.graph)
+        before, last = result.objective_trace[-2:]
+        assert result.stop_reason == "budget"
+        assert (before - last) / before < 100 * TOL
+        assert not result.converged
+
     def test_single_view_raises(self):
         with pytest.raises(InputError):
             align_global([], PairGraph(1, ()))

@@ -102,6 +102,48 @@ class TestRun:
         assert f"manifest key {missing}:" in capsys.readouterr().err
         assert not (out / "synth").exists()
 
+    @pytest.mark.parametrize("block, key", [
+        ({"fields": {"epochs": 0}}, "epochs"),
+        ({"fields": {"learning_rate": 0.0}}, "learning_rate"),
+        ({"fields": {"color_learning_rate": -1.0}}, "fields.color_learning_rate"),
+        ({"synth": {"hidden": {"calib": np.eye(4).ravel().tolist(), "scale": 0}}},
+         "scale"),
+        ({"synth": {"hidden": {"calib": np.eye(4).ravel().tolist(),
+                               "scale": -1.0}}}, "scale"),
+    ])
+    def test_bad_stage_setting_exit_2_before_synth(self, tmp_path, capsys,
+                                                   block, key):
+        """A value that the fields or the synth stage would refuse ends the
+        run before synth writes anything."""
+        manifest = {"seed": 3, "synth": {"num_poses": 4,
+                                         "camera": {"width": 16, "height": 12}}}
+        for name, values in block.items():
+            manifest[name] = {**manifest.get(name, {}), **values}
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest))
+        out = tmp_path / "out"
+        code = main(["run", "--manifest", str(path), "--out", str(out)])
+        assert code == 2
+        assert key in capsys.readouterr().err
+        assert not (out / "synth").exists()
+
+    def test_synth_with_input_files_exit_2(self, tmp_path, capsys):
+        """A run either synthesizes its inputs or reads them; a manifest
+        that asks for both is refused, naming the keys."""
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({
+            "synth": {"num_poses": 4, "camera": {"width": 16, "height": 12}},
+            "ee_poses": str(tmp_path / "absent.json"),
+            "pointmaps": str(tmp_path / "absent" / "pairs.json"),
+            "fields": {"epochs": 1, "hidden_size": 16},
+        }))
+        out = tmp_path / "out"
+        code = main(["run", "--manifest", str(path), "--out", str(out)])
+        assert code == 2
+        assert ("manifest keys synth and ee_poses, pointmaps:"
+                in capsys.readouterr().err)
+        assert not (out / "synth").exists()
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverged_field_exit_4_and_not_saved(self, tmp_path, capsys):
         """A head whose training loss ends non-finite stops the run with

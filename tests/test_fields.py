@@ -275,6 +275,28 @@ class TestSegmentation:
         ] == labels).mean()
         assert abs(acc_a - acc_b) <= 0.01
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gradient_is_softmax_minus_identity_rows(self, dtype):
+        """The gradient that ``_loss_and_dz`` forms in place from class
+        indices is ``(softmax(z) - I[y]) / n`` formed apart, bit for bit,
+        also where ``inf`` in ``z`` makes a row NaN (+inf) or a probability
+        exactly 0 (-inf, at the true class and at another)."""
+        rng = np.random.default_rng(9)
+        n, k = 37, 4
+        z = rng.normal(0.0, 3.0, (n, k)).astype(dtype)
+        y = rng.integers(0, k, n)
+        z[2, 1] = np.inf
+        z[5, y[5]] = -np.inf
+        z[7, (y[7] + 1) % k] = -np.inf
+        with np.errstate(invalid="ignore"):
+            e = np.exp(z - z.max(axis=1, keepdims=True))
+            want = (e / e.sum(axis=1, keepdims=True) - np.eye(k, dtype=dtype)[y]) / n
+            loss, dz = _loss_and_dz("segmentation", z, y)
+        assert dz.dtype == dtype
+        assert np.array_equal(dz, want, equal_nan=True)
+        assert np.isnan(dz[2]).all() and dz[5, y[5]] == dtype(-1.0) / n
+        assert np.isnan(loss)
+
 
 class TestColor:
     def test_constant_color(self):
@@ -590,14 +612,12 @@ def _check_buffered_step(head, out_dim, poison, dtype, rows=37, hidden=16,
         # does from the plain multiply.
         params[2][3] = np.inf
     folded, feat1 = _folded(params, feat)
-    # Training passes segmentation's one-hot targets.
-    onehot = np.eye(out_dim, dtype=dtype)[y] if head == "segmentation" else None
     with np.errstate(invalid="ignore"):
         want = _reference_step(params, feat, y, head)
         plain = _forward_backward(folded, feat1, y, head)
         # A buffer with spare rows and stale contents.
         buf = np.full((rows + 13, hidden), np.nan, dtype)
-        buffered = _forward_backward(folded, feat1, y, head, buf, onehot)
+        buffered = _forward_backward(folded, feat1, y, head, buf)
     for loss, (dWb, dW2, db2) in (plain, buffered):
         assert repr(loss) == repr(want[0])
         for g, w in zip((dWb[:-1], dWb[-1], dW2, db2), want[1]):
@@ -633,16 +653,14 @@ class TestTrainingLoop:
         if poison:
             params[2][3] = np.inf
         folded, feat1 = _folded(params, feat)
-        onehot = np.eye(out_dim, dtype=np.float32)[y] if head == "segmentation" else None
         z = np.random.default_rng(5).normal(0.0, 2.0, (len(y), out_dim)).astype(
             np.float32)
         with np.errstate(invalid="ignore", over="ignore"):
-            loss, dz = _loss_and_dz(head, z, y, onehot)
-            skipped, dz_skipped = _loss_and_dz(head, z, y, onehot, False)
-            want = _forward_backward(folded, feat1, y, head, None, onehot)
+            loss, dz = _loss_and_dz(head, z, y)
+            skipped, dz_skipped = _loss_and_dz(head, z, y, False)
+            want = _forward_backward(folded, feat1, y, head)
             grads = [np.full_like(p, 7.0) for p in folded]
-            got = _forward_backward(folded, feat1, y, head, None, onehot, grads,
-                                    False)
+            got = _forward_backward(folded, feat1, y, head, None, grads, False)
         assert np.isfinite(loss) and skipped is None
         assert np.array_equal(dz_skipped, dz)
         assert got[0] is None and got[1] is grads
@@ -748,6 +766,19 @@ class TestTrainingInputs:
         with pytest.raises(InputError):
             train_occupancy(_Cloud(pts), TrainConfig(**change))
 
+    @pytest.mark.parametrize("change", [
+        {"epochs": 0}, {"hidden_size": 2.5}, {"seed": -1},
+        {"learning_rate": 0.0}, {"negatives_per_positive": float("inf")},
+    ])
+    def test_bad_config_refused_when_made(self, change):
+        """A TrainConfig checks itself where it is made, also as a copy
+        with a changed value, before any training call."""
+        name = next(iter(change))
+        with pytest.raises(InputError, match=f"TrainConfig.{name} "):
+            TrainConfig(**change)
+        with pytest.raises(InputError, match=f"TrainConfig.{name} "):
+            dataclasses.replace(TrainConfig(), **change)
+
     @pytest.mark.parametrize("train", [train_occupancy, train_segmentation,
                                        train_color])
     def test_non_finite_points_rejected(self, train):
@@ -817,6 +848,8 @@ class TestModelDict:
         (("norm_half",), [1.0, 1.0]),
         (("train_config",), [1, 2]),
         (("final_loss",), "low"),
+        (("train_config", "epochs"), 0),
+        (("train_config", "learning_rate"), 0.0),
     ])
     def test_malformed_rejected(self, model_dict, path, value):
         d = copy.deepcopy(model_dict)
