@@ -8,16 +8,17 @@ epsilons (``PositionalEncoding.encode``); it is formed coordinate-major,
 one contiguous row per feature, and transposed once into the features.
 Training is deterministic mini-batch gradient descent with momentum, in
 float32: the weights, the features (computed in float64 and rounded once)
-and the float targets. Every head steps through ``_forward_backward`` on
-its features and targets alone; segmentation's targets are class indices,
-from which ``_loss_and_dz`` forms the gradient in place. The weights are
-views of one flat vector, and so are their gradients, so the momentum step
-is one update of that vector. Only the first and the last epoch evaluate
-the loss, the two that ``initial_loss`` and ``final_loss`` report. A model
-keeps and saves its float32 weights, so a saved model queries bit for bit
-like the trained one. The backward pass is written out by hand, follows its
-inputs' dtype, and is validated in float64 against finite differences
-(``gradient_check``).
+and the float targets. The training rows, occupancy's negatives among
+them, are encoded once per call. Every head steps through
+``_forward_backward`` on its features and targets alone; segmentation's
+targets are class indices, from which ``_loss_and_dz`` forms the gradient
+in place. The weights are views of one flat vector, and so are their
+gradients, so the momentum step is one update of that vector. Only the
+first and the last epoch evaluate the loss, the two that ``initial_loss``
+and ``final_loss`` report. A model keeps and saves its float32 weights, so
+a saved model queries bit for bit like the trained one. The backward pass
+is written out by hand, follows its inputs' dtype, and is validated in
+float64 against finite differences (``gradient_check``).
 """
 
 from __future__ import annotations
@@ -453,9 +454,9 @@ def _train(points, y, head, out_dim, cfg: TrainConfig, negatives=None):
     """Shared training loop, in float32; ``y`` holds float32 targets or
     class indices.
 
-    ``negatives = (lo, hi, n)`` adds ``n`` samples labeled 0, drawn
-    uniformly from the box ``[lo, hi]`` afresh every epoch (NCE-style); the
-    coordinate normalization then covers that box too.
+    ``negatives = (lo, hi, n)`` adds ``n`` samples labeled 0, drawn once,
+    uniformly from the box ``[lo, hi]`` (NCE-style), right after the
+    initial weights; the coordinate normalization then covers that box too.
     """
     rng = np.random.default_rng(cfg.seed)
     enc = PositionalEncoding()
@@ -478,14 +479,15 @@ def _train(points, y, head, out_dim, cfg: TrainConfig, negatives=None):
     # A NumPy scalar learning rate would promote every step to float64.
     momentum, learning_rate = f32(MOMENTUM), f32(cfg.learning_rate)
 
-    # The given points never change, so they are encoded once; each epoch
-    # encodes only its fresh negatives, into the rows after them. The last
-    # column is the constant feature.
+    # The rows never change, so they are encoded once: the given points,
+    # then any negatives. The last column is the constant feature.
     n, d = len(points) + n_neg, enc.output_dim
     feat = np.empty((n, d + 1), f32)
     feat[:, d] = 1.0
     enc.encode((points - center) / half, out=feat[: len(points), :d])
     if negatives is not None:
+        neg = rng.uniform(lo, hi, size=(n_neg, 3))
+        enc.encode((neg - center) / half, out=feat[len(points):, :d])
         y = np.concatenate([y, np.zeros(n_neg, y.dtype)])
     # Each epoch gathers its permutation of the rows once; batches are
     # slices of the gathered rows.
@@ -496,9 +498,6 @@ def _train(points, y, head, out_dim, cfg: TrainConfig, negatives=None):
     losses = []
     starts = range(0, n, BATCH_SIZE)
     for epoch in range(cfg.epochs):
-        if negatives is not None:
-            neg = rng.uniform(lo, hi, size=(n_neg, 3))
-            enc.encode((neg - center) / half, out=feat[len(points):, :d])
         order = rng.permutation(n)
         for t, g in zip((feat, y), gathered):
             np.take(t, order, axis=0, out=g, mode="clip")
@@ -549,10 +548,10 @@ def _training_inputs(cloud, cfg):
 def train_occupancy(cloud, cfg: TrainConfig | None = None) -> FieldModel:
     """Occupancy classifier: cloud points vs uniform free-space negatives.
 
-    Negatives are redrawn every epoch from the cloud's bounding box,
-    inflated by BOUNDS_INFLATION per axis. Raises DegenerateBounds when that
-    box has no extent along some axis in floating point, as for a cloud far
-    from the origin.
+    Negatives are drawn once, for every epoch, from the cloud's bounding
+    box, inflated by BOUNDS_INFLATION per axis. Raises DegenerateBounds when
+    that box has no extent along some axis in floating point, as for a
+    cloud far from the origin.
     """
     pos, cfg = _training_inputs(cloud, cfg)
     center, half = _norm_box(pos, inflation=BOUNDS_INFLATION)

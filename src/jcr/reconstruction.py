@@ -85,7 +85,8 @@ def join_pixel_labels(
     """Attach per-pixel labels via each point's (view, w, h) provenance.
 
     The images are lists indexed by view; a view outside a list raises
-    MissingView."""
+    MissingView. An image of the wrong shape (color (H, W, 3), segmentation
+    (H, W)) or a pixel outside its image raises DimensionMismatch."""
 
     def lookup(images, channels):
         shape = (len(cloud), channels) if channels else (len(cloud),)
@@ -95,16 +96,16 @@ def join_pixel_labels(
             if not 0 <= v < len(images):
                 raise MissingView(f"no label image for view {v}")
             img = np.asarray(images[v])
-            if channels and (img.ndim != 3 or img.shape[2] != channels):
-                raise DimensionMismatch(
-                    f"view {v}: expected (H, W, {channels}), got {img.shape}"
-                )
+            if img.ndim < 2 or img.shape[2:] != shape[1:]:
+                form = f"(H, W, {channels})" if channels else "(H, W)"
+                raise DimensionMismatch(f"view {v}: expected {form}, got {img.shape}")
             mask = cloud.views == v
             w = cloud.pixels[mask, 0]
             h = cloud.pixels[mask, 1]
-            if (h >= img.shape[0]).any() or (w >= img.shape[1]).any():
+            if (min(w.min(), h.min()) < 0 or (h >= img.shape[0]).any()
+                    or (w >= img.shape[1]).any()):
                 raise DimensionMismatch(
-                    f"view {v}: pixels exceed image shape {img.shape[:2]}"
+                    f"view {v}: pixels outside image shape {img.shape[:2]}"
                 )
             out[mask] = img[h, w]
         return out

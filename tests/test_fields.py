@@ -419,11 +419,12 @@ def _reference_step(params, feat, y, head):
 
 
 def _reference_train(head, cloud, cfg):
-    """The training loop written plainly: every epoch (re)builds and encodes
-    the whole training set, occupancy's positives and fresh negatives
-    stacked, and steps with ``_reference_step``. Parameters, features and
-    float targets are float32; the features are the per-frequency libm
-    encoding (``_libm_encode``) in float64, then rounded."""
+    """The training loop written plainly: every epoch encodes the whole
+    training set, occupancy's positives and its negatives stacked, and
+    steps with ``_reference_step``. Occupancy draws its negatives once,
+    before the first epoch. Parameters, features and float targets are
+    float32; the features are the per-frequency libm encoding
+    (``_libm_encode``) in float64, then rounded."""
     pts = cloud.points
     if head == "occupancy":
         center, half = _norm_box(pts, inflation=BOUNDS_INFLATION)
@@ -442,14 +443,13 @@ def _reference_train(head, cloud, cfg):
     params = [p.astype(np.float32) for p in
               _init_params(rng, enc.output_dim, cfg.hidden_size, out_dim)]
     velocity = [np.zeros_like(p) for p in params]
+    x = pts
+    if head == "occupancy":
+        x = np.vstack([pts, rng.uniform(lo, hi, size=(n_neg, 3))])
+        y = np.concatenate([np.ones(len(pts)), np.zeros(n_neg)])
+        y = y.astype(np.float32)
     losses = []
     for _ in range(cfg.epochs):
-        if head == "occupancy":
-            x = np.vstack([pts, rng.uniform(lo, hi, size=(n_neg, 3))])
-            y = np.concatenate([np.ones(len(pts)), np.zeros(n_neg)])
-            y = y.astype(np.float32)
-        else:
-            x = pts
         feat = _libm_encode((x - center) / half).astype(np.float32)
         order = rng.permutation(len(feat))
         total, nb = 0.0, 0
@@ -682,6 +682,20 @@ class TestTrainingLoop:
             assert np.array_equal(got, want)
         assert model.initial_loss == initial
         assert model.final_loss == final
+
+    @pytest.mark.parametrize("epochs", [1, 3])
+    def test_occupancy_encodes_rows_once(self, monkeypatch, cloud, epochs):
+        """Positives and negatives are each encoded once, whatever the
+        number of epochs."""
+        rows, encode = [], PositionalEncoding.encode
+
+        def spy(self, x, out=None):
+            rows.append(len(x))
+            return encode(self, x, out)
+
+        monkeypatch.setattr(PositionalEncoding, "encode", spy)
+        train_occupancy(cloud, TrainConfig(epochs=epochs, hidden_size=8))
+        assert rows == [len(cloud), len(cloud)]
 
     def test_loss_only_in_first_and_last_epoch(self, monkeypatch, cloud):
         calls, loss_and_dz = [], fields._loss_and_dz

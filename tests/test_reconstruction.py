@@ -185,6 +185,27 @@ class TestJoinPixelLabels:
         with pytest.raises(DimensionMismatch):
             join_pixel_labels(cloud, segmentation_images=[np.zeros((2, 2), int)])
 
+    @pytest.mark.parametrize("pixel", [[-1, 0], [0, -1]])
+    @pytest.mark.parametrize("kind", ["color", "segmentation"])
+    def test_negative_pixel(self, pixel, kind):
+        """A negative pixel would index from the image's far edge."""
+        cloud = self._cloud_with_pixels([[0, 0], pixel], [0, 0])
+        img = np.zeros((2, 2, 3)) if kind == "color" else np.zeros((2, 2), int)
+        with pytest.raises(DimensionMismatch):
+            join_pixel_labels(cloud, **{f"{kind}_images": [img]})
+
+    @pytest.mark.parametrize("kind, shape", [
+        ("segmentation", ()), ("segmentation", (4,)),
+        ("segmentation", (2, 2, 1)), ("segmentation", (2, 2, 3)),
+        ("color", ()), ("color", (4,)), ("color", (2, 2)),
+        ("color", (2, 2, 1)), ("color", (2, 2, 3, 1)),
+    ])
+    def test_image_of_wrong_shape(self, kind, shape):
+        """Segmentation images are (H, W), color images (H, W, 3)."""
+        cloud = self._cloud_with_pixels([[0, 0]], [0])
+        with pytest.raises(DimensionMismatch):
+            join_pixel_labels(cloud, **{f"{kind}_images": [np.zeros(shape, int)]})
+
 
 class TestHelpers:
     def test_label_length_mismatch_rejected(self):
