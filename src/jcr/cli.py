@@ -8,7 +8,6 @@ artifacts; ``run`` chains them. Exit codes: 0 ok, 2 input error,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import logging
 import math
 import os
@@ -166,28 +165,23 @@ def _stage_reconstruct(align_result, ee_poses, calib, out_dir, seed,
     return cloud
 
 
-def _field_configs(cfg, seed):
-    """TrainConfigs of the fields stage: for occupancy and segmentation, for color."""
-    train_cfg = TrainConfig(
+def _field_config(cfg, seed):
+    """The TrainConfig of the fields stage, shared by its three heads."""
+    return TrainConfig(
         seed=seed,
         epochs=int(cfg.get("epochs", 60)),
         hidden_size=int(cfg.get("hidden_size", 256)),
         learning_rate=float(cfg.get("learning_rate", 1e-2)),
     )
-    try:
-        return train_cfg, dataclasses.replace(
-            train_cfg, learning_rate=float(cfg.get("color_learning_rate", 0.05)))
-    except InputError as exc:
-        raise InputError(f"manifest key fields.color_learning_rate: {exc}") from None
 
 
-def _stage_fields(cloud, train_cfg, color_cfg, out_dir):
+def _stage_fields(cloud, train_cfg, out_dir):
     out_dir.mkdir(parents=True, exist_ok=True)
     models = {"occupancy": train_occupancy(cloud, train_cfg)}
     if cloud.segmentation is not None and len(np.unique(cloud.segmentation)) > 1:
         models["segmentation"] = train_segmentation(cloud, train_cfg)
     if cloud.colors is not None:
-        models["color"] = train_color(cloud, color_cfg)
+        models["color"] = train_color(cloud, train_cfg)
     _require_finite_loss(*models.values())
     for name, model in models.items():
         io.save_json(out_dir / f"field_{name}.json", model.to_dict())
@@ -424,8 +418,7 @@ MANIFEST_KEYS = {
         "hidden": {"calib": _MATRIX, "scale": _NUMBER},
     },
     "calibrate": {"all_pairs": _BOOL},
-    "fields": {"epochs": _INT, "hidden_size": _INT, "learning_rate": _NUMBER,
-               "color_learning_rate": _NUMBER},
+    "fields": {"epochs": _INT, "hidden_size": _INT, "learning_rate": _NUMBER},
 }
 
 
@@ -466,7 +459,7 @@ def cmd_run(args):
         if "synth" in manifest and inputs:
             raise InputError(f"manifest keys synth and {', '.join(inputs)}: "
                              "a run synthesizes its inputs or reads them, not both")
-        field_configs = _field_configs(manifest.get("fields", {}), seed)
+        train_cfg = _field_config(manifest.get("fields", {}), seed)
         if not inputs:
             stage = "synth"
             ds = _stage_synth(manifest.get("synth", {}), out / "synth", seed)
@@ -500,7 +493,7 @@ def cmd_run(args):
             force=args.force_uncalibrated,
         )
         stage = "train-field"
-        _stage_fields(cloud, *field_configs, out / "fields")
+        _stage_fields(cloud, train_cfg, out / "fields")
     except JCRError as exc:
         print(f"error in stage {stage}: {exc}", file=sys.stderr)
         return _exit_code_for(exc)
@@ -571,7 +564,9 @@ def build_parser():
     p.add_argument(
         "--kind", choices=["occupancy", "segmentation", "color"], required=True
     )
-    p.add_argument("--epochs", type=int, default=200)
+    p.add_argument("--epochs", type=int, default=200,
+                   help="training epochs (default 200); no effect with "
+                        "--kind color, which is fitted in closed form")
     p.add_argument("--out", required=True)
 
     p = add("query", cmd_query, help="query a trained field at CSV points")

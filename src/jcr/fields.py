@@ -6,19 +6,22 @@ cosine per coordinate and doubles the angle by recurrence for each further
 frequency; within MAX_FREQUENCIES its float64 error stays near 2^L machine
 epsilons (``PositionalEncoding.encode``); it is formed coordinate-major,
 one contiguous row per feature, and transposed once into the features.
-Training is deterministic mini-batch gradient descent with momentum, in
-float32: the weights, the features (computed in float64 and rounded once)
-and the float targets. The training rows, occupancy's negatives among
-them, are encoded once per call. Every head steps through
-``_forward_backward`` on its features and targets alone; segmentation's
-targets are class indices, from which ``_loss_and_dz`` forms the gradient
-in place. The weights are views of one flat vector, and so are their
-gradients, so the momentum step is one update of that vector. Only the
-first and the last epoch evaluate the loss, the two that ``initial_loss``
-and ``final_loss`` report. A model keeps and saves its float32 weights, so
-a saved model queries bit for bit like the trained one. The backward pass
-is written out by hand, follows its inputs' dtype, and is validated in
-float64 against finite differences (``gradient_check``).
+Occupancy and segmentation train by deterministic mini-batch gradient
+descent with momentum, in float32: the weights, the features (computed in
+float64 and rounded once) and the float targets. The training rows,
+occupancy's negatives among them, are encoded once per call. Both heads
+step through ``_forward_backward`` on their features and targets alone;
+segmentation's targets are class indices, from which ``_loss_and_dz``
+forms the gradient in place. The weights are views of one flat vector,
+and so are their gradients, so the momentum step is one update of that
+vector. Only the first and the last epoch evaluate the loss, the two that
+``initial_loss`` and ``final_loss`` report. The color head is fitted in
+closed form instead (``train_color``): a hidden layer sampled from pairs
+of training rows across color boundaries, and a readout solved by ridge
+regression. A model keeps and saves its float32 weights, so a saved model
+queries bit for bit like the trained one. The backward pass is written
+out by hand, follows its inputs' dtype, and is validated in float64
+against finite differences (``gradient_check``), for all three losses.
 """
 
 from __future__ import annotations
@@ -351,10 +354,8 @@ def _loss_and_dz(head, z, y, with_loss=True):
         dz[rows, idx] -= 1.0
         dz /= n
     elif head == HEAD_COLOR:
-        # Squared L2 per sample, averaged over the batch. Its gradients run
-        # smaller than the classification heads'. Measured on sample_surface
-        # seeds 0-4: at hidden 256, learning rate 0.05 diverges to NaN on
-        # seeds 1 and 4; hidden 64 at 0.05, or hidden 256 at 1e-2, trains.
+        # Squared L2 per sample, averaged over the rows. train_color reads
+        # only the loss; the gradient serves gradient_check.
         diff = z - y
         if with_loss:
             loss = np.mean((diff**2).sum(axis=1))
@@ -451,8 +452,8 @@ def _norm_box(points, inflation=0.0):
 
 
 def _train(points, y, head, out_dim, cfg: TrainConfig, negatives=None):
-    """Shared training loop, in float32; ``y`` holds float32 targets or
-    class indices.
+    """The descent of occupancy and segmentation, in float32; ``y`` holds
+    float32 occupancy targets or class indices.
 
     ``negatives = (lo, hi, n)`` adds ``n`` samples labeled 0, drawn once,
     uniformly from the box ``[lo, hi]`` (NCE-style), right after the
@@ -586,8 +587,80 @@ def train_segmentation(cloud, cfg: TrainConfig | None = None) -> FieldModel:
     return model
 
 
+def _sampled_layer(rng, feat, colors, Wb):
+    """``Wb`` (float64, W1 over b1) with its first units placed on the
+    bisecting hyperplanes of sampled pairs of rows, as ``train_color``
+    describes, rounded to float32."""
+    n, d = feat.shape[0], feat.shape[1] - 1
+    hidden = Wb.shape[1]
+    i, j = rng.integers(0, n, size=(2, 10 * hidden))
+    fi, fj = (feat[k, :d].astype(float) for k in (i, j))
+    step = fj - fi
+    dist = np.linalg.norm(step, axis=1)
+    change = np.linalg.norm(colors[j] - colors[i], axis=1)
+    weight = np.divide(change, dist, out=np.zeros_like(dist), where=dist > 0)
+    # Exponential clocks: the pairs whose clocks E / weight ring first are
+    # a draw without replacement in proportion to weight; weight 0 never
+    # rings.
+    clock = np.divide(rng.standard_exponential(len(weight)), weight,
+                      out=np.full_like(weight, np.inf), where=weight > 0)
+    take = np.argsort(clock)[:hidden]
+    take = take[np.isfinite(clock[take])]
+    W = 2.0 * step[take] / dist[take, None] ** 2
+    Wb[:d, : len(take)] = W.T
+    Wb[d, : len(take)] = -np.einsum("ij,ij->i", W, fi[take] + fj[take]) / 2.0
+    return Wb.astype(np.float32)
+
+
+def _ridge_readout(feat, Wb, targets):
+    """The float32 ridge solution [W2; b2] over ``relu(feat @ Wb)`` and a
+    column of ones, solved in float64 from sums over QUERY_CHUNK rows at a
+    time, with the ridge 1e-6 tr(G) / (hidden + 1) on the Gram matrix G."""
+    hidden = Wb.shape[1]
+    # One more unit reads the constant feature with weight 1: relu(1) is
+    # the column of ones.
+    Wb1 = np.zeros((len(Wb), hidden + 1))
+    Wb1[:, :hidden], Wb1[-1, hidden] = Wb, 1.0
+    gram = np.zeros((hidden + 1, hidden + 1))
+    rhs = np.zeros((hidden + 1, targets.shape[1]))
+    act = np.empty((min(len(feat), QUERY_CHUNK), hidden + 1))
+    for lo in range(0, len(feat), QUERY_CHUNK):
+        rows = slice(lo, lo + QUERY_CHUNK)
+        a = np.matmul(feat[rows], Wb1, out=act[: len(feat[rows])])
+        np.maximum(a, 0.0, out=a)
+        gram += a.T @ a
+        rhs += a.T @ targets[rows]
+    gram[np.diag_indices_from(gram)] += 1e-6 * np.trace(gram) / (hidden + 1)
+    return np.linalg.solve(gram, rhs).astype(np.float32)
+
+
 def train_color(cloud, cfg: TrainConfig | None = None) -> FieldModel:
-    """RGB regression field; colors must lie in [0, 1]."""
+    """RGB regression field; colors must lie in [0, 1].
+
+    Fitted in closed form, not by gradient descent: ``cfg.seed`` and
+    ``cfg.hidden_size`` apply, ``cfg.epochs`` and ``cfg.learning_rate`` do
+    not. The hidden layer is sampled from the data (Bolager et al.,
+    "Sampling weights of deep neural networks", NeurIPS 2023): 10 *
+    hidden_size random pairs (i, j) of training rows are weighted by
+    ``|c_j - c_i| / |f_j - f_i|``, their color change over their distance
+    in encoding space (0 where the features coincide), and up to
+    hidden_size pairs of positive weight are taken without replacement, in
+    proportion to weight. Each taken pair becomes one unit whose
+    hyperplane bisects it, ``w = 2 (f_j - f_i) / |f_j - f_i|^2`` and
+    ``b = -w . (f_i + f_j) / 2``: it reads 0 at the midpoint and 1 at
+    f_j. The other units keep ``_init_params``' He-normal weights and a
+    zero bias; with constant colors or coincident points, that is all of
+    them. The readout W2, b2 is the ridge solution over the hidden
+    activations of the float32 features, with a column of ones, in
+    float64, with the fixed ridge ``1e-6 tr(G) / (hidden_size + 1)`` for
+    the Gram matrix G; G and the right-hand side are summed QUERY_CHUNK
+    rows at a time, so no array holds a row per point and a column per
+    unit. The weights are stored as float32.
+
+    ``final_loss`` is the mean squared error (``_loss_and_dz``) of the
+    returned float32 weights on the training rows, as ``query`` evaluates
+    them; ``initial_loss`` is the same loss with W2 = 0 and b2 = 0.
+    """
     pts, cfg = _training_inputs(cloud, cfg)
     if getattr(cloud, "colors", None) is None:
         raise EmptyCloud("cloud carries no colors")
@@ -598,7 +671,33 @@ def train_color(cloud, cfg: TrainConfig | None = None) -> FieldModel:
         raise InputError("colors must be finite")
     if colors.min() < -1e-9 or colors.max() > 1 + 1e-9:
         raise InputError("colors must lie in [0, 1]")
-    return _train(pts, colors.astype(np.float32), HEAD_COLOR, 3, cfg)
+    rng = np.random.default_rng(cfg.seed)
+    enc = PositionalEncoding()
+    center, half = _norm_box(pts, inflation=0.05)
+    d = enc.output_dim
+    W1, b1, _, _ = _init_params(rng, d, cfg.hidden_size, 3)
+    feat = np.empty((len(pts), d + 1), np.float32)
+    feat[:, d] = 1.0
+    enc.encode((pts - center) / half, out=feat[:, :d])
+    Wb = _sampled_layer(rng, feat, colors, np.vstack([W1, b1]))
+    readout = _ridge_readout(feat, Wb, colors)
+    model = FieldModel(
+        head=HEAD_COLOR,
+        encoding=enc,
+        W1=Wb[:-1].copy(),
+        b1=Wb[-1].copy(),
+        W2=readout[:-1].copy(),
+        b2=readout[-1].copy(),
+        norm_center=center,
+        norm_half=half,
+        train_config=cfg,
+    )
+    y = colors.astype(np.float32)
+    model.initial_loss, _ = _loss_and_dz(HEAD_COLOR, np.zeros_like(y), y)
+    model.final_loss, _ = _loss_and_dz(HEAD_COLOR, model.forward(pts), y)
+    log.info("fitted color head: loss %.4g -> %.4g", model.initial_loss,
+             model.final_loss)
+    return model
 
 
 def query(model: FieldModel, points):

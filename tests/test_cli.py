@@ -19,7 +19,7 @@ from jcr.fields import (
     query,
     train_segmentation,
 )
-from jcr.reconstruction import estimate_height
+from jcr.reconstruction import LabeledPointCloud, estimate_height
 from jcr.synth import CameraConfig, single_axis_trajectory
 
 from util import (pose_dataset, split_confidence_of_view,
@@ -113,8 +113,9 @@ class TestRun:
     ])
     def test_bad_stage_setting_exit_2_before_synth(self, tmp_path, capsys,
                                                    block, key):
-        """A value that the fields or the synth stage would refuse ends the
-        run before synth writes anything."""
+        """A value that the fields or the synth stage would refuse, or
+        fields.color_learning_rate, which jcr no longer reads, ends the run
+        before synth writes anything."""
         manifest = {"seed": 3, "synth": {"num_poses": 4,
                                          "camera": {"width": 16, "height": 12}}}
         for name, values in block.items():
@@ -151,15 +152,15 @@ class TestRun:
         path = tmp_path / "manifest.json"
         path.write_text(json.dumps({
             "synth": {"num_poses": 6, "camera": {"width": 16, "height": 12}},
-            "fields": {"epochs": 3, "hidden_size": 16,
-                       "color_learning_rate": 1e6},
+            "fields": {"epochs": 5, "hidden_size": 16, "learning_rate": 1e6},
         }))
         out = tmp_path / "out"
         code = main(["run", "--seed", "3", "--manifest", str(path),
                      "--out", str(out)])
         assert code == 4
         err = capsys.readouterr().err
-        assert "error in stage train-field" in err and "color" in err
+        assert "error in stage train-field" in err
+        assert "head(s): occupancy, segmentation\n" in err
         assert (out / "reconstruct" / "cloud.ply").exists()
         assert not list(out.glob("fields/field_*.json"))
 
@@ -378,6 +379,37 @@ class TestQueryAndEval:
         want = tmp_path / "want.csv"
         np.savetxt(want, query(model, q), delimiter=",", fmt="%.8g")
         assert outf.read_text() == want.read_text()
+
+    def test_run_and_train_field_write_the_same_color_model(
+            self, pipeline, tmp_path, monkeypatch):
+        """`jcr run` fits color under the TrainConfig of its other heads, so
+        for the same cloud, seed and hidden size (the default, 256) it
+        writes the model that `jcr train-field --kind color` writes. The
+        PLY rounds points to float32 and colors to 8 bits, so the run's
+        reconstruct stage is given the cloud that the PLY holds."""
+        ply = pipeline / "reconstruct" / "cloud.ply"
+        points, colors, labels = io.load_ply(ply)
+        cloud = LabeledPointCloud(
+            points=points, frame="robot_base",
+            views=np.zeros(len(points), int),
+            pixels=np.zeros((len(points), 2), int),
+            colors=colors, segmentation=labels)
+        monkeypatch.setattr(cli, "reconstruct", lambda *args, **kw: (cloud, 0.0))
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({
+            "seed": 11,
+            "synth": {"num_poses": 6, "noise": "zero",
+                      "camera": {"width": 16, "height": 12}},
+            "fields": {"epochs": 5},
+        }))
+        out = tmp_path / "out"
+        assert main(["run", "--manifest", str(manifest), "--out", str(out)]) == 0
+        model_path = tmp_path / "color.json"
+        assert main(["train-field", "--cloud", str(ply), "--kind", "color",
+                     "--epochs", "5", "--seed", "11",
+                     "--out", str(model_path)]) == 0
+        run_model = (out / "fields" / "field_color.json").read_text()
+        assert run_model == model_path.read_text()
 
     def test_train_field_diverged_exit_4(self, pipeline, tmp_path, capsys,
                                          monkeypatch):
