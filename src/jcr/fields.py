@@ -8,19 +8,21 @@ epsilons (``PositionalEncoding.encode``); it is formed coordinate-major,
 one contiguous row per feature, and transposed once into the features.
 Occupancy and segmentation train by deterministic mini-batch gradient
 descent with momentum, in float32: the weights, the features (computed in
-float64 and rounded once) and the float targets. The training rows,
-occupancy's negatives among them, are encoded once per call. Both heads
-step through ``_forward_backward`` on their features and targets alone;
-segmentation's targets are class indices, from which ``_loss_and_dz``
-forms the gradient in place. The weights are views of one flat vector,
-and so are their gradients, so the momentum step is one update of that
-vector. Only the first and the last epoch evaluate the loss, the two that
-``initial_loss`` and ``final_loss`` report. The color head is fitted in
-closed form instead (``train_color``): a hidden layer sampled from pairs
-of training rows across color boundaries, and a readout solved by ridge
-regression. A model keeps and saves its float32 weights, so a saved model
-queries bit for bit like the trained one. The backward pass is written
-out by hand, follows its inputs' dtype, and is validated in float64
+float64 and rounded once) and the float targets. The features end in a
+column of ones and W1 carries b1 as one more row, so the first layer is the
+one product ``feat @ [W1; b1]``, in training, query and the color fit
+alike. The training rows, occupancy's negatives among them, are encoded
+once per call. Both heads step through ``_forward_backward`` on their
+features and targets alone; segmentation's targets are class indices, from
+which ``_loss_and_dz`` forms the gradient in place. The weights are views
+of one flat vector, and so are their gradients, so the momentum step is one
+update of that vector. Only the first and the last epoch evaluate the loss,
+the two that ``initial_loss`` and ``final_loss`` report. The color head is
+fitted in closed form instead (``train_color``): a hidden layer sampled
+from pairs of training rows across color boundaries, and a readout solved
+by ridge regression. A model keeps and saves its float32 weights, so a
+saved model queries bit for bit like the trained one. The backward pass is
+written out by hand, follows its inputs' dtype, and is validated in float64
 against finite differences (``gradient_check``), for all three losses.
 """
 
@@ -46,8 +48,9 @@ log = logging.getLogger(__name__)
 HEAD_OCCUPANCY = "occupancy"      # sigmoid scalar
 HEAD_SEGMENTATION = "segmentation"  # softmax over K classes
 HEAD_COLOR = "color"              # linear 3-vector
-# Rows per pass of FieldModel.forward, which bounds a query's memory; at
-# 2048 rows a pass's hidden block stays near the size of a core's L2 cache.
+# Rows per pass of FieldModel.forward, which bounds a query's memory: a
+# pass's hidden block holds at most this many rows, near the size of a
+# core's L2 cache at 2048.
 QUERY_CHUNK = 2048
 # Samples per training step, and the momentum of the descent.
 BATCH_SIZE = 512
@@ -177,28 +180,25 @@ class FieldModel:
     def forward(self, points):
         """Raw head output (pre-activation) for (N, 3) coordinates.
 
-        Rows are evaluated in chunks of QUERY_CHUNK, so a grid query holds a
-        hidden-layer array of at most 2 * QUERY_CHUNK rows. The rows past
-        the last whole chunk join that chunk: BLAS then multiplies only
-        large blocks that start where one pass's blocks start, and gives
-        one pass's result bit for bit (on one BLAS thread). Each chunk's
+        Rows are evaluated QUERY_CHUNK at a time, so a grid query holds a
+        hidden-layer array of at most QUERY_CHUNK rows. Each chunk's
         features are rounded to float32, as in training, and end in a
-        column of ones that multiplies b1 stacked under W1 (see
-        ``_first_layer``).
+        column of ones, so the one product with b1 stacked under W1 adds
+        the bias.
         """
         points = np.atleast_2d(np.asarray(points, dtype=float))
         n, d = len(points), self.encoding.output_dim
         Wb = np.vstack([self.W1, self.b1])
         out = np.empty((n, self.W2.shape[1]), self.W2.dtype)
-        starts = [QUERY_CHUNK * k for k in range(max(n // QUERY_CHUNK, 1))]
-        rows = min(n, 2 * QUERY_CHUNK)
+        rows = min(n, QUERY_CHUNK)
         feat = np.empty((rows, d + 1), np.float32)
         feat[:, d] = 1.0
         hidden = np.empty((rows, Wb.shape[1]), np.result_type(feat, Wb))
-        for lo, hi in zip(starts, starts[1:] + [n]):
+        for lo in range(0, n, QUERY_CHUNK):
+            hi = min(lo + QUERY_CHUNK, n)
             f = feat[: hi - lo]
             self.encoding.encode(self.normalize(points[lo:hi]), out=f[:, :d])
-            h = _first_layer(f, Wb, hidden[: hi - lo])
+            h = np.matmul(f, Wb, out=hidden[: hi - lo])
             np.maximum(h, 0.0, out=h)
             out[lo:hi] = h @ self.W2 + self.b2
         return out
@@ -365,30 +365,11 @@ def _loss_and_dz(head, z, y, with_loss=True):
     return None if loss is None else float(loss), dz
 
 
-def _first_layer(feat, Wb, out=None):
-    """``feat[:, :-1] @ W1 + b1``, for ``Wb`` = W1 with b1 stacked under it
-    as one more row, the weight of ``feat``'s last column, which holds ones.
-
-    Where BLAS sums each element's products in order, the last step adds
-    ``1 * b1``, so the one product ``feat @ Wb`` gives the bits of the
-    product and a separate bias add, with one pass over the hidden block
-    fewer. OpenBLAS's float32 kernels (AVX-512) sum in order over whole
-    blocks of 16 columns; its narrower kernels for the last columns of
-    other widths, and its matrix-vector kernel for a single row, do not
-    always, so there the bias is added apart. The tests check the fold
-    against the separate add at every encoding up to MAX_FREQUENCIES.
-    """
-    if len(feat) > 1 and Wb.shape[1] % 16 == 0:
-        return np.matmul(feat, Wb, out=out)
-    h = np.matmul(feat[:, :-1], Wb[:-1], out=out)
-    h += Wb[-1]
-    return h
-
-
 def _forward_backward(params, feat, y, head, hidden=None, grads=None,
                       with_loss=True):
-    """Batch loss and gradients of ``params = [Wb, W2, b2]``, with ``Wb``
-    and ``feat`` as in ``_first_layer``.
+    """Batch loss and gradients of ``params = [Wb, W2, b2]``, for ``Wb`` =
+    W1 with b1 stacked under it as one more row, the weight of ``feat``'s
+    last column, which holds ones. The first layer is ``feat @ Wb``.
 
     The gradient of ``Wb`` is ``feat[:, :-1].T @ dz1`` over
     ``dz1.sum(axis=0)``: the bias row taken from the product ``feat.T @ dz1``
@@ -406,7 +387,7 @@ def _forward_backward(params, feat, y, head, hidden=None, grads=None,
     if grads is None:
         grads = [np.empty_like(p) for p in params]
     dWb, dW2, db2 = grads
-    h = _first_layer(feat, Wb, None if hidden is None else hidden[: len(feat)])
+    h = np.matmul(feat, Wb, out=None if hidden is None else hidden[: len(feat)])
     mask = h > 0
     np.maximum(h, 0.0, out=h)
     z2 = h @ W2 + b2
@@ -468,7 +449,7 @@ def _train(points, y, head, out_dim, cfg: TrainConfig, negatives=None):
     center, half = _norm_box(box, inflation=0.05)
     f32 = np.float32
     W1, b1, W2, b2 = _init_params(rng, enc.output_dim, cfg.hidden_size, out_dim)
-    # b1 is the weight of a constant feature (see _first_layer). The
+    # b1 is the weight of a constant feature (see _forward_backward). The
     # parameters are views of one flat vector, and so are their gradients,
     # so the momentum step runs over one vector.
     init = [np.vstack([W1, b1]), W2, b2]
@@ -720,11 +701,11 @@ def query(model: FieldModel, points):
 
 def gradient_check(head, seed=0):
     """Analytic backprop vs central finite differences; max relative error."""
-    # 16 hidden units: the first product folds in the bias (_first_layer).
     hidden, n_samples, fd_step = 16, 20, 1e-5
     rng = np.random.default_rng(seed)
     enc = PositionalEncoding(num_frequencies=2)
     pts = rng.uniform(-1, 1, size=(n_samples, 3))
+    # The last column of ones is the constant feature that b1 weighs.
     feat = np.hstack([enc.encode(pts), np.ones((n_samples, 1))])
     out_dim = {HEAD_OCCUPANCY: 1, HEAD_SEGMENTATION: 3, HEAD_COLOR: 3}[head]
     if head == HEAD_OCCUPANCY:

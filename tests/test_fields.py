@@ -3,11 +3,7 @@
 import copy
 import dataclasses
 import itertools
-import os
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +19,6 @@ from jcr.fields import (
     FieldModel,
     PositionalEncoding,
     TrainConfig,
-    _first_layer,
     _forward_backward,
     _init_params,
     _loss_and_dz,
@@ -464,50 +459,74 @@ class TestQueryAndSerialization:
         q = rng.uniform(-0.2, 0.2, size=(20, 3))
         assert np.array_equal(query(model, q), query(back, q))
 
-    def test_chunked_forward_matches_one_pass(self):
-        """Queries run QUERY_CHUNK rows at a time; with 2 chunks and 17 rows
-        more, every head gives the one-pass result bit for bit. Checked on
-        one BLAS thread, as the benchmark runs: with more threads, the rows
-        of the one-pass product itself depend on how BLAS splits them."""
-        import jcr
+    @pytest.fixture(scope="class")
+    def chunk_models(self):
+        """Every head at hidden 256, and 2 chunks of query rows and 17 more."""
+        rng = np.random.default_rng(14)
+        cloud = _Cloud(rng.uniform(-0.2, 0.2, (200, 3)),
+                       colors=rng.uniform(0, 1, (200, 3)),
+                       segmentation=rng.choice([0, 1, 2], 200))
+        cfg = TrainConfig(epochs=2, hidden_size=256)
+        models = [train(cloud, cfg) for train in
+                  (train_occupancy, train_segmentation, train_color)]
+        q = np.random.default_rng(15).uniform(-0.3, 0.3, (2 * QUERY_CHUNK + 17, 3))
+        return models, q
 
-        env = dict(os.environ, PYTHONPATH=str(Path(jcr.__file__).parents[1]),
-                   **dict.fromkeys(BLAS_THREAD_VARS, "1"))
-        run = subprocess.run([sys.executable, "-c", CHUNK_CHECK], env=env,
-                             capture_output=True, text=True)
-        assert run.returncode == 0, run.stdout + run.stderr
-        assert run.stdout.split() == ["occupancy", "segmentation", "color"]
+    def test_chunked_forward_matches_slices(self, chunk_models):
+        """Queries run QUERY_CHUNK rows at a time: every head gives, bit for
+        bit, its outputs on each chunk's rows queried alone, so no chunk
+        reads another's rows from the reused buffers or writes at another
+        offset."""
+        models, q = chunk_models
+        for model in models:
+            slices = [model.forward(q[lo : lo + QUERY_CHUNK])
+                      for lo in range(0, len(q), QUERY_CHUNK)]
+            assert np.array_equal(model.forward(q), np.vstack(slices)), model.head
+
+    def test_chunked_forward_matches_one_pass(self, chunk_models):
+        """Every head's chunked query equals the one-pass formula in
+        float64, on the float32 features, within float32 rounding."""
+        models, q = chunk_models
+        for model in models:
+            feat = model.encoding.encode(model.normalize(q)).astype(np.float32)
+            h = feat.astype(float) @ model.W1 + model.b1
+            want = np.maximum(h, 0.0) @ model.W2 + model.b2
+            np.testing.assert_allclose(model.forward(q), want, rtol=1e-5,
+                                       atol=1e-5 * np.abs(want).max(),
+                                       err_msg=model.head)
 
 
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-CHUNK_CHECK = """
-import numpy as np
-from jcr.fields import (QUERY_CHUNK, TrainConfig, train_color, train_occupancy,
-                        train_segmentation)
+def _first_layer_of(model, points):
+    """The first layer's pre-activation z as ``forward`` forms it: with W2
+    the identity, ``forward`` returns relu(z), and with W1 and b1 negated,
+    relu(-z) (negating every term negates the sum exactly), so their
+    difference is z exactly."""
+    hidden = len(model.b1)
+    up = dataclasses.replace(model, W2=np.eye(hidden, dtype=np.float32),
+                             b2=np.zeros(hidden, np.float32))
+    down = dataclasses.replace(up, W1=-model.W1, b1=-model.b1)
+    return up.forward(points) - down.forward(points)
 
-class Cloud:
-    rng = np.random.default_rng(14)
-    points = rng.uniform(-0.2, 0.2, (200, 3))
-    colors = rng.uniform(0, 1, (200, 3))
-    segmentation = rng.choice([0, 1, 2], 200)
 
-    def __len__(self):
-        return 200
+def _adds_bias(model, W1, b1, points):
+    """Whether ``model``'s first layer on ``points`` is float64
+    ``feat @ W1 + b1`` on its float32 features, within float32 rounding:
+    1e-5 of the sum of the magnitudes of the terms."""
+    feat = model.encoding.encode(model.normalize(points))
+    feat = feat.astype(np.float32).astype(float)
+    want = feat @ W1 + b1
+    scale = np.abs(feat) @ np.abs(W1) + np.abs(b1)
+    err = np.abs(_first_layer_of(model, points) - want)
+    return bool((err <= 1e-5 * scale).all())
 
-q = np.random.default_rng(15).uniform(-0.3, 0.3, (2 * QUERY_CHUNK + 17, 3))
-for train in (train_occupancy, train_segmentation, train_color):
-    model = train(Cloud(), TrainConfig(epochs=2, hidden_size=256))
-    feat = model.encoding.encode(model.normalize(q)).astype(np.float32)
-    h = feat @ model.W1 + model.b1
-    one_pass = np.maximum(h, 0.0) @ model.W2 + model.b2
-    assert np.array_equal(model.forward(q), one_pass), model.head
-    print(model.head)
-"""
 
 def _reference_step(params, feat, y, head):
-    """One training step with fresh temporaries and ``dz2 @ W2.T``."""
+    """One training step with fresh temporaries and ``dz2 @ W2.T``. The
+    first layer is defined as the field code forms it: the features with a
+    column of ones, times W1 with b1 stacked under it."""
     W1, b1, W2, b2 = params
-    z1 = feat @ W1 + b1
+    ones = np.ones((len(feat), 1), feat.dtype)
+    z1 = np.hstack([feat, ones]) @ np.vstack([W1, b1])
     a = np.maximum(z1, 0.0)
     z2 = a @ W2 + b2
     loss, dz2 = _loss_and_dz(head, z2, y)
@@ -584,23 +603,11 @@ class TestSameIterates:
         ("occupancy", train_occupancy),
         ("segmentation", train_segmentation),
     ])
-    def test_weights_and_losses_bit_identical(self, cloud, head, train):
-        model = train(cloud, self.CFG)
-        params, initial, final = _reference_train(head, cloud, self.CFG)
-        for got, want in zip((model.W1, model.b1, model.W2, model.b2), params):
-            assert np.array_equal(got, want)
-        assert model.initial_loss == initial
-        assert model.final_loss == final
-
-    @pytest.mark.parametrize("head, train", [
-        ("occupancy", train_occupancy),
-        ("segmentation", train_segmentation),
-    ])
-    def test_folded_bias_weights_and_losses_bit_identical(self, cloud, head,
-                                                          train):
-        """At 32 hidden units the first product folds in the bias
-        (``fields._first_layer``); at 24 it adds it apart."""
-        cfg = dataclasses.replace(self.CFG, hidden_size=32)
+    @pytest.mark.parametrize("hidden", [24, 32])
+    def test_weights_and_losses_bit_identical(self, cloud, head, train, hidden):
+        """At a width that fills whole blocks of 16 columns and at one that
+        leaves part of a block over."""
+        cfg = dataclasses.replace(self.CFG, hidden_size=hidden)
         model = train(cloud, cfg)
         params, initial, final = _reference_train(head, cloud, cfg)
         for got, want in zip((model.W1, model.b1, model.W2, model.b2), params):
@@ -635,25 +642,25 @@ class TestSameIterates:
         _check_buffered_step(head, out_dim, poison, np.float32, rows=rows,
                              hidden=256, frequencies=6)
 
-    @pytest.mark.parametrize("frequencies", range(MAX_FREQUENCIES + 1))
-    def test_first_layer_at_every_encoding(self, frequencies):
-        """A loaded model may have any encoding up to MAX_FREQUENCIES. At
-        hidden 64 and 256 the first product folds in the bias and must give
-        the bits of the product and a separate add, on one row, two, a
-        query's chunk and its largest pass."""
-        rng = np.random.default_rng(frequencies)
-        enc = PositionalEncoding(frequencies)
-        d = enc.output_dim
-        for hidden in (64, 256):
-            W1 = rng.normal(0.0, 0.3, (d, hidden)).astype(np.float32)
-            b1 = rng.normal(0.0, 0.5, hidden).astype(np.float32)
-            Wb = np.vstack([W1, b1])
-            for rows in (1, 2, QUERY_CHUNK, 2 * QUERY_CHUNK - 1):
-                feat = np.ones((rows, d + 1), np.float32)
-                enc.encode(rng.uniform(-1, 1, (rows, 3)), out=feat[:, :d])
-                want = feat[:, :d] @ W1
-                want += b1
-                assert np.array_equal(_first_layer(feat, Wb), want)
+    @pytest.mark.parametrize("train", [train_occupancy, train_color])
+    @pytest.mark.parametrize("hidden", [24, 32, 256])
+    def test_first_layer_adds_the_bias(self, train, hidden):
+        """The first layer of a trained model, on one row, two and a batch,
+        is float64 ``feat @ W1 + b1`` within float32 rounding, whatever
+        order BLAS sums in; with b1 zeroed, moved by one unit or shifted by
+        1e-3 it is not."""
+        rng = np.random.default_rng(27)
+        cloud = _Cloud(_box_surface(rng, 600), colors=rng.uniform(0, 1, (600, 3)))
+        model = train(cloud, TrainConfig(epochs=20, hidden_size=hidden))
+        assert np.abs(model.b1).max() > 0.01
+        wrong = [np.zeros_like(model.b1), np.roll(model.b1, 1), model.b1 + 1e-3]
+        points = rng.uniform(-0.15, 0.15, (BATCH_SIZE, 3))
+        for rows in (1, 2, BATCH_SIZE):
+            x = points[:rows]
+            assert _adds_bias(model, model.W1, model.b1, x)
+            for b1 in wrong:
+                bad = dataclasses.replace(model, b1=b1)
+                assert not _adds_bias(bad, model.W1, model.b1, x)
 
     @pytest.mark.parametrize("head, out_dim", [
         ("occupancy", 1), ("segmentation", 3), ("color", 3),
@@ -765,8 +772,8 @@ class TestTrainingLoop:
     def test_short_runs_match_reference(self, cloud, head, train, epochs,
                                         hidden):
         """With one epoch the first is the last; with two, no epoch lies
-        between them. Hidden 32 folds the bias into the first product, 24
-        does not."""
+        between them. Hidden 32 fills whole blocks of 16 columns, 24 leaves
+        part of one over."""
         cfg = TrainConfig(epochs=epochs, hidden_size=hidden, seed=3)
         model = train(cloud, cfg)
         params, initial, final = _reference_train(head, cloud, cfg)
