@@ -566,7 +566,8 @@ def build_parser():
     )
     p.add_argument("--epochs", type=int, default=200,
                    help="training epochs (default 200); no effect with "
-                        "--kind color, which is fitted in closed form")
+                        "--kind occupancy or color, which are fitted by a "
+                        "solve")
     p.add_argument("--out", required=True)
 
     p = add("query", cmd_query, help="query a trained field at CSV points")

@@ -6,24 +6,29 @@ cosine per coordinate and doubles the angle by recurrence for each further
 frequency; within MAX_FREQUENCIES its float64 error stays near 2^L machine
 epsilons (``PositionalEncoding.encode``); it is formed coordinate-major,
 one contiguous row per feature, and transposed once into the features.
-Occupancy and segmentation train by deterministic mini-batch gradient
-descent with momentum, in float32: the weights, the features (computed in
-float64 and rounded once) and the float targets. The features end in a
-column of ones and W1 carries b1 as one more row, so the first layer is the
-one product ``feat @ [W1; b1]``, in training, query and the color fit
-alike. The training rows, occupancy's negatives among them, are encoded
-once per call. Both heads step through ``_forward_backward`` on their
-features and targets alone; segmentation's targets are class indices, from
-which ``_loss_and_dz`` forms the gradient in place. The weights are views
-of one flat vector, and so are their gradients, so the momentum step is one
-update of that vector. Only the first and the last epoch evaluate the loss,
-the two that ``initial_loss`` and ``final_loss`` report. The color head is
-fitted in closed form instead (``train_color``): a hidden layer sampled
-from pairs of training rows across color boundaries, and a readout solved
-by ridge regression. A model keeps and saves its float32 weights, so a
-saved model queries bit for bit like the trained one. The backward pass is
-written out by hand, follows its inputs' dtype, and is validated in float64
-against finite differences (``gradient_check``), for all three losses.
+The features end in a column of ones and W1 carries b1 as one more row, so
+the first layer is the one product ``feat @ [W1; b1]``, in training, query
+and the fits alike. The training rows, occupancy's negatives among them,
+are encoded once per call, and rounded once to float32.
+
+Occupancy and color are fitted, not descended (``train_occupancy``,
+``train_color``): a hidden layer sampled from pairs of training rows whose
+targets differ, and a readout solved by Newton's method on a ridge-penalized
+loss (``_readout``): one step for color's squared error, which is the ridge
+solution, and iterated for occupancy's binary cross-entropy. Occupancy
+samples a larger pool of units and keeps the ones that best fit the
+residuals of its readout, in rounds (forward selection). Segmentation
+trains by deterministic mini-batch gradient descent with momentum, in
+float32: the weights and the features. It steps through
+``_forward_backward`` on its features and class indices, from which
+``_loss_and_dz`` forms the gradient in place. The weights are views of one
+flat vector, and so are their gradients, so the momentum step is one update
+of that vector. Only the first and the last epoch evaluate the loss, the
+two that ``initial_loss`` and ``final_loss`` report. A model keeps and
+saves its float32 weights, so a saved model queries bit for bit like the
+trained one. The backward pass is written out by hand, follows its inputs'
+dtype, and is validated in float64 against finite differences
+(``gradient_check``), for all three losses.
 """
 
 from __future__ import annotations
@@ -52,9 +57,17 @@ HEAD_COLOR = "color"              # linear 3-vector
 # pass's hidden block holds at most this many rows, near the size of a
 # core's L2 cache at 2048.
 QUERY_CHUNK = 2048
-# Samples per training step, and the momentum of the descent.
+# Samples per training step, and the momentum of segmentation's descent.
 BATCH_SIZE = 512
 MOMENTUM = 0.9
+# Occupancy samples POOL * hidden_size candidate units and keeps
+# hidden_size of them, chosen in ROUNDS rounds; the readout of a round
+# before the last takes ROUND_PASSES Newton passes (see train_occupancy).
+POOL = 3
+ROUNDS = 4
+ROUND_PASSES = 3
+# Most passes over the rows of a Newton fit run to convergence (_readout).
+MAX_NEWTON_PASSES = 50
 BOUNDS_INFLATION = 0.2  # occupancy negatives: the cloud's box, 20% larger per axis
 # Most frequencies an encoding may have; see PositionalEncoding.encode.
 MAX_FREQUENCIES = 16
@@ -132,7 +145,14 @@ class PositionalEncoding:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Training settings, checked when made: a bad value raises InputError."""
+    """Training settings, checked when made: a bad value (a bool among
+    them) raises InputError.
+
+    ``seed`` and ``hidden_size`` apply to every head. ``learning_rate`` and
+    ``epochs`` apply to segmentation alone, the one head trained by
+    gradient descent; occupancy and color are fitted by a solve.
+    ``negatives_per_positive`` applies to occupancy alone.
+    """
 
     learning_rate: float = 1e-2
     epochs: int = 200
@@ -149,7 +169,8 @@ class TrainConfig:
                     f"TrainConfig.{name} must be an integer >= {low}, got {v!r}")
         for name in ("learning_rate", "negatives_per_positive"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, float, np.number)) and 0 < v < np.inf):
+            if (not isinstance(v, (int, float, np.number)) or isinstance(v, bool)
+                    or not 0 < v < np.inf):
                 raise InputError(
                     f"TrainConfig.{name} must be a finite positive number, got {v!r}")
 
@@ -187,18 +208,28 @@ class FieldModel:
         the bias.
         """
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        n, d = len(points), self.encoding.output_dim
-        Wb = np.vstack([self.W1, self.b1])
-        out = np.empty((n, self.W2.shape[1]), self.W2.dtype)
-        rows = min(n, QUERY_CHUNK)
-        feat = np.empty((rows, d + 1), np.float32)
+        d = self.encoding.output_dim
+        feat = np.empty((min(len(points), QUERY_CHUNK), d + 1), np.float32)
         feat[:, d] = 1.0
-        hidden = np.empty((rows, Wb.shape[1]), np.result_type(feat, Wb))
-        for lo in range(0, n, QUERY_CHUNK):
-            hi = min(lo + QUERY_CHUNK, n)
+
+        def features(lo, hi):
             f = feat[: hi - lo]
             self.encoding.encode(self.normalize(points[lo:hi]), out=f[:, :d])
-            h = np.matmul(f, Wb, out=hidden[: hi - lo])
+            return f
+
+        return self._outputs(len(points), features)
+
+    def _outputs(self, n, features):
+        """Raw head output for ``n`` rows whose float32 features, with the
+        column of ones, ``features(lo, hi)`` returns for rows lo to hi,
+        QUERY_CHUNK rows at a time."""
+        Wb = np.vstack([self.W1, self.b1])
+        out = np.empty((n, self.W2.shape[1]), self.W2.dtype)
+        hidden = np.empty((min(n, QUERY_CHUNK), Wb.shape[1]),
+                          np.result_type(np.float32, Wb))
+        for lo in range(0, n, QUERY_CHUNK):
+            hi = min(lo + QUERY_CHUNK, n)
+            h = np.matmul(features(lo, hi), Wb, out=hidden[: hi - lo])
             np.maximum(h, 0.0, out=h)
             out[lo:hi] = h @ self.W2 + self.b2
         return out
@@ -432,23 +463,27 @@ def _norm_box(points, inflation=0.0):
     return center, half
 
 
-def _train(points, y, head, out_dim, cfg: TrainConfig, negatives=None):
-    """The descent of occupancy and segmentation, in float32; ``y`` holds
-    float32 occupancy targets or class indices.
+def _features(enc, center, half, *parts):
+    """The float32 features of the rows of ``parts``, stacked, each part
+    encoded in one call, with a last column of ones."""
+    d = enc.output_dim
+    feat = np.empty((sum(map(len, parts)), d + 1), np.float32)
+    feat[:, d] = 1.0
+    lo = 0
+    for x in parts:
+        enc.encode((x - center) / half, out=feat[lo : lo + len(x), :d])
+        lo += len(x)
+    return feat
 
-    ``negatives = (lo, hi, n)`` adds ``n`` samples labeled 0, drawn once,
-    uniformly from the box ``[lo, hi]`` (NCE-style), right after the
-    initial weights; the coordinate normalization then covers that box too.
-    """
+
+def _train(points, y, num_classes, cfg: TrainConfig):
+    """Segmentation's descent, in float32; ``y`` holds class indices."""
     rng = np.random.default_rng(cfg.seed)
     enc = PositionalEncoding()
-    box, n_neg = points, 0
-    if negatives is not None:
-        lo, hi, n_neg = negatives
-        box = np.vstack([points, lo, hi])
-    center, half = _norm_box(box, inflation=0.05)
+    center, half = _norm_box(points, inflation=0.05)
     f32 = np.float32
-    W1, b1, W2, b2 = _init_params(rng, enc.output_dim, cfg.hidden_size, out_dim)
+    W1, b1, W2, b2 = _init_params(rng, enc.output_dim, cfg.hidden_size,
+                                  num_classes)
     # b1 is the weight of a constant feature (see _forward_backward). The
     # parameters are views of one flat vector, and so are their gradients,
     # so the momentum step runs over one vector.
@@ -461,16 +496,9 @@ def _train(points, y, head, out_dim, cfg: TrainConfig, negatives=None):
     # A NumPy scalar learning rate would promote every step to float64.
     momentum, learning_rate = f32(MOMENTUM), f32(cfg.learning_rate)
 
-    # The rows never change, so they are encoded once: the given points,
-    # then any negatives. The last column is the constant feature.
-    n, d = len(points) + n_neg, enc.output_dim
-    feat = np.empty((n, d + 1), f32)
-    feat[:, d] = 1.0
-    enc.encode((points - center) / half, out=feat[: len(points), :d])
-    if negatives is not None:
-        neg = rng.uniform(lo, hi, size=(n_neg, 3))
-        enc.encode((neg - center) / half, out=feat[len(points):, :d])
-        y = np.concatenate([y, np.zeros(n_neg, y.dtype)])
+    # The rows never change, so they are encoded once.
+    feat = _features(enc, center, half, points)
+    n = len(feat)
     # Each epoch gathers its permutation of the rows once; batches are
     # slices of the gathered rows.
     gathered = [np.empty_like(t) for t in (feat, y)]
@@ -487,8 +515,8 @@ def _train(points, y, head, out_dim, cfg: TrainConfig, negatives=None):
         epoch_loss = 0.0
         for s in starts:
             feat_b, y_b = (g[s : s + BATCH_SIZE] for g in gathered)
-            loss, _ = _forward_backward(params, feat_b, y_b, head, hidden,
-                                        grads, with_loss)
+            loss, _ = _forward_backward(params, feat_b, y_b, HEAD_SEGMENTATION,
+                                        hidden, grads, with_loss)
             if with_loss:
                 epoch_loss += loss
             velocity *= momentum
@@ -497,9 +525,9 @@ def _train(points, y, head, out_dim, cfg: TrainConfig, negatives=None):
         if with_loss:
             losses.append(epoch_loss / len(starts))
     initial_loss, loss = losses[0], losses[-1]
-    log.info("trained %s head: loss %.4g -> %.4g", head, initial_loss, loss)
+    log.info("trained segmentation head: loss %.4g -> %.4g", initial_loss, loss)
     return FieldModel(
-        head=head,
+        head=HEAD_SEGMENTATION,
         encoding=enc,
         W1=params[0][:-1].copy(),
         b1=params[0][-1].copy(),
@@ -507,7 +535,7 @@ def _train(points, y, head, out_dim, cfg: TrainConfig, negatives=None):
         b2=params[2].copy(),
         norm_center=center,
         norm_half=half,
-        num_classes=out_dim if head == HEAD_SEGMENTATION else 1,
+        num_classes=num_classes,
         final_loss=loss,
         initial_loss=initial_loss,
         train_config=cfg,
@@ -530,10 +558,36 @@ def _training_inputs(cloud, cfg):
 def train_occupancy(cloud, cfg: TrainConfig | None = None) -> FieldModel:
     """Occupancy classifier: cloud points vs uniform free-space negatives.
 
-    Negatives are drawn once, for every epoch, from the cloud's bounding
-    box, inflated by BOUNDS_INFLATION per axis. Raises DegenerateBounds when
-    that box has no extent along some axis in floating point, as for a
-    cloud far from the origin.
+    ``max(1, int(N * cfg.negatives_per_positive))`` negatives are drawn
+    once from the cloud's bounding box, inflated by BOUNDS_INFLATION per
+    axis, right after the initial weights; the coordinate normalization
+    covers that box (grown by another 5%). Raises DegenerateBounds when the
+    box has no extent along some axis in floating point, as for a cloud far
+    from the origin.
+
+    Fitted, not descended: ``cfg.seed``, ``cfg.hidden_size`` and
+    ``cfg.negatives_per_positive`` apply, ``cfg.epochs`` and
+    ``cfg.learning_rate`` do not. A pool of POOL * hidden_size candidate
+    units is sampled as ``train_color`` samples its layer, from pairs of
+    rows whose targets differ: positive-negative pairs, taken in proportion
+    to 1 / their distance in encoding space. hidden_size of them are kept,
+    in ROUNDS rounds of about equal size (forward selection): each round
+    adds the candidates whose activations a_u best match the residuals r =
+    p - y of the readout so far, by ``|a_u . r| / |a_u|`` (``_unit_scores``),
+    and solves the readout again from the one before, its new weights 0:
+    ROUND_PASSES Newton passes in a round before the last, since its
+    readout only serves the next round's choice, and to convergence in the
+    last. The first round starts from a zero readout. The readout W2, b2
+    minimizes the summed binary cross-entropy plus the ridge
+    ``1e-4 tr(AᵀA) / (units + 1)`` for the activations A with a column of
+    ones, by Newton's method (``_readout``). Choosing among more
+    candidates than it keeps lets a narrow layer fit a thin surface, which
+    the first hidden_size sampled units do not.
+
+    ``final_loss`` is the mean binary cross-entropy (``_loss_and_dz``) of
+    the returned float32 weights on the training rows, positives and
+    negatives, as ``query`` evaluates them; ``initial_loss`` is that of
+    W2 = 0 and b2 = 0, ln 2.
     """
     pos, cfg = _training_inputs(cloud, cfg)
     center, half = _norm_box(pos, inflation=BOUNDS_INFLATION)
@@ -541,8 +595,27 @@ def train_occupancy(cloud, cfg: TrainConfig | None = None) -> FieldModel:
     if (hi <= lo).any():
         raise DegenerateBounds(f"negative-sample box [{lo}, {hi}] is degenerate")
     n_neg = max(int(len(pos) * cfg.negatives_per_positive), 1)
-    return _train(pos, np.ones(len(pos), np.float32), HEAD_OCCUPANCY, 1, cfg,
-                  (lo, hi, n_neg))
+    rng = np.random.default_rng(cfg.seed)
+    enc = PositionalEncoding()
+    center, half = _norm_box(np.vstack([pos, lo, hi]), inflation=0.05)
+    W1, b1, _, _ = _init_params(rng, enc.output_dim, POOL * cfg.hidden_size, 1)
+    neg = rng.uniform(lo, hi, size=(n_neg, 3))
+    feat = _features(enc, center, half, pos, neg)
+    y = np.concatenate([np.ones(len(pos)), np.zeros(n_neg)])[:, None]
+    pool = _sampled_layer(rng, feat, y, np.vstack([W1, b1]))
+    chosen, readout = np.zeros(0, int), np.zeros((1, 1))
+    for k in range(1, ROUNDS + 1):
+        add = k * cfg.hidden_size // ROUNDS - len(chosen)
+        if add:
+            score = _unit_scores(feat, pool, chosen, readout, y)
+            score[chosen] = -1.0
+            chosen = np.concatenate(
+                [chosen, np.argsort(-score, kind="stable")[:add]])
+            readout = np.vstack([readout[:-1], np.zeros((add, 1)), readout[-1:]])
+            readout = _readout(feat, pool[:, chosen], y, True, readout,
+                               None if k == ROUNDS else ROUND_PASSES)
+    return _fitted_model(HEAD_OCCUPANCY, enc, feat, y, pool[:, chosen], readout,
+                         center, half, cfg)
 
 
 def train_segmentation(cloud, cfg: TrainConfig | None = None) -> FieldModel:
@@ -563,12 +636,12 @@ def train_segmentation(cloud, cfg: TrainConfig | None = None) -> FieldModel:
     if len(classes) < 2:
         raise SingleClass(f"only class {classes} present; nothing to separate")
     y = np.searchsorted(classes, labels)
-    model = _train(pts, y, HEAD_SEGMENTATION, len(classes), cfg)
+    model = _train(pts, y, len(classes), cfg)
     model.class_values = classes
     return model
 
 
-def _sampled_layer(rng, feat, colors, Wb):
+def _sampled_layer(rng, feat, targets, Wb):
     """``Wb`` (float64, W1 over b1) with its first units placed on the
     bisecting hyperplanes of sampled pairs of rows, as ``train_color``
     describes, rounded to float32."""
@@ -578,7 +651,7 @@ def _sampled_layer(rng, feat, colors, Wb):
     fi, fj = (feat[k, :d].astype(float) for k in (i, j))
     step = fj - fi
     dist = np.linalg.norm(step, axis=1)
-    change = np.linalg.norm(colors[j] - colors[i], axis=1)
+    change = np.linalg.norm(targets[j] - targets[i], axis=1)
     weight = np.divide(change, dist, out=np.zeros_like(dist), where=dist > 0)
     # Exponential clocks: the pairs whose clocks E / weight ring first are
     # a draw without replacement in proportion to weight; weight 0 never
@@ -593,26 +666,125 @@ def _sampled_layer(rng, feat, colors, Wb):
     return Wb.astype(np.float32)
 
 
-def _ridge_readout(feat, Wb, targets):
-    """The float32 ridge solution [W2; b2] over ``relu(feat @ Wb)`` and a
-    column of ones, solved in float64 from sums over QUERY_CHUNK rows at a
-    time, with the ridge 1e-6 tr(G) / (hidden + 1) on the Gram matrix G."""
+def _unit_scores(feat, pool, chosen, readout, y):
+    """``|a_u . r| / |a_u|`` for every unit u of ``pool`` (float32, W over
+    b), a_u its activations on the rows of ``feat`` and r = p - y the
+    residuals of the occupancy readout over the ``chosen`` units and a
+    column of ones; 0 for a unit that no row activates. Products are
+    float32 and sums float64, over QUERY_CHUNK / POOL rows at a time, so
+    the activations take no more memory than a query's hidden block."""
+    w = np.zeros(pool.shape[1], np.float32)
+    w[chosen] = readout[:-1, 0]
+    dot, sq = np.zeros(pool.shape[1]), np.zeros(pool.shape[1])
+    rows_per = max(QUERY_CHUNK // POOL, 1)
+    act = np.empty((min(len(feat), rows_per), pool.shape[1]), np.float32)
+    for lo in range(0, len(feat), rows_per):
+        rows = slice(lo, lo + rows_per)
+        a = np.matmul(feat[rows], pool, out=act[: len(feat[rows])])
+        np.maximum(a, 0.0, out=a)
+        r = _sigmoid((a @ w).astype(float) + readout[-1, 0]) - y[rows, 0]
+        dot += a.T @ r.astype(np.float32)
+        sq += np.einsum("ij,ij->j", a, a)
+    return np.divide(np.abs(dot), np.sqrt(sq), out=np.zeros_like(dot),
+                     where=sq > 0)
+
+
+def _readout(feat, Wb, y, logistic, w=None, passes=None):
+    """The readout w = [W2; b2] (float64) over A = [relu(feat @ Wb), 1], by
+    Newton's method from ``w`` (zero when None) on the summed loss plus
+    ``ridge / 2 |w|^2``, with ``ridge = rel tr(AᵀA) / (units + 1)``.
+    ``passes`` caps the passes over the rows without a warning.
+
+    Least squares (color, ``logistic`` False): the loss ``|A w - y|^2 / 2``
+    is quadratic, so one Newton step from zero is the ridge solution, with
+    rel 1e-6; its products are float64, since float32's rounding of AᵀA
+    would outweigh so small a ridge. Logistic (occupancy, y 0 or 1): the
+    summed binary cross-entropy, with rel 1e-4 and float32 products. A step
+    that raises the penalized loss by more than 1e-6 of its value is
+    halved; the fit stops when a step lowers it by less than that, or, with
+    a warning, after MAX_NEWTON_PASSES passes.
+
+    Each pass sums the loss, the gradient ``Aᵀ r`` and the Hessian
+    ``Aᵀ S A`` (r and S each row's residual and curvature) in float64 over
+    QUERY_CHUNK rows at a time, so no array holds a row per point and a
+    column per unit, and solves in float64.
+    """
     hidden = Wb.shape[1]
+    dtype, rel = (np.float32, 1e-4) if logistic else (np.float64, 1e-6)
     # One more unit reads the constant feature with weight 1: relu(1) is
     # the column of ones.
-    Wb1 = np.zeros((len(Wb), hidden + 1))
+    Wb1 = np.zeros((len(Wb), hidden + 1), dtype)
     Wb1[:, :hidden], Wb1[-1, hidden] = Wb, 1.0
-    gram = np.zeros((hidden + 1, hidden + 1))
-    rhs = np.zeros((hidden + 1, targets.shape[1]))
-    act = np.empty((min(len(feat), QUERY_CHUNK), hidden + 1))
-    for lo in range(0, len(feat), QUERY_CHUNK):
-        rows = slice(lo, lo + QUERY_CHUNK)
-        a = np.matmul(feat[rows], Wb1, out=act[: len(feat[rows])])
-        np.maximum(a, 0.0, out=a)
-        gram += a.T @ a
-        rhs += a.T @ targets[rows]
-    gram[np.diag_indices_from(gram)] += 1e-6 * np.trace(gram) / (hidden + 1)
-    return np.linalg.solve(gram, rhs).astype(np.float32)
+    act = np.empty((min(len(feat), QUERY_CHUNK), hidden + 1), dtype)
+    w = np.zeros((hidden + 1, y.shape[1])) if w is None else w
+    ridge, last = None, np.inf
+    for _ in range(passes or MAX_NEWTON_PASSES):
+        loss, grad, sq = 0.0, np.zeros_like(w), 0.0
+        hess = np.zeros((hidden + 1, hidden + 1))
+        w_d = w.astype(dtype)
+        for lo in range(0, len(feat), QUERY_CHUNK):
+            rows = slice(lo, lo + QUERY_CHUNK)
+            a = np.matmul(feat[rows], Wb1, out=act[: len(feat[rows])])
+            np.maximum(a, 0.0, out=a)
+            if ridge is None:
+                sq += np.square(a).sum(dtype=float)
+            z = (a @ w_d).astype(float)
+            if logistic:
+                p = _sigmoid(z)
+                loss += np.sum(np.logaddexp(0.0, z) - y[rows] * z)
+                r = p - y[rows]
+            else:
+                r = z - y[rows]
+                loss += np.sum(r**2) / 2.0
+            grad += a.T @ r.astype(dtype)
+            if logistic:  # a becomes S^(1/2) a
+                a *= np.sqrt(p * (1.0 - p)).astype(dtype)
+            hess += a.T @ a
+        if ridge is None:
+            ridge = rel * sq / (hidden + 1)
+        loss += ridge / 2.0 * np.sum(w**2)
+        if loss - last > 1e-6 * last:  # the step overshot: take half of it
+            step /= 2.0
+            w += step
+            continue
+        if last - loss <= 1e-6 * loss:
+            break
+        last = loss
+        hess[np.diag_indices_from(hess)] += ridge
+        step = np.linalg.solve(hess, grad + ridge * w)
+        w = w - step
+        if not logistic:
+            break
+    else:
+        if passes is None:
+            log.warning("readout stopped after %d Newton passes, penalized "
+                        "loss %.6g", MAX_NEWTON_PASSES, loss)
+    return w
+
+
+def _fitted_model(head, enc, feat, y, Wb, readout, center, half, cfg):
+    """The model of a fitted head, with the loss of a zero readout and that
+    of its float32 weights on the training rows, as ``query`` evaluates
+    them."""
+    readout = readout.astype(np.float32)
+    model = FieldModel(
+        head=head,
+        encoding=enc,
+        W1=Wb[:-1].copy(),
+        b1=Wb[-1].copy(),
+        W2=readout[:-1].copy(),
+        b2=readout[-1].copy(),
+        norm_center=center,
+        norm_half=half,
+        train_config=cfg,
+    )
+    y = y.astype(np.float32)
+    model.initial_loss, _ = _loss_and_dz(head, np.zeros_like(y), y)
+    z = model._outputs(len(feat), lambda lo, hi: feat[lo:hi])
+    model.final_loss, _ = _loss_and_dz(head, z, y)
+    log.info("fitted %s head: loss %.4g -> %.4g", head, model.initial_loss,
+             model.final_loss)
+    return model
 
 
 def train_color(cloud, cfg: TrainConfig | None = None) -> FieldModel:
@@ -636,7 +808,7 @@ def train_color(cloud, cfg: TrainConfig | None = None) -> FieldModel:
     float64, with the fixed ridge ``1e-6 tr(G) / (hidden_size + 1)`` for
     the Gram matrix G; G and the right-hand side are summed QUERY_CHUNK
     rows at a time, so no array holds a row per point and a column per
-    unit. The weights are stored as float32.
+    unit (``_readout``). The weights are stored as float32.
 
     ``final_loss`` is the mean squared error (``_loss_and_dz``) of the
     returned float32 weights on the training rows, as ``query`` evaluates
@@ -655,30 +827,11 @@ def train_color(cloud, cfg: TrainConfig | None = None) -> FieldModel:
     rng = np.random.default_rng(cfg.seed)
     enc = PositionalEncoding()
     center, half = _norm_box(pts, inflation=0.05)
-    d = enc.output_dim
-    W1, b1, _, _ = _init_params(rng, d, cfg.hidden_size, 3)
-    feat = np.empty((len(pts), d + 1), np.float32)
-    feat[:, d] = 1.0
-    enc.encode((pts - center) / half, out=feat[:, :d])
+    W1, b1, _, _ = _init_params(rng, enc.output_dim, cfg.hidden_size, 3)
+    feat = _features(enc, center, half, pts)
     Wb = _sampled_layer(rng, feat, colors, np.vstack([W1, b1]))
-    readout = _ridge_readout(feat, Wb, colors)
-    model = FieldModel(
-        head=HEAD_COLOR,
-        encoding=enc,
-        W1=Wb[:-1].copy(),
-        b1=Wb[-1].copy(),
-        W2=readout[:-1].copy(),
-        b2=readout[-1].copy(),
-        norm_center=center,
-        norm_half=half,
-        train_config=cfg,
-    )
-    y = colors.astype(np.float32)
-    model.initial_loss, _ = _loss_and_dz(HEAD_COLOR, np.zeros_like(y), y)
-    model.final_loss, _ = _loss_and_dz(HEAD_COLOR, model.forward(pts), y)
-    log.info("fitted color head: loss %.4g -> %.4g", model.initial_loss,
-             model.final_loss)
-    return model
+    return _fitted_model(HEAD_COLOR, enc, feat, colors, Wb,
+                         _readout(feat, Wb, colors, False), center, half, cfg)
 
 
 def query(model: FieldModel, points):

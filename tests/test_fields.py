@@ -12,7 +12,6 @@ from jcr import fields
 from jcr.errors import DegenerateBounds, EmptyCloud, InputError, SingleClass
 from jcr.fields import (
     BATCH_SIZE,
-    BOUNDS_INFLATION,
     MAX_FREQUENCIES,
     MOMENTUM,
     QUERY_CHUNK,
@@ -214,6 +213,93 @@ class TestOccupancy:
         model, pts = box_model
         probs = query(model, pts[:200])
         assert (probs > 0.5).mean() >= 0.95
+
+    @pytest.mark.parametrize("hidden", [3, 24, 256])
+    def test_readout_is_stationary(self, monkeypatch, hidden):
+        """At the returned readout w, the float64 gradient of the summed
+        binary cross-entropy plus ``1e-4 tr(AᵀA) / (hidden + 1) |w|^2 / 2``
+        (A the hidden activations with a column of ones) is near 0: within
+        1e-4 of its size at w = 0, which the float32 rounding of the stored
+        weights and of the fit's products leaves room for."""
+        rng = np.random.default_rng(28)
+        cloud = _Cloud(_box_surface(rng, 2 * QUERY_CHUNK + 100))
+        model, rows, y = _occupancy_fit(monkeypatch, cloud,
+                                        TrainConfig(hidden_size=hidden, seed=2))
+        feat = model.encoding.encode(model.normalize(rows))
+        feat = feat.astype(np.float32).astype(float)
+        act = np.hstack([np.maximum(feat @ model.W1 + model.b1, 0.0),
+                         np.ones((len(rows), 1))])
+        ridge = 1e-4 * np.sum(act**2) / (hidden + 1)
+
+        def gradient(w):
+            return act.T @ (1.0 / (1.0 + np.exp(-act @ w)) - y) + ridge * w
+
+        w = np.append(model.W2[:, 0], model.b2).astype(float)
+        g, g0 = gradient(w), gradient(np.zeros_like(w))
+        assert np.linalg.norm(g) <= 1e-4 * np.linalg.norm(g0)
+
+    def test_losses(self, monkeypatch):
+        """``initial_loss`` is ln 2, the loss of a zero readout, and
+        ``final_loss`` the mean binary cross-entropy of ``query`` on the
+        training rows, positives and negatives."""
+        rng = np.random.default_rng(29)
+        model, rows, y = _occupancy_fit(monkeypatch, _Cloud(_box_surface(rng, 500)),
+                                        TrainConfig(hidden_size=32))
+        p = query(model, rows).astype(float)
+        bce = -np.mean(y * np.log(p) + (1 - y) * np.log(1 - p))
+        assert model.initial_loss == pytest.approx(np.log(2.0), rel=1e-6)
+        assert model.final_loss == pytest.approx(bce, rel=1e-4)
+        assert model.final_loss < model.initial_loss
+
+    def test_same_seed_same_model(self):
+        rng = np.random.default_rng(30)
+        cloud = _Cloud(_box_surface(rng, 700))
+        cfg = TrainConfig(hidden_size=48, seed=7)
+        first = train_occupancy(cloud, cfg).to_dict()
+        assert train_occupancy(cloud, cfg).to_dict() == first
+        assert train_occupancy(cloud, dataclasses.replace(cfg, seed=8)).to_dict() != first
+
+    @pytest.mark.parametrize("points", [
+        [[0.1, 0.2, 0.3]], [[0.1, 0.2, 0.3], [0.1, 0.25, 0.3]],
+    ], ids=["one-point", "two-point"])
+    @pytest.mark.parametrize("hidden", [1, 5, 64, 256])
+    def test_tiny_clouds_fit_finite_weights(self, points, hidden):
+        model = train_occupancy(_Cloud(points), TrainConfig(hidden_size=hidden))
+        assert model.W1.shape == (model.encoding.output_dim, hidden)
+        for a in (model.W1, model.b1, model.W2, model.b2):
+            assert np.isfinite(a).all()
+        assert model.final_loss <= model.initial_loss
+        assert (query(model, points) > 0.5).all()
+
+    def test_fit_holds_chunk_sized_buffers(self):
+        """The fit's peak memory stays below one float64 array of a row per
+        training row and a column per unit."""
+        rng = np.random.default_rng(31)
+        n, cfg = 3 * QUERY_CHUNK + 100, TrainConfig(hidden_size=256)
+        cloud = _Cloud(_box_surface(rng, n))
+        tracemalloc.start()
+        try:
+            train_occupancy(cloud, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * n * (cfg.hidden_size + 1) * 8
+
+
+def _occupancy_fit(monkeypatch, cloud, cfg):
+    """``train_occupancy``'s model, its training rows (the positives, then
+    the negatives it draws) and their targets, read from the rows it
+    encodes."""
+    parts, features = [], fields._features
+
+    def spy(enc, center, half, *xs):
+        parts.extend(xs)
+        return features(enc, center, half, *xs)
+
+    monkeypatch.setattr(fields, "_features", spy)
+    model = train_occupancy(cloud, cfg)
+    pos, neg = parts
+    return model, np.vstack(parts), np.r_[np.ones(len(pos)), np.zeros(len(neg))]
 
 
 class TestSegmentation:
@@ -535,36 +621,22 @@ def _reference_step(params, feat, y, head):
 
 
 def _reference_train(head, cloud, cfg):
-    """The descent of occupancy and segmentation written plainly: every
-    epoch encodes the whole training set, occupancy's positives and its
-    negatives stacked, and steps with ``_reference_step``. Occupancy draws
-    its negatives once, before the first epoch. Parameters, features and
-    float targets are float32; the features are the per-frequency libm
-    encoding (``_libm_encode``) in float64, then rounded."""
+    """Segmentation's descent written plainly: every epoch encodes the
+    whole training set and steps with ``_reference_step``. Parameters and
+    features are float32; the features are the per-frequency libm encoding
+    (``_libm_encode``) in float64, then rounded."""
     pts = cloud.points
-    if head == "occupancy":
-        center, half = _norm_box(pts, inflation=BOUNDS_INFLATION)
-        lo, hi = center - half, center + half
-        n_neg = max(int(len(pts) * cfg.negatives_per_positive), 1)
-        box, out_dim = np.vstack([pts, lo, hi]), 1
-    else:
-        classes = np.unique(cloud.segmentation)
-        y = np.searchsorted(classes, cloud.segmentation)
-        box, out_dim = pts, len(classes)
+    classes = np.unique(cloud.segmentation)
+    y = np.searchsorted(classes, cloud.segmentation)
     rng = np.random.default_rng(cfg.seed)
     enc = PositionalEncoding()
-    center, half = _norm_box(box, inflation=0.05)
+    center, half = _norm_box(pts, inflation=0.05)
     params = [p.astype(np.float32) for p in
-              _init_params(rng, enc.output_dim, cfg.hidden_size, out_dim)]
+              _init_params(rng, enc.output_dim, cfg.hidden_size, len(classes))]
     velocity = [np.zeros_like(p) for p in params]
-    x = pts
-    if head == "occupancy":
-        x = np.vstack([pts, rng.uniform(lo, hi, size=(n_neg, 3))])
-        y = np.concatenate([np.ones(len(pts)), np.zeros(n_neg)])
-        y = y.astype(np.float32)
     losses = []
     for _ in range(cfg.epochs):
-        feat = _libm_encode((x - center) / half).astype(np.float32)
+        feat = _libm_encode((pts - center) / half).astype(np.float32)
         order = rng.permutation(len(feat))
         total, nb = 0.0, 0
         for s in range(0, len(order), BATCH_SIZE):
@@ -587,20 +659,18 @@ class TestSameIterates:
     must give the plain loop's iterates, on per-frequency libm features, bit
     for bit."""
 
-    # 600 points in batches of BATCH_SIZE = 512 leave a short last batch;
-    # occupancy's 1200 (positives and negatives) too.
+    # 600 points in batches of BATCH_SIZE = 512 leave a short last batch.
     CFG = TrainConfig(epochs=4, hidden_size=24, seed=3)
 
     @pytest.fixture(scope="class")
     def cloud(self):
-        assert 600 % BATCH_SIZE and 1200 % BATCH_SIZE
+        assert 600 % BATCH_SIZE
         rng = np.random.default_rng(21)
         pts = _box_surface(rng, 600)
         return _Cloud(pts, colors=rng.uniform(0, 1, (600, 3)),
                       segmentation=rng.choice([2, 5, 9], 600))
 
     @pytest.mark.parametrize("head, train", [
-        ("occupancy", train_occupancy),
         ("segmentation", train_segmentation),
     ])
     @pytest.mark.parametrize("hidden", [24, 32])
@@ -728,10 +798,10 @@ def _check_buffered_step(head, out_dim, poison, dtype, rows=37, hidden=16,
 
 
 class TestTrainingLoop:
-    """``_train`` evaluates the loss only in the first and the last epoch,
-    and steps the parameters as views of one flat vector."""
+    """``_train`` (segmentation) evaluates the loss only in the first and
+    the last epoch, and steps the parameters as views of one flat vector."""
 
-    HEADS = [("occupancy", train_occupancy), ("segmentation", train_segmentation)]
+    HEADS = [("segmentation", train_segmentation)]
 
     @pytest.fixture(scope="class")
     def cloud(self):
@@ -784,8 +854,8 @@ class TestTrainingLoop:
 
     @pytest.mark.parametrize("epochs", [1, 3])
     def test_occupancy_encodes_rows_once(self, monkeypatch, cloud, epochs):
-        """Positives and negatives are each encoded once, whatever the
-        number of epochs."""
+        """Positives and negatives are each encoded once, in one call each,
+        through every round of the fit; ``epochs`` does not apply."""
         rows, encode = [], PositionalEncoding.encode
 
         def spy(self, x, out=None):
@@ -820,7 +890,7 @@ class TestTrainingLoop:
 
 
 class TestFloat32Training:
-    @pytest.mark.parametrize("train", [train_occupancy, train_segmentation])
+    @pytest.mark.parametrize("train", [train_segmentation])
     def test_numpy_scalar_step_sizes_train_in_float32(self, monkeypatch, train):
         """A NumPy float64 learning rate gives the weights that a Python
         float gives, and every step's gradients stay float32."""
@@ -881,10 +951,12 @@ class TestTrainingInputs:
     @pytest.mark.parametrize("change", [
         {"epochs": 0}, {"hidden_size": 2.5}, {"seed": -1},
         {"learning_rate": 0.0}, {"negatives_per_positive": float("inf")},
+        {"negatives_per_positive": True}, {"learning_rate": True},
     ])
     def test_bad_config_refused_when_made(self, change):
         """A TrainConfig checks itself where it is made, also as a copy
-        with a changed value, before any training call."""
+        with a changed value, before any training call. A bool is not a
+        number, in the float fields as in the integer ones."""
         name = next(iter(change))
         with pytest.raises(InputError, match=f"TrainConfig.{name} "):
             TrainConfig(**change)
@@ -962,6 +1034,7 @@ class TestModelDict:
         (("final_loss",), "low"),
         (("train_config", "epochs"), 0),
         (("train_config", "learning_rate"), 0.0),
+        (("train_config", "learning_rate"), True),
     ])
     def test_malformed_rejected(self, model_dict, path, value):
         d = copy.deepcopy(model_dict)
