@@ -565,9 +565,8 @@ def build_parser():
         "--kind", choices=["occupancy", "segmentation", "color"], required=True
     )
     p.add_argument("--epochs", type=int, default=200,
-                   help="training epochs (default 200); no effect with "
-                        "--kind occupancy or color, which are fitted by a "
-                        "solve")
+                   help="no effect, since every head is fitted by a solve; "
+                        "accepted so that existing scripts still run")
     p.add_argument("--out", required=True)
 
     p = add("query", cmd_query, help="query a trained field at CSV points")

@@ -7,28 +7,20 @@ frequency; within MAX_FREQUENCIES its float64 error stays near 2^L machine
 epsilons (``PositionalEncoding.encode``); it is formed coordinate-major,
 one contiguous row per feature, and transposed once into the features.
 The features end in a column of ones and W1 carries b1 as one more row, so
-the first layer is the one product ``feat @ [W1; b1]``, in training, query
-and the fits alike. The training rows, occupancy's negatives among them,
-are encoded once per call, and rounded once to float32.
+the first layer is the one product ``feat @ [W1; b1]``, in the fits and in
+query alike. The training rows, occupancy's negatives among them, are
+encoded once per call, and rounded once to float32.
 
-Occupancy and color are fitted, not descended (``train_occupancy``,
-``train_color``): a hidden layer sampled from pairs of training rows whose
-targets differ, and a readout solved by Newton's method on a ridge-penalized
-loss (``_readout``): one step for color's squared error, which is the ridge
-solution, and iterated for occupancy's binary cross-entropy. Occupancy
-samples a larger pool of units and keeps the ones that best fit the
-residuals of its readout, in rounds (forward selection). Segmentation
-trains by deterministic mini-batch gradient descent with momentum, in
-float32: the weights and the features. It steps through
-``_forward_backward`` on its features and class indices, from which
-``_loss_and_dz`` forms the gradient in place. The weights are views of one
-flat vector, and so are their gradients, so the momentum step is one update
-of that vector. Only the first and the last epoch evaluate the loss, the
-two that ``initial_loss`` and ``final_loss`` report. A model keeps and
-saves its float32 weights, so a saved model queries bit for bit like the
-trained one. The backward pass is written out by hand, follows its inputs'
-dtype, and is validated in float64 against finite differences
-(``gradient_check``), for all three losses.
+Every head is fitted, not descended: a hidden layer sampled from pairs of
+training rows whose targets differ (``_sampled_layer``), and a readout
+solved by Newton's method on a ridge-penalized loss (``_readout``): one
+step for color's squared error, which is the ridge solution; iterated for
+occupancy's binary cross-entropy and for segmentation's, one-vs-rest, a
+column per class. Occupancy samples a larger pool of units and keeps those
+that best fit its readout's residuals, in rounds (forward selection). A
+model keeps and saves its float32 weights, so a saved model queries bit
+for bit like the fitted one. ``gradient_check`` measures, from loss values
+alone, how far a fitted readout is from stationary.
 """
 
 from __future__ import annotations
@@ -57,9 +49,6 @@ HEAD_COLOR = "color"              # linear 3-vector
 # pass's hidden block holds at most this many rows, near the size of a
 # core's L2 cache at 2048.
 QUERY_CHUNK = 2048
-# Samples per training step, and the momentum of segmentation's descent.
-BATCH_SIZE = 512
-MOMENTUM = 0.9
 # Occupancy samples POOL * hidden_size candidate units and keeps
 # hidden_size of them, chosen in ROUNDS rounds; the readout of a round
 # before the last takes ROUND_PASSES Newton passes (see train_occupancy).
@@ -68,6 +57,10 @@ ROUNDS = 4
 ROUND_PASSES = 3
 # Most passes over the rows of a Newton fit run to convergence (_readout).
 MAX_NEWTON_PASSES = 50
+# A readout's ridge, relative to tr(AᵀA) / (units + 1) for its activations
+# A with a column of ones: for the logistic losses and for squared error.
+RIDGE_LOGISTIC = 1e-4
+RIDGE_SQUARED = 1e-6
 BOUNDS_INFLATION = 0.2  # occupancy negatives: the cloud's box, 20% larger per axis
 # Most frequencies an encoding may have; see PositionalEncoding.encode.
 MAX_FREQUENCIES = 16
@@ -148,10 +141,10 @@ class TrainConfig:
     """Training settings, checked when made: a bad value (a bool among
     them) raises InputError.
 
-    ``seed`` and ``hidden_size`` apply to every head. ``learning_rate`` and
-    ``epochs`` apply to segmentation alone, the one head trained by
-    gradient descent; occupancy and color are fitted by a solve.
-    ``negatives_per_positive`` applies to occupancy alone.
+    ``seed`` and ``hidden_size`` apply to every head, and
+    ``negatives_per_positive`` to occupancy alone. Every head is fitted by
+    a solve, so ``learning_rate`` and ``epochs`` apply to none; they are
+    still checked and recorded, so that existing configs stay valid.
     """
 
     learning_rate: float = 1e-2
@@ -359,84 +352,19 @@ def _softmax(z):
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _loss_and_dz(head, z, y, with_loss=True):
-    """Mean loss and its gradient w.r.t. the pre-activation output.
-
-    For segmentation, ``y`` holds class indices; the gradient
-    ``(p - I[y]) / n``, I the identity, is formed in place by subtracting 1
-    at each row's class, which gives the bits of subtracting one-hot rows
-    (x - 0 is x). With ``with_loss`` False the loss is not evaluated and is
-    returned as None; the gradient is the same.
-    """
-    n = len(z)
-    loss = None
+def _loss(head, z, y):
+    """Mean loss of the pre-activation outputs ``z`` against the target
+    matrix ``y``, a row per row of ``z``: binary cross-entropy on a 0/1
+    column (occupancy), cross-entropy of the softmax on one-hot rows
+    (segmentation), or squared L2 per row on RGB (color)."""
     if head == HEAD_OCCUPANCY:
-        p = _sigmoid(z[:, 0])
-        yv = y.reshape(-1)
-        eps = 1e-12
-        if with_loss:
-            loss = -np.mean(yv * np.log(p + eps) + (1 - yv) * np.log(1 - p + eps))
-        dz = ((p - yv) / n)[:, None]
+        p, t = _sigmoid(z[:, 0]), y[:, 0]
+        loss = -np.mean(t * np.log(p + 1e-12) + (1 - t) * np.log(1 - p + 1e-12))
     elif head == HEAD_SEGMENTATION:
-        dz = _softmax(z)
-        rows, idx = np.arange(n), y.astype(int).reshape(-1)
-        if with_loss:
-            loss = -np.mean(np.log(dz[rows, idx] + 1e-12))
-        dz[rows, idx] -= 1.0
-        dz /= n
-    elif head == HEAD_COLOR:
-        # Squared L2 per sample, averaged over the rows. train_color reads
-        # only the loss; the gradient serves gradient_check.
-        diff = z - y
-        if with_loss:
-            loss = np.mean((diff**2).sum(axis=1))
-        dz = 2.0 * diff / n
+        loss = -np.mean(np.sum(y * np.log(_softmax(z) + 1e-12), axis=1))
     else:
-        raise InputError(f"unknown head {head!r}")
-    return None if loss is None else float(loss), dz
-
-
-def _forward_backward(params, feat, y, head, hidden=None, grads=None,
-                      with_loss=True):
-    """Batch loss and gradients of ``params = [Wb, W2, b2]``, for ``Wb`` =
-    W1 with b1 stacked under it as one more row, the weight of ``feat``'s
-    last column, which holds ones. The first layer is ``feat @ Wb``.
-
-    The gradient of ``Wb`` is ``feat[:, :-1].T @ dz1`` over
-    ``dz1.sum(axis=0)``: the bias row taken from the product ``feat.T @ dz1``
-    would sum the rows in BLAS's blocked order, with other bits.
-
-    ``hidden`` is an optional scratch buffer of at least ``len(feat)`` rows
-    and one column per hidden unit. It holds the hidden layer's
-    pre-activation, then its activation, then its gradient, so a training
-    step allocates no batch-by-hidden temporaries besides the ReLU mask.
-    ``with_loss`` is passed on to ``_loss_and_dz``. The gradients are
-    written into ``grads``, arrays shaped like ``params``, or into new ones
-    when it is None.
-    """
-    Wb, W2, b2 = params
-    if grads is None:
-        grads = [np.empty_like(p) for p in params]
-    dWb, dW2, db2 = grads
-    h = np.matmul(feat, Wb, out=None if hidden is None else hidden[: len(feat)])
-    mask = h > 0
-    np.maximum(h, 0.0, out=h)
-    z2 = h @ W2 + b2
-    loss, dz2 = _loss_and_dz(head, z2, y, with_loss)
-    np.matmul(h.T, dz2, out=dW2)
-    np.sum(dz2, axis=0, out=db2)
-    # da = dz2 @ W2.T, written over the activation. With one output column
-    # that is an outer product: einsum forms each element with the same
-    # single multiplication as the k=1 matmul, at a fraction of its cost.
-    if W2.shape[1] == 1:
-        np.einsum("i,j->ij", dz2[:, 0], W2[:, 0], out=h)
-    else:
-        np.matmul(dz2, W2.T, out=h)
-    # A multiply, not a masked store, so that NaN and inf propagate.
-    h *= mask
-    np.matmul(feat[:, :-1].T, h, out=dWb[:-1])
-    np.sum(h, axis=0, out=dWb[-1])
-    return loss, grads
+        loss = np.mean(((z - y) ** 2).sum(axis=1))
+    return float(loss)
 
 
 def _init_params(rng, in_dim, hidden, out_dim):
@@ -445,13 +373,6 @@ def _init_params(rng, in_dim, hidden, out_dim):
     W2 = rng.normal(0.0, np.sqrt(1.0 / hidden), size=(hidden, out_dim))
     b2 = np.zeros(out_dim)
     return [W1, b1, W2, b2]
-
-
-def _views(flat, like):
-    """Consecutive views of the vector ``flat`` shaped like the arrays
-    ``like``."""
-    ends = np.cumsum([a.size for a in like])
-    return [flat[end - a.size : end].reshape(a.shape) for a, end in zip(like, ends)]
 
 
 def _norm_box(points, inflation=0.0):
@@ -474,72 +395,6 @@ def _features(enc, center, half, *parts):
         enc.encode((x - center) / half, out=feat[lo : lo + len(x), :d])
         lo += len(x)
     return feat
-
-
-def _train(points, y, num_classes, cfg: TrainConfig):
-    """Segmentation's descent, in float32; ``y`` holds class indices."""
-    rng = np.random.default_rng(cfg.seed)
-    enc = PositionalEncoding()
-    center, half = _norm_box(points, inflation=0.05)
-    f32 = np.float32
-    W1, b1, W2, b2 = _init_params(rng, enc.output_dim, cfg.hidden_size,
-                                  num_classes)
-    # b1 is the weight of a constant feature (see _forward_backward). The
-    # parameters are views of one flat vector, and so are their gradients,
-    # so the momentum step runs over one vector.
-    init = [np.vstack([W1, b1]), W2, b2]
-    flat = np.concatenate([p.astype(f32).reshape(-1) for p in init])
-    grad = np.empty_like(flat)
-    params, grads = _views(flat, init), _views(grad, init)
-    velocity = np.zeros_like(flat)
-    scaled = np.empty_like(flat)  # learning_rate * gradient
-    # A NumPy scalar learning rate would promote every step to float64.
-    momentum, learning_rate = f32(MOMENTUM), f32(cfg.learning_rate)
-
-    # The rows never change, so they are encoded once.
-    feat = _features(enc, center, half, points)
-    n = len(feat)
-    # Each epoch gathers its permutation of the rows once; batches are
-    # slices of the gathered rows.
-    gathered = [np.empty_like(t) for t in (feat, y)]
-    hidden = np.empty((min(BATCH_SIZE, n), cfg.hidden_size), f32)
-    # Only the first and the last epoch's mean losses are read, so only
-    # those epochs evaluate the loss.
-    losses = []
-    starts = range(0, n, BATCH_SIZE)
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(n)
-        for t, g in zip((feat, y), gathered):
-            np.take(t, order, axis=0, out=g, mode="clip")
-        with_loss = epoch in (0, cfg.epochs - 1)
-        epoch_loss = 0.0
-        for s in starts:
-            feat_b, y_b = (g[s : s + BATCH_SIZE] for g in gathered)
-            loss, _ = _forward_backward(params, feat_b, y_b, HEAD_SEGMENTATION,
-                                        hidden, grads, with_loss)
-            if with_loss:
-                epoch_loss += loss
-            velocity *= momentum
-            velocity -= np.multiply(learning_rate, grad, out=scaled)
-            flat += velocity
-        if with_loss:
-            losses.append(epoch_loss / len(starts))
-    initial_loss, loss = losses[0], losses[-1]
-    log.info("trained segmentation head: loss %.4g -> %.4g", initial_loss, loss)
-    return FieldModel(
-        head=HEAD_SEGMENTATION,
-        encoding=enc,
-        W1=params[0][:-1].copy(),
-        b1=params[0][-1].copy(),
-        W2=params[1].copy(),
-        b2=params[2].copy(),
-        norm_center=center,
-        norm_half=half,
-        num_classes=num_classes,
-        final_loss=loss,
-        initial_loss=initial_loss,
-        train_config=cfg,
-    )
 
 
 def _training_inputs(cloud, cfg):
@@ -568,12 +423,12 @@ def train_occupancy(cloud, cfg: TrainConfig | None = None) -> FieldModel:
     Fitted, not descended: ``cfg.seed``, ``cfg.hidden_size`` and
     ``cfg.negatives_per_positive`` apply, ``cfg.epochs`` and
     ``cfg.learning_rate`` do not. A pool of POOL * hidden_size candidate
-    units is sampled as ``train_color`` samples its layer, from pairs of
-    rows whose targets differ: positive-negative pairs, taken in proportion
-    to 1 / their distance in encoding space. hidden_size of them are kept,
-    in ROUNDS rounds of about equal size (forward selection): each round
-    adds the candidates whose activations a_u best match the residuals r =
-    p - y of the readout so far, by ``|a_u . r| / |a_u|`` (``_unit_scores``),
+    units is sampled from positive-negative pairs, taken in proportion to
+    1 / their distance in encoding space (``_sampled_layer``). hidden_size
+    of them are kept, in ROUNDS rounds of about equal size (forward
+    selection): each round adds the candidates whose activations a_u best
+    match the residuals r = p - y of the readout so far, by
+    ``|a_u . r| / |a_u|`` (``_unit_scores``),
     and solves the readout again from the one before, its new weights 0:
     ROUND_PASSES Newton passes in a round before the last, since its
     readout only serves the next round's choice, and to convergence in the
@@ -584,11 +439,16 @@ def train_occupancy(cloud, cfg: TrainConfig | None = None) -> FieldModel:
     candidates than it keeps lets a narrow layer fit a thin surface, which
     the first hidden_size sampled units do not.
 
-    ``final_loss`` is the mean binary cross-entropy (``_loss_and_dz``) of
-    the returned float32 weights on the training rows, positives and
+    ``final_loss`` is the mean binary cross-entropy (``_loss``) of the
+    returned float32 weights on the training rows, positives and
     negatives, as ``query`` evaluates them; ``initial_loss`` is that of
     W2 = 0 and b2 = 0, ln 2.
     """
+    return _fit_occupancy(cloud, cfg)[0]
+
+
+def _fit_occupancy(cloud, cfg):
+    """``train_occupancy``, returning what ``_fitted_model`` returns."""
     pos, cfg = _training_inputs(cloud, cfg)
     center, half = _norm_box(pos, inflation=BOUNDS_INFLATION)
     lo, hi = center - half, center + half
@@ -619,7 +479,20 @@ def train_occupancy(cloud, cfg: TrainConfig | None = None) -> FieldModel:
 
 
 def train_segmentation(cloud, cfg: TrainConfig | None = None) -> FieldModel:
-    """Multi-class field over per-point integer labels."""
+    """Multi-class field over per-point integer labels.
+
+    The sorted distinct labels become ``class_values``, and each label a
+    one-hot target row. Fitted like the last round of ``train_occupancy``,
+    without selection (``cfg.epochs`` and ``cfg.learning_rate`` do not
+    apply): units sampled from pairs of rows whose labels differ
+    (``_sampled_layer``), and a readout of K one-vs-rest logistic
+    regressions on their activations, one per class, with the ridge
+    ``1e-4 tr(AᵀA) / (hidden_size + 1)``, solved together by Newton's
+    method (``_readout``). ``query`` returns the softmax of the K outputs.
+
+    ``final_loss`` is the mean cross-entropy (``_loss``) of that softmax
+    on the training rows; ``initial_loss`` is that of a zero readout, ln K.
+    """
     pts, cfg = _training_inputs(cloud, cfg)
     if getattr(cloud, "segmentation", None) is None:
         raise EmptyCloud("cloud carries no segmentation labels")
@@ -635,16 +508,22 @@ def train_segmentation(cloud, cfg: TrainConfig | None = None) -> FieldModel:
     classes = np.unique(labels)
     if len(classes) < 2:
         raise SingleClass(f"only class {classes} present; nothing to separate")
-    y = np.searchsorted(classes, labels)
-    model = _train(pts, y, len(classes), cfg)
-    model.class_values = classes
-    return model
+    onehot = np.eye(len(classes))[np.searchsorted(classes, labels)]
+    return _fit_sampled(HEAD_SEGMENTATION, pts, onehot, cfg,
+                        num_classes=len(classes), class_values=classes)[0]
 
 
 def _sampled_layer(rng, feat, targets, Wb):
-    """``Wb`` (float64, W1 over b1) with its first units placed on the
-    bisecting hyperplanes of sampled pairs of rows, as ``train_color``
-    describes, rounded to float32."""
+    """``Wb`` (float64, W1 over b1) with its first units sampled from the
+    rows of ``feat`` (Bolager et al., "Sampling weights of deep neural
+    networks", NeurIPS 2023), rounded to float32. 10 * units random pairs
+    (i, j) of rows are weighted by ``|t_j - t_i| / |f_j - f_i|``, their
+    change in ``targets`` over their distance in encoding space (0 where
+    the features coincide), and up to one pair per unit, of positive
+    weight, is taken without replacement, in proportion to weight. Each
+    taken pair becomes one unit whose hyperplane bisects it, ``w = 2 (f_j
+    - f_i) / |f_j - f_i|^2`` and ``b = -w . (f_i + f_j) / 2``: it reads 0
+    at the midpoint and 1 at f_j. The other units keep their weights."""
     n, d = feat.shape[0], feat.shape[1] - 1
     hidden = Wb.shape[1]
     i, j = rng.integers(0, n, size=(2, 10 * hidden))
@@ -690,37 +569,46 @@ def _unit_scores(feat, pool, chosen, readout, y):
 
 
 def _readout(feat, Wb, y, logistic, w=None, passes=None):
-    """The readout w = [W2; b2] (float64) over A = [relu(feat @ Wb), 1], by
-    Newton's method from ``w`` (zero when None) on the summed loss plus
-    ``ridge / 2 |w|^2``, with ``ridge = rel tr(AᵀA) / (units + 1)``.
-    ``passes`` caps the passes over the rows without a warning.
+    """The readout w = [W2; b2] (float64, a column per column of ``y``)
+    over A = [relu(feat @ Wb), 1], by Newton's method from ``w`` (zero when
+    None) on the summed loss plus ``ridge / 2 |w|^2``, with ``ridge = rel
+    tr(AᵀA) / (units + 1)``. ``passes`` caps the passes over the rows
+    without a warning.
 
     Least squares (color, ``logistic`` False): the loss ``|A w - y|^2 / 2``
-    is quadratic, so one Newton step from zero is the ridge solution, with
-    rel 1e-6; its products are float64, since float32's rounding of AᵀA
-    would outweigh so small a ridge. Logistic (occupancy, y 0 or 1): the
-    summed binary cross-entropy, with rel 1e-4 and float32 products. A step
-    that raises the penalized loss by more than 1e-6 of its value is
-    halved; the fit stops when a step lowers it by less than that, or, with
-    a warning, after MAX_NEWTON_PASSES passes.
+    is quadratic, with one Hessian for every column, so one Newton step
+    from zero is the ridge solution, with rel RIDGE_SQUARED; its products
+    are float64, since float32's rounding of AᵀA would outweigh so small a
+    ridge. Logistic (occupancy and segmentation, y 0 or 1): the binary
+    cross-entropy of each column, summed over the columns, with rel
+    RIDGE_LOGISTIC and float32 products; each column has its own Hessian,
+    and one batched solve steps them all. A step that raises the penalized
+    loss by more than 1e-6 of its value is halved; the fit stops when a
+    step lowers it by less than that, or, with a warning, after
+    MAX_NEWTON_PASSES passes.
 
-    Each pass sums the loss, the gradient ``Aᵀ r`` and the Hessian
-    ``Aᵀ S A`` (r and S each row's residual and curvature) in float64 over
-    QUERY_CHUNK rows at a time, so no array holds a row per point and a
-    column per unit, and solves in float64.
+    Each pass forms the activations of QUERY_CHUNK rows at a time, once,
+    and sums the loss, the gradient ``Aᵀ r`` and the Hessians ``Aᵀ S A``
+    (r and S the rows' residuals and curvatures) over them in float64, so
+    no array holds a row per point and a column per unit; it solves in
+    float64.
     """
-    hidden = Wb.shape[1]
-    dtype, rel = (np.float32, 1e-4) if logistic else (np.float64, 1e-6)
+    hidden, cols = Wb.shape[1], y.shape[1]
+    dtype, rel = ((np.float32, RIDGE_LOGISTIC) if logistic
+                  else (np.float64, RIDGE_SQUARED))
     # One more unit reads the constant feature with weight 1: relu(1) is
     # the column of ones.
     Wb1 = np.zeros((len(Wb), hidden + 1), dtype)
     Wb1[:, :hidden], Wb1[-1, hidden] = Wb, 1.0
     act = np.empty((min(len(feat), QUERY_CHUNK), hidden + 1), dtype)
-    w = np.zeros((hidden + 1, y.shape[1])) if w is None else w
+    # A logistic column's rows of S^(1/2) A, its Hessian's factor.
+    scaled = np.empty_like(act) if logistic else None
+    w = np.zeros((hidden + 1, cols)) if w is None else w
+    diag = np.arange(hidden + 1)
     ridge, last = None, np.inf
     for _ in range(passes or MAX_NEWTON_PASSES):
         loss, grad, sq = 0.0, np.zeros_like(w), 0.0
-        hess = np.zeros((hidden + 1, hidden + 1))
+        hess = np.zeros((cols if logistic else 1, hidden + 1, hidden + 1))
         w_d = w.astype(dtype)
         for lo in range(0, len(feat), QUERY_CHUNK):
             rows = slice(lo, lo + QUERY_CHUNK)
@@ -737,9 +625,13 @@ def _readout(feat, Wb, y, logistic, w=None, passes=None):
                 r = z - y[rows]
                 loss += np.sum(r**2) / 2.0
             grad += a.T @ r.astype(dtype)
-            if logistic:  # a becomes S^(1/2) a
-                a *= np.sqrt(p * (1.0 - p)).astype(dtype)
-            hess += a.T @ a
+            if logistic:
+                curv = np.sqrt(p * (1.0 - p)).astype(dtype)
+                for k in range(cols):
+                    sa = np.multiply(a, curv[:, k : k + 1], out=scaled[: len(a)])
+                    hess[k] += sa.T @ sa
+            else:
+                hess[0] += a.T @ a
         if ridge is None:
             ridge = rel * sq / (hidden + 1)
         loss += ridge / 2.0 * np.sum(w**2)
@@ -750,8 +642,12 @@ def _readout(feat, Wb, y, logistic, w=None, passes=None):
         if last - loss <= 1e-6 * loss:
             break
         last = loss
-        hess[np.diag_indices_from(hess)] += ridge
-        step = np.linalg.solve(hess, grad + ridge * w)
+        hess[:, diag, diag] += ridge
+        rhs = grad + ridge * w
+        if logistic:  # column k steps by hess[k]^-1 rhs[:, k]
+            step = np.linalg.solve(hess, rhs.T[:, :, None])[:, :, 0].T
+        else:
+            step = np.linalg.solve(hess[0], rhs)
         w = w - step
         if not logistic:
             break
@@ -762,10 +658,12 @@ def _readout(feat, Wb, y, logistic, w=None, passes=None):
     return w
 
 
-def _fitted_model(head, enc, feat, y, Wb, readout, center, half, cfg):
+def _fitted_model(head, enc, feat, y, Wb, readout, center, half, cfg,
+                  **labels):
     """The model of a fitted head, with the loss of a zero readout and that
     of its float32 weights on the training rows, as ``query`` evaluates
-    them."""
+    them; ``labels`` are segmentation's ``num_classes`` and
+    ``class_values``. Returns the model, ``feat`` and ``y``."""
     readout = readout.astype(np.float32)
     model = FieldModel(
         head=head,
@@ -777,42 +675,33 @@ def _fitted_model(head, enc, feat, y, Wb, readout, center, half, cfg):
         norm_center=center,
         norm_half=half,
         train_config=cfg,
+        **labels,
     )
-    y = y.astype(np.float32)
-    model.initial_loss, _ = _loss_and_dz(head, np.zeros_like(y), y)
+    y32 = y.astype(np.float32)
+    model.initial_loss = _loss(head, np.zeros_like(y32), y32)
     z = model._outputs(len(feat), lambda lo, hi: feat[lo:hi])
-    model.final_loss, _ = _loss_and_dz(head, z, y)
+    model.final_loss = _loss(head, z, y32)
     log.info("fitted %s head: loss %.4g -> %.4g", head, model.initial_loss,
              model.final_loss)
-    return model
+    return model, feat, y
 
 
 def train_color(cloud, cfg: TrainConfig | None = None) -> FieldModel:
     """RGB regression field; colors must lie in [0, 1].
 
-    Fitted in closed form, not by gradient descent: ``cfg.seed`` and
-    ``cfg.hidden_size`` apply, ``cfg.epochs`` and ``cfg.learning_rate`` do
-    not. The hidden layer is sampled from the data (Bolager et al.,
-    "Sampling weights of deep neural networks", NeurIPS 2023): 10 *
-    hidden_size random pairs (i, j) of training rows are weighted by
-    ``|c_j - c_i| / |f_j - f_i|``, their color change over their distance
-    in encoding space (0 where the features coincide), and up to
-    hidden_size pairs of positive weight are taken without replacement, in
-    proportion to weight. Each taken pair becomes one unit whose
-    hyperplane bisects it, ``w = 2 (f_j - f_i) / |f_j - f_i|^2`` and
-    ``b = -w . (f_i + f_j) / 2``: it reads 0 at the midpoint and 1 at
-    f_j. The other units keep ``_init_params``' He-normal weights and a
-    zero bias; with constant colors or coincident points, that is all of
-    them. The readout W2, b2 is the ridge solution over the hidden
-    activations of the float32 features, with a column of ones, in
-    float64, with the fixed ridge ``1e-6 tr(G) / (hidden_size + 1)`` for
-    the Gram matrix G; G and the right-hand side are summed QUERY_CHUNK
-    rows at a time, so no array holds a row per point and a column per
-    unit (``_readout``). The weights are stored as float32.
+    Fitted in closed form: ``cfg.seed`` and ``cfg.hidden_size`` apply,
+    ``cfg.epochs`` and ``cfg.learning_rate`` do not. The hidden layer is
+    sampled from pairs of rows whose colors differ (``_sampled_layer``);
+    the units left over keep ``_init_params``' He-normal weights and a
+    zero bias, and with constant colors or coincident points that is all
+    of them. The readout W2, b2 is the ridge solution over the activations
+    with a column of ones, with the fixed ridge ``1e-6 tr(G) /
+    (hidden_size + 1)`` for their Gram matrix G (``_readout``). The
+    weights are stored as float32.
 
-    ``final_loss`` is the mean squared error (``_loss_and_dz``) of the
-    returned float32 weights on the training rows, as ``query`` evaluates
-    them; ``initial_loss`` is the same loss with W2 = 0 and b2 = 0.
+    ``final_loss`` is the mean squared error (``_loss``) of the returned
+    float32 weights on the training rows, as ``query`` evaluates them;
+    ``initial_loss`` is the same loss with W2 = 0 and b2 = 0.
     """
     pts, cfg = _training_inputs(cloud, cfg)
     if getattr(cloud, "colors", None) is None:
@@ -824,14 +713,21 @@ def train_color(cloud, cfg: TrainConfig | None = None) -> FieldModel:
         raise InputError("colors must be finite")
     if colors.min() < -1e-9 or colors.max() > 1 + 1e-9:
         raise InputError("colors must lie in [0, 1]")
+    return _fit_sampled(HEAD_COLOR, pts, colors, cfg)[0]
+
+
+def _fit_sampled(head, pts, y, cfg, **labels):
+    """Color's or segmentation's fit of the rows ``pts`` to the targets
+    ``y``, returning what ``_fitted_model`` returns."""
     rng = np.random.default_rng(cfg.seed)
     enc = PositionalEncoding()
     center, half = _norm_box(pts, inflation=0.05)
-    W1, b1, _, _ = _init_params(rng, enc.output_dim, cfg.hidden_size, 3)
+    W1, b1, _, _ = _init_params(rng, enc.output_dim, cfg.hidden_size, y.shape[1])
     feat = _features(enc, center, half, pts)
-    Wb = _sampled_layer(rng, feat, colors, np.vstack([W1, b1]))
-    return _fitted_model(HEAD_COLOR, enc, feat, colors, Wb,
-                         _readout(feat, Wb, colors, False), center, half, cfg)
+    Wb = _sampled_layer(rng, feat, y, np.vstack([W1, b1]))
+    return _fitted_model(head, enc, feat, y, Wb,
+                         _readout(feat, Wb, y, head != HEAD_COLOR), center,
+                         half, cfg, **labels)
 
 
 def query(model: FieldModel, points):
@@ -853,37 +749,41 @@ def query(model: FieldModel, points):
 
 
 def gradient_check(head, seed=0):
-    """Analytic backprop vs central finite differences; max relative error."""
-    hidden, n_samples, fd_step = 16, 20, 1e-5
-    rng = np.random.default_rng(seed)
-    enc = PositionalEncoding(num_frequencies=2)
-    pts = rng.uniform(-1, 1, size=(n_samples, 3))
-    # The last column of ones is the constant feature that b1 weighs.
-    feat = np.hstack([enc.encode(pts), np.ones((n_samples, 1))])
-    out_dim = {HEAD_OCCUPANCY: 1, HEAD_SEGMENTATION: 3, HEAD_COLOR: 3}[head]
-    if head == HEAD_OCCUPANCY:
-        y = rng.integers(0, 2, n_samples).astype(float)
-    elif head == HEAD_SEGMENTATION:
-        y = rng.integers(0, out_dim, n_samples)
-    else:
-        y = rng.uniform(0, 1, size=(n_samples, 3))
-    W1, b1, W2, b2 = _init_params(rng, enc.output_dim, hidden, out_dim)
-    # Every entry of W1 and b1 is perturbed in the block that trains them.
-    params = [np.vstack([W1, b1]), W2, b2]
-    _, grads = _forward_backward(params, feat, y, head)
+    """The norm of the gradient of ``head``'s penalized readout loss (the
+    one ``_readout`` minimizes) at the fitted float32 readout, over its
+    norm at a zero readout: near 0 when the fit found the stationary point.
 
-    max_rel = 0.0
-    for p, g in zip(params, grads):
-        flat = p.reshape(-1)
-        gflat = g.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + fd_step
-            lp, _ = _forward_backward(params, feat, y, head)
-            flat[i] = orig - fd_step
-            lm, _ = _forward_backward(params, feat, y, head)
-            flat[i] = orig
-            fd = (lp - lm) / (2 * fd_step)
-            denom = max(abs(fd), abs(gflat[i]), 1e-6)
-            max_rel = max(max_rel, abs(fd - gflat[i]) / denom)
-    return max_rel
+    The head is fitted at hidden size 16 on 40 random points, with random
+    colors or labels in 0..2. The loss is evaluated in float64 on the
+    float32 features of the rows fitted, and its gradient in [W2; b2] is
+    taken by central finite differences of loss values alone.
+    """
+    n, fd_step = 40, 1e-6
+    rng = np.random.default_rng(seed)
+    pts, cfg = rng.uniform(-1, 1, (n, 3)), TrainConfig(hidden_size=16, seed=seed)
+    if head == HEAD_OCCUPANCY:
+        model, feat, y = _fit_occupancy(pts, cfg)
+    elif head in (HEAD_SEGMENTATION, HEAD_COLOR):
+        y = (np.eye(3)[rng.integers(0, 3, n)] if head == HEAD_SEGMENTATION
+             else rng.uniform(0, 1, (n, 3)))
+        model, feat, y = _fit_sampled(head, pts, y, cfg)
+    else:
+        raise InputError(f"unknown head {head!r}")
+    act = np.maximum(feat.astype(float) @ np.vstack([model.W1, model.b1]), 0.0)
+    act = np.hstack([act, np.ones((len(act), 1))])
+    logistic = head != HEAD_COLOR
+    ridge = ((RIDGE_LOGISTIC if logistic else RIDGE_SQUARED)
+             * np.sum(act**2) / act.shape[1])
+
+    def loss(w):
+        z = act @ w
+        fit = (np.sum(np.logaddexp(0.0, z) - y * z) if logistic
+               else np.sum((z - y) ** 2) / 2.0)
+        return fit + ridge / 2.0 * np.sum(w**2)
+
+    w = np.vstack([model.W2, model.b2]).astype(float)
+    steps = fd_step * np.eye(w.size).reshape((-1,) + w.shape)
+    # The differences over 2 fd_step; the divisor cancels in the ratio.
+    norm = [np.linalg.norm([loss(v + e) - loss(v - e) for e in steps])
+            for v in (w, np.zeros_like(w))]
+    return float(norm[0] / norm[1])

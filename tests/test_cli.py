@@ -145,16 +145,22 @@ class TestRun:
                 in capsys.readouterr().err)
         assert not (out / "synth").exists()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_diverged_field_exit_4_and_not_saved(self, tmp_path, capsys):
+    def test_diverged_field_exit_4_and_not_saved(self, tmp_path, capsys,
+                                                 monkeypatch):
         """A head whose training loss ends non-finite stops the run with
-        NonConvergence (exit 4), and no field model is written. Only
-        segmentation descends, so only it can diverge through
-        ``learning_rate``."""
+        NonConvergence (exit 4), and no field model is written, not even
+        the heads that fitted. Every head is fitted by a solve, so the
+        segmentation head's loss is made NaN here."""
+        def diverging(cloud, cfg):
+            model = train_segmentation(cloud, cfg)
+            model.final_loss = float("nan")
+            return model
+
+        monkeypatch.setattr(cli, "train_segmentation", diverging)
         path = tmp_path / "manifest.json"
         path.write_text(json.dumps({
             "synth": {"num_poses": 6, "camera": {"width": 16, "height": 12}},
-            "fields": {"epochs": 5, "hidden_size": 16, "learning_rate": 1e6},
+            "fields": {"epochs": 5, "hidden_size": 16},
         }))
         out = tmp_path / "out"
         code = main(["run", "--seed", "3", "--manifest", str(path),

@@ -11,16 +11,12 @@ import pytest
 from jcr import fields
 from jcr.errors import DegenerateBounds, EmptyCloud, InputError, SingleClass
 from jcr.fields import (
-    BATCH_SIZE,
     MAX_FREQUENCIES,
-    MOMENTUM,
     QUERY_CHUNK,
     FieldModel,
     PositionalEncoding,
     TrainConfig,
-    _forward_backward,
     _init_params,
-    _loss_and_dz,
     _norm_box,
     gradient_check,
     query,
@@ -152,8 +148,16 @@ def _libm_encode(x, num_frequencies=6):
 
 class TestGradientCheck:
     @pytest.mark.parametrize("head", ["occupancy", "segmentation", "color"])
-    def test_backprop_matches_finite_differences(self, head):
-        assert gradient_check(head, seed=0) < 1e-4
+    def test_fitted_readout_is_stationary(self, head):
+        """The finite-difference gradient of the penalized loss at the
+        fitted float32 readout is below 1e-4 of its size at a zero readout,
+        on three seeds."""
+        for seed in range(3):
+            assert gradient_check(head, seed=seed) < 1e-4
+
+    def test_unknown_head_rejected(self):
+        with pytest.raises(InputError):
+            gradient_check("density")
 
 
 def _box_surface(rng, n=1500, center=(0.0, 0.0, 0.0), size=0.2):
@@ -225,18 +229,8 @@ class TestOccupancy:
         cloud = _Cloud(_box_surface(rng, 2 * QUERY_CHUNK + 100))
         model, rows, y = _occupancy_fit(monkeypatch, cloud,
                                         TrainConfig(hidden_size=hidden, seed=2))
-        feat = model.encoding.encode(model.normalize(rows))
-        feat = feat.astype(np.float32).astype(float)
-        act = np.hstack([np.maximum(feat @ model.W1 + model.b1, 0.0),
-                         np.ones((len(rows), 1))])
-        ridge = 1e-4 * np.sum(act**2) / (hidden + 1)
-
-        def gradient(w):
-            return act.T @ (1.0 / (1.0 + np.exp(-act @ w)) - y) + ridge * w
-
-        w = np.append(model.W2[:, 0], model.b2).astype(float)
-        g, g0 = gradient(w), gradient(np.zeros_like(w))
-        assert np.linalg.norm(g) <= 1e-4 * np.linalg.norm(g0)
+        w = np.vstack([model.W2, model.b2]).astype(float)
+        assert _logistic_stationarity(_activations(model, rows), y[:, None], w) <= 1e-4
 
     def test_losses(self, monkeypatch):
         """``initial_loss`` is ln 2, the loss of a zero readout, and
@@ -284,6 +278,28 @@ class TestOccupancy:
         finally:
             tracemalloc.stop()
         assert peak < 2 * n * (cfg.hidden_size + 1) * 8
+
+
+def _logistic_stationarity(act, y, w):
+    """The float64 gradient of the summed binary cross-entropy of the
+    columns of ``act @ w`` against ``y``, plus ``1e-4 tr(AᵀA) / units
+    |w|^2 / 2`` for A = ``act``, at ``w`` over its size at w = 0."""
+    ridge = 1e-4 * np.sum(act**2) / act.shape[1]
+
+    def gradient(w):
+        p = 0.5 * (1.0 + np.tanh(act @ w / 2.0))  # the logistic function
+        return act.T @ (p - y) + ridge * w
+
+    return np.linalg.norm(gradient(w)) / np.linalg.norm(gradient(np.zeros_like(w)))
+
+
+def _activations(model, rows):
+    """The float64 hidden activations of ``model`` on ``rows``, from their
+    float32 features, with a column of ones."""
+    feat = model.encoding.encode(model.normalize(rows))
+    feat = feat.astype(np.float32).astype(float)
+    return np.hstack([np.maximum(feat @ model.W1 + model.b1, 0.0),
+                      np.ones((len(rows), 1))])
 
 
 def _occupancy_fit(monkeypatch, cloud, cfg):
@@ -357,27 +373,96 @@ class TestSegmentation:
         ] == labels).mean()
         assert abs(acc_a - acc_b) <= 0.01
 
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_gradient_is_softmax_minus_identity_rows(self, dtype):
-        """The gradient that ``_loss_and_dz`` forms in place from class
-        indices is ``(softmax(z) - I[y]) / n`` formed apart, bit for bit,
-        also where ``inf`` in ``z`` makes a row NaN (+inf) or a probability
-        exactly 0 (-inf, at the true class and at another)."""
-        rng = np.random.default_rng(9)
-        n, k = 37, 4
-        z = rng.normal(0.0, 3.0, (n, k)).astype(dtype)
-        y = rng.integers(0, k, n)
-        z[2, 1] = np.inf
-        z[5, y[5]] = -np.inf
-        z[7, (y[7] + 1) % k] = -np.inf
-        with np.errstate(invalid="ignore"):
-            e = np.exp(z - z.max(axis=1, keepdims=True))
-            want = (e / e.sum(axis=1, keepdims=True) - np.eye(k, dtype=dtype)[y]) / n
-            loss, dz = _loss_and_dz("segmentation", z, y)
-        assert dz.dtype == dtype
-        assert np.array_equal(dz, want, equal_nan=True)
-        assert np.isnan(dz[2]).all() and dz[5, y[5]] == dtype(-1.0) / n
-        assert np.isnan(loss)
+    @pytest.mark.parametrize("values", [[0, 1], [2, 5, 9]], ids=["K2", "K3"])
+    @pytest.mark.parametrize("hidden", [3, 24, 256])
+    def test_readout_is_stationary(self, hidden, values):
+        """At the returned readout w, the float64 gradient of the summed
+        one-vs-rest binary cross-entropy of every class column plus
+        ``1e-4 tr(AᵀA) / (hidden + 1) |w|^2 / 2`` (A the hidden activations
+        with a column of ones) is within 1e-4 of its size at w = 0."""
+        cloud = _labeled_box(np.random.default_rng(32), 2 * QUERY_CHUNK + 100,
+                             values)
+        model = train_segmentation(cloud, TrainConfig(hidden_size=hidden, seed=2))
+        y = np.eye(len(values))[np.searchsorted(values, cloud.segmentation)]
+        w = np.vstack([model.W2, model.b2]).astype(float)
+        assert _logistic_stationarity(_activations(model, cloud.points), y, w) <= 1e-4
+
+    def test_readout_stops_on_the_summed_loss(self):
+        """Newton's stop rule reads the loss summed over the columns: with
+        the first column started at its own fit and the others at zero,
+        the fit goes on until every column is stationary."""
+        cloud = _labeled_box(np.random.default_rng(36), 1500, [2, 5, 9])
+        model = train_segmentation(cloud, TrainConfig(hidden_size=32))
+        y = np.eye(3)[np.searchsorted([2, 5, 9], cloud.segmentation)]
+        feat = fields._features(model.encoding, model.norm_center,
+                                model.norm_half, cloud.points)
+        Wb = np.vstack([model.W1, model.b1])
+        first = fields._readout(feat, Wb, y[:, :1], True)
+        w = fields._readout(feat, Wb, y, True,
+                            np.hstack([first, np.zeros((len(first), 2))]))
+        act = _activations(model, cloud.points)
+        for k in range(3):
+            assert _logistic_stationarity(act, y[:, [k]], w[:, [k]]) <= 1e-4
+
+    @pytest.mark.parametrize("values", [[0, 1], [2, 5, 9]], ids=["K2", "K3"])
+    def test_losses(self, values):
+        """``initial_loss`` is ln K, the loss of a zero readout, and
+        ``final_loss`` the mean cross-entropy of ``query`` on the training
+        rows."""
+        cloud = _labeled_box(np.random.default_rng(33), 500, values)
+        model = train_segmentation(cloud, TrainConfig(hidden_size=32))
+        p = query(model, cloud.points).astype(float)
+        true = np.searchsorted(values, cloud.segmentation)
+        cross_entropy = -np.mean(np.log(p[np.arange(len(p)), true]))
+        assert model.initial_loss == pytest.approx(np.log(len(values)), rel=1e-6)
+        assert model.final_loss == pytest.approx(cross_entropy, rel=1e-4)
+        assert model.final_loss < model.initial_loss
+
+    def test_same_seed_same_model(self):
+        cloud = _labeled_box(np.random.default_rng(34), 700, [2, 5, 9])
+        cfg = TrainConfig(hidden_size=48, seed=7)
+        first = train_segmentation(cloud, cfg).to_dict()
+        assert train_segmentation(cloud, cfg).to_dict() == first
+        other = train_segmentation(cloud, dataclasses.replace(cfg, seed=8))
+        assert other.to_dict() != first
+
+    @pytest.mark.parametrize("points, labels", [
+        ([[0.1, 0.2, 0.3], [0.1, 0.25, 0.3]], [4, 7]),
+        ([[0.1, 0.2, 0.3], [0.1, 0.25, 0.3], [0.15, 0.2, 0.3]], [9, 3, 7]),
+    ], ids=["two-classes", "three-classes"])
+    @pytest.mark.parametrize("hidden", [1, 5, 64, 256])
+    def test_tiny_clouds_fit_finite_weights(self, points, labels, hidden):
+        """One point per class: the weights are finite and the loss falls;
+        with a unit per point or more, each point takes its own class."""
+        model = train_segmentation(_Cloud(points, segmentation=np.array(labels)),
+                                   TrainConfig(hidden_size=hidden))
+        for a in (model.W1, model.b1, model.W2, model.b2):
+            assert np.isfinite(a).all()
+        assert model.final_loss < model.initial_loss
+        if hidden >= len(points):
+            pred = model.class_values[np.argmax(query(model, points), axis=1)]
+            assert np.array_equal(pred, labels)
+
+    def test_fit_holds_chunk_sized_buffers(self):
+        """The fit's peak memory stays below one float64 array of a row per
+        training row and a column per unit."""
+        n, cfg = 3 * QUERY_CHUNK + 100, TrainConfig(hidden_size=256)
+        cloud = _labeled_box(np.random.default_rng(35), n, [2, 5, 9])
+        tracemalloc.start()
+        try:
+            train_segmentation(cloud, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * n * (cfg.hidden_size + 1) * 8
+
+
+def _labeled_box(rng, n, values):
+    """A box surface of ``n`` points labeled in slabs along x, one slab per
+    label in ``values``."""
+    pts = _box_surface(rng, n)
+    edges = np.linspace(-0.1, 0.1, len(values) + 1)[1:-1]
+    return _Cloud(pts, segmentation=np.asarray(values)[np.digitize(pts[:, 0], edges)])
 
 
 class TestColor:
@@ -581,6 +666,29 @@ class TestQueryAndSerialization:
                                        atol=1e-5 * np.abs(want).max(),
                                        err_msg=model.head)
 
+    @pytest.mark.parametrize("train", [train_occupancy, train_segmentation,
+                                       train_color])
+    @pytest.mark.parametrize("hidden", [24, 32, 256])
+    def test_first_layer_adds_the_bias(self, train, hidden):
+        """The first layer of a fitted model, on one row, two and 512, is
+        float64 ``feat @ W1 + b1`` within float32 rounding, whatever order
+        BLAS sums in; with b1 zeroed, moved by one unit or shifted by 1e-3
+        it is not."""
+        rng = np.random.default_rng(27)
+        pts = _box_surface(rng, 600)
+        cloud = _Cloud(pts, colors=rng.uniform(0, 1, (600, 3)),
+                       segmentation=(pts[:, 0] > 0).astype(int))
+        model = train(cloud, TrainConfig(epochs=20, hidden_size=hidden))
+        assert np.abs(model.b1).max() > 0.01
+        wrong = [np.zeros_like(model.b1), np.roll(model.b1, 1), model.b1 + 1e-3]
+        points = rng.uniform(-0.15, 0.15, (512, 3))
+        for rows in (1, 2, 512):
+            x = points[:rows]
+            assert _adds_bias(model, model.W1, model.b1, x)
+            for b1 in wrong:
+                bad = dataclasses.replace(model, b1=b1)
+                assert not _adds_bias(bad, model.W1, model.b1, x)
+
 
 def _first_layer_of(model, points):
     """The first layer's pre-activation z as ``forward`` forms it: with W2
@@ -606,251 +714,15 @@ def _adds_bias(model, W1, b1, points):
     return bool((err <= 1e-5 * scale).all())
 
 
-def _reference_step(params, feat, y, head):
-    """One training step with fresh temporaries and ``dz2 @ W2.T``. The
-    first layer is defined as the field code forms it: the features with a
-    column of ones, times W1 with b1 stacked under it."""
-    W1, b1, W2, b2 = params
-    ones = np.ones((len(feat), 1), feat.dtype)
-    z1 = np.hstack([feat, ones]) @ np.vstack([W1, b1])
-    a = np.maximum(z1, 0.0)
-    z2 = a @ W2 + b2
-    loss, dz2 = _loss_and_dz(head, z2, y)
-    dz1 = (dz2 @ W2.T) * (z1 > 0)
-    return loss, (feat.T @ dz1, dz1.sum(axis=0), a.T @ dz2, dz2.sum(axis=0))
-
-
-def _reference_train(head, cloud, cfg):
-    """Segmentation's descent written plainly: every epoch encodes the
-    whole training set and steps with ``_reference_step``. Parameters and
-    features are float32; the features are the per-frequency libm encoding
-    (``_libm_encode``) in float64, then rounded."""
-    pts = cloud.points
-    classes = np.unique(cloud.segmentation)
-    y = np.searchsorted(classes, cloud.segmentation)
-    rng = np.random.default_rng(cfg.seed)
-    enc = PositionalEncoding()
-    center, half = _norm_box(pts, inflation=0.05)
-    params = [p.astype(np.float32) for p in
-              _init_params(rng, enc.output_dim, cfg.hidden_size, len(classes))]
-    velocity = [np.zeros_like(p) for p in params]
-    losses = []
-    for _ in range(cfg.epochs):
-        feat = _libm_encode((pts - center) / half).astype(np.float32)
-        order = rng.permutation(len(feat))
-        total, nb = 0.0, 0
-        for s in range(0, len(order), BATCH_SIZE):
-            idx = order[s : s + BATCH_SIZE]
-            loss, grads = _reference_step(params, feat[idx], y[idx], head)
-            total += loss
-            nb += 1
-            for p, v, g in zip(params, velocity, grads):
-                v *= MOMENTUM
-                v -= cfg.learning_rate * g
-                p += v
-        losses.append(total / nb)
-    return params, losses[0], losses[-1]
-
-
-class TestSameIterates:
-    """The training loop reuses one hidden-layer buffer, encodes the fixed
-    points once, doubles the encoding's angles by recurrence, trains b1 as
-    the weight of a constant feature and gathers each epoch's rows once; it
-    must give the plain loop's iterates, on per-frequency libm features, bit
-    for bit."""
-
-    # 600 points in batches of BATCH_SIZE = 512 leave a short last batch.
-    CFG = TrainConfig(epochs=4, hidden_size=24, seed=3)
-
-    @pytest.fixture(scope="class")
-    def cloud(self):
-        assert 600 % BATCH_SIZE
-        rng = np.random.default_rng(21)
-        pts = _box_surface(rng, 600)
-        return _Cloud(pts, colors=rng.uniform(0, 1, (600, 3)),
-                      segmentation=rng.choice([2, 5, 9], 600))
-
-    @pytest.mark.parametrize("head, train", [
-        ("segmentation", train_segmentation),
-    ])
-    @pytest.mark.parametrize("hidden", [24, 32])
-    def test_weights_and_losses_bit_identical(self, cloud, head, train, hidden):
-        """At a width that fills whole blocks of 16 columns and at one that
-        leaves part of a block over."""
-        cfg = dataclasses.replace(self.CFG, hidden_size=hidden)
-        model = train(cloud, cfg)
-        params, initial, final = _reference_train(head, cloud, cfg)
-        for got, want in zip((model.W1, model.b1, model.W2, model.b2), params):
-            assert np.array_equal(got, want)
-        assert model.initial_loss == initial
-        assert model.final_loss == final
-
-    @pytest.mark.parametrize("head, out_dim", [
-        ("occupancy", 1), ("segmentation", 3), ("color", 3),
-    ])
-    @pytest.mark.parametrize("poison", [False, True])
-    def test_step_with_and_without_buffer(self, head, out_dim, poison):
-        _check_buffered_step(head, out_dim, poison, np.float64)
-
-    @pytest.mark.parametrize("head, out_dim", [
-        ("occupancy", 1), ("segmentation", 3), ("color", 3),
-    ])
-    @pytest.mark.parametrize("poison", [False, True])
-    def test_float32_step_with_and_without_buffer(self, head, out_dim, poison):
-        _check_buffered_step(head, out_dim, poison, np.float32)
-
-    @pytest.mark.parametrize("head, out_dim", [
-        ("occupancy", 1), ("segmentation", 3), ("color", 3),
-    ])
-    @pytest.mark.parametrize("poison", [False, True])
-    @pytest.mark.parametrize("rows", [BATCH_SIZE, 432])
-    def test_float32_step_at_benchmark_shapes(self, head, out_dim, poison,
-                                              rows):
-        """A whole batch and a ragged one at hidden 256 on the training
-        encoding's 39 features: BLAS blocks both products, the first one
-        folds the bias, and occupancy's outer product is the einsum."""
-        _check_buffered_step(head, out_dim, poison, np.float32, rows=rows,
-                             hidden=256, frequencies=6)
-
-    @pytest.mark.parametrize("train", [train_occupancy, train_color])
-    @pytest.mark.parametrize("hidden", [24, 32, 256])
-    def test_first_layer_adds_the_bias(self, train, hidden):
-        """The first layer of a trained model, on one row, two and a batch,
-        is float64 ``feat @ W1 + b1`` within float32 rounding, whatever
-        order BLAS sums in; with b1 zeroed, moved by one unit or shifted by
-        1e-3 it is not."""
-        rng = np.random.default_rng(27)
-        cloud = _Cloud(_box_surface(rng, 600), colors=rng.uniform(0, 1, (600, 3)))
-        model = train(cloud, TrainConfig(epochs=20, hidden_size=hidden))
-        assert np.abs(model.b1).max() > 0.01
-        wrong = [np.zeros_like(model.b1), np.roll(model.b1, 1), model.b1 + 1e-3]
-        points = rng.uniform(-0.15, 0.15, (BATCH_SIZE, 3))
-        for rows in (1, 2, BATCH_SIZE):
-            x = points[:rows]
-            assert _adds_bias(model, model.W1, model.b1, x)
-            for b1 in wrong:
-                bad = dataclasses.replace(model, b1=b1)
-                assert not _adds_bias(bad, model.W1, model.b1, x)
-
-    @pytest.mark.parametrize("head, out_dim", [
-        ("occupancy", 1), ("segmentation", 3), ("color", 3),
-    ])
-    def test_float32_gradients_match_float64(self, head, out_dim):
-        feat, params, y = _step_inputs(head, out_dim, np.float64, rows=200,
-                                       hidden=64, frequencies=6)
-        params, feat = _folded(params, feat)
-        loss, grads = _forward_backward(params, feat, y, head)
-        loss32, grads32 = _forward_backward(
-            [p.astype(np.float32) for p in params], feat.astype(np.float32),
-            y.astype(np.float32) if head != "segmentation" else y, head)
-        assert loss32 == pytest.approx(loss, rel=1e-3)
-        for g32, g in zip(grads32, grads):
-            assert g32.dtype == np.float32
-            assert np.abs(g32 - g).max() <= 1e-3 * np.abs(g).max()
-
-
-def _step_inputs(head, out_dim, dtype, rows=37, hidden=16, frequencies=2):
-    """Features, parameters and targets of one batch, in ``dtype``."""
-    rng = np.random.default_rng(4)
-    feat = PositionalEncoding(frequencies).encode(rng.uniform(-1, 1, (rows, 3)))
-    params = _init_params(rng, feat.shape[1], hidden, out_dim)
-    # A bias that is not zero, so that where it is added shows in the bits.
-    params[1] = rng.normal(0.0, 0.5, hidden)
-    y = {"occupancy": rng.integers(0, 2, rows).astype(dtype),
-         "segmentation": rng.integers(0, 3, rows),
-         "color": rng.uniform(0, 1, (rows, 3)).astype(dtype)}[head]
-    return feat.astype(dtype), [p.astype(dtype) for p in params], y
-
-
-def _folded(params, feat):
-    """``[W1, b1, W2, b2]`` and features as ``_forward_backward`` takes
-    them: W1 over b1 as one block, and the features with a last column of
-    ones."""
-    W1, b1, W2, b2 = params
-    ones = np.ones((len(feat), 1), feat.dtype)
-    return [np.vstack([W1, b1]), W2, b2], np.hstack([feat, ones])
-
-
-def _check_buffered_step(head, out_dim, poison, dtype, rows=37, hidden=16,
-                         frequencies=2):
-    """The folded step, with and without a buffer, gives the plain step's
-    loss and gradients bit for bit, in ``dtype``."""
-    feat, params, y = _step_inputs(head, out_dim, dtype, rows, hidden,
-                                   frequencies)
-    if poison:
-        # inf meets the ReLU mask's zeros: NaN must come out, as it
-        # does from the plain multiply.
-        params[2][3] = np.inf
-    folded, feat1 = _folded(params, feat)
-    with np.errstate(invalid="ignore"):
-        want = _reference_step(params, feat, y, head)
-        plain = _forward_backward(folded, feat1, y, head)
-        # A buffer with spare rows and stale contents.
-        buf = np.full((rows + 13, hidden), np.nan, dtype)
-        buffered = _forward_backward(folded, feat1, y, head, buf)
-    for loss, (dWb, dW2, db2) in (plain, buffered):
-        assert repr(loss) == repr(want[0])
-        for g, w in zip((dWb[:-1], dWb[-1], dW2, db2), want[1]):
-            assert g.dtype == dtype
-            assert np.array_equal(g, w, equal_nan=True)
-    if poison:
-        assert np.isnan(want[1][0]).any()
-
-
 class TestTrainingLoop:
-    """``_train`` (segmentation) evaluates the loss only in the first and
-    the last epoch, and steps the parameters as views of one flat vector."""
-
-    HEADS = [("segmentation", train_segmentation)]
+    """Every fit encodes its rows once and returns a model that owns its
+    arrays."""
 
     @pytest.fixture(scope="class")
     def cloud(self):
-        """600 points: a short last batch, as in TestSameIterates."""
         rng = np.random.default_rng(24)
         return _Cloud(_box_surface(rng, 600), colors=rng.uniform(0, 1, (600, 3)),
                       segmentation=rng.choice([1, 4, 6], 600))
-
-    @pytest.mark.parametrize("head, out_dim", [
-        ("occupancy", 1), ("segmentation", 3), ("color", 3),
-    ])
-    @pytest.mark.parametrize("poison", [False, True])
-    def test_step_without_loss(self, head, out_dim, poison):
-        """Without the loss, ``_loss_and_dz`` gives the same dz and
-        ``_forward_backward`` the same gradients, bit for bit, written into
-        the arrays it is given."""
-        feat, params, y = _step_inputs(head, out_dim, np.float32)
-        if poison:
-            params[2][3] = np.inf
-        folded, feat1 = _folded(params, feat)
-        z = np.random.default_rng(5).normal(0.0, 2.0, (len(y), out_dim)).astype(
-            np.float32)
-        with np.errstate(invalid="ignore", over="ignore"):
-            loss, dz = _loss_and_dz(head, z, y)
-            skipped, dz_skipped = _loss_and_dz(head, z, y, False)
-            want = _forward_backward(folded, feat1, y, head)
-            grads = [np.full_like(p, 7.0) for p in folded]
-            got = _forward_backward(folded, feat1, y, head, None, grads, False)
-        assert np.isfinite(loss) and skipped is None
-        assert np.array_equal(dz_skipped, dz)
-        assert got[0] is None and got[1] is grads
-        for g, w in zip(grads, want[1]):
-            assert np.array_equal(g, w, equal_nan=True)
-
-    @pytest.mark.parametrize("head, train", HEADS)
-    @pytest.mark.parametrize("epochs", [1, 2])
-    @pytest.mark.parametrize("hidden", [24, 32])
-    def test_short_runs_match_reference(self, cloud, head, train, epochs,
-                                        hidden):
-        """With one epoch the first is the last; with two, no epoch lies
-        between them. Hidden 32 fills whole blocks of 16 columns, 24 leaves
-        part of one over."""
-        cfg = TrainConfig(epochs=epochs, hidden_size=hidden, seed=3)
-        model = train(cloud, cfg)
-        params, initial, final = _reference_train(head, cloud, cfg)
-        for got, want in zip((model.W1, model.b1, model.W2, model.b2), params):
-            assert np.array_equal(got, want)
-        assert model.initial_loss == initial
-        assert model.final_loss == final
 
     @pytest.mark.parametrize("epochs", [1, 3])
     def test_occupancy_encodes_rows_once(self, monkeypatch, cloud, epochs):
@@ -866,22 +738,11 @@ class TestTrainingLoop:
         train_occupancy(cloud, TrainConfig(epochs=epochs, hidden_size=8))
         assert rows == [len(cloud), len(cloud)]
 
-    def test_loss_only_in_first_and_last_epoch(self, monkeypatch, cloud):
-        calls, loss_and_dz = [], fields._loss_and_dz
-
-        def spy(*args):
-            calls.append(args[-1])
-            return loss_and_dz(*args)
-
-        monkeypatch.setattr(fields, "_loss_and_dz", spy)
-        train_segmentation(cloud, TrainConfig(epochs=5, hidden_size=8))
-        # 600 points: two batches per epoch.
-        assert calls == [True] * 2 + [False] * 6 + [True] * 2
-
     @pytest.mark.parametrize("train", [train_occupancy, train_segmentation,
                                        train_color])
     def test_model_arrays_share_no_memory(self, cloud, train):
-        """The model's weights are copies, not views of the flat vector."""
+        """The model's weights are copies, not views of the fit's arrays:
+        W1 and b1 of one stacked layer, W2 and b2 of one readout."""
         model = train(cloud, TrainConfig(epochs=1, hidden_size=8))
         arrays = (model.W1, model.b1, model.W2, model.b2)
         for a, b in itertools.combinations(arrays, 2):
@@ -890,48 +751,27 @@ class TestTrainingLoop:
 
 
 class TestFloat32Training:
-    @pytest.mark.parametrize("train", [train_segmentation])
-    def test_numpy_scalar_step_sizes_train_in_float32(self, monkeypatch, train):
-        """A NumPy float64 learning rate gives the weights that a Python
-        float gives, and every step's gradients stay float32."""
-        rng = np.random.default_rng(22)
-        cloud = _Cloud(_box_surface(rng, 300), colors=rng.uniform(0, 1, (300, 3)),
-                       segmentation=rng.choice([1, 4], 300))
-        cfg = TrainConfig(epochs=3, hidden_size=16, seed=1)
-        want = train(cloud, cfg)
-        dtypes = set()
-
-        def spy(*args):
-            loss, grads = _forward_backward(*args)
-            dtypes.update(g.dtype for g in grads)
-            return loss, grads
-
-        monkeypatch.setattr(fields, "_forward_backward", spy)
-        got = train(cloud, dataclasses.replace(
-            cfg, learning_rate=np.float64(1e-2)))
-        assert dtypes == {np.dtype(np.float32)}
-        for name in ("W1", "b1", "W2", "b2"):
-            assert getattr(got, name).dtype == np.float32
-            assert np.array_equal(getattr(got, name), getattr(want, name))
-
     @pytest.mark.parametrize("labels", [
         np.array([7, -2, 7, 30, -2, 0] * 20),
         np.array([7, -2, 7, 30, -2, 0] * 20, dtype=float),
     ])
     def test_segmentation_labels_become_class_indices(self, monkeypatch, labels):
-        seen, train = [], fields._train
+        """Integer and integral float labels become one-hot rows over the
+        sorted distinct labels: the targets of the readout."""
+        seen, readout = [], fields._readout
 
-        def spy(points, y, *args):
+        def spy(feat, Wb, y, *args):
             seen.append(y)
-            return train(points, y, *args)
+            return readout(feat, Wb, y, *args)
 
-        monkeypatch.setattr(fields, "_train", spy)
+        monkeypatch.setattr(fields, "_readout", spy)
         pts = _box_surface(np.random.default_rng(23), len(labels))
         model = train_segmentation(_Cloud(pts, segmentation=labels),
                                    TrainConfig(epochs=2, hidden_size=8))
         classes = [-2, 0, 7, 30]
         assert np.array_equal(model.class_values, classes)
-        assert np.array_equal(seen[0], [classes.index(c) for c in labels])
+        assert model.num_classes == 4
+        assert np.array_equal(seen[0], np.eye(4)[[classes.index(c) for c in labels]])
 
 
 class TestTrainingInputs:
