@@ -165,16 +165,6 @@ def _stage_reconstruct(align_result, ee_poses, calib, out_dir, seed,
     return cloud
 
 
-def _field_config(cfg, seed):
-    """The TrainConfig of the fields stage, shared by its three heads."""
-    return TrainConfig(
-        seed=seed,
-        epochs=int(cfg.get("epochs", 60)),
-        hidden_size=int(cfg.get("hidden_size", 256)),
-        learning_rate=float(cfg.get("learning_rate", 1e-2)),
-    )
-
-
 def _stage_fields(cloud, train_cfg, out_dir):
     out_dir.mkdir(parents=True, exist_ok=True)
     models = {"occupancy": train_occupancy(cloud, train_cfg)}
@@ -248,13 +238,12 @@ def cmd_train_field(args):
         colors=colors,
         segmentation=labels,
     )
-    cfg = TrainConfig(seed=args.seed, epochs=args.epochs)
     trainer = {
         "occupancy": train_occupancy,
         "segmentation": train_segmentation,
         "color": train_color,
     }[args.kind]
-    model = trainer(cloud, cfg)
+    model = trainer(cloud, TrainConfig(seed=args.seed))
     _require_finite_loss(model)
     io.save_json(args.out, model.to_dict())
     return EXIT_OK
@@ -272,6 +261,9 @@ def cmd_query(args):
 
 
 def cmd_eval(args):
+    if args.cloud and not args.ground_truth:
+        raise InputError("--cloud needs --ground-truth, whose object_heights "
+                         "the cloud's heights are compared with")
     calib = CalibrationResult.from_dict(io.load_json(args.calibration))
     report = {
         "converged": calib.converged,
@@ -284,7 +276,10 @@ def cmd_eval(args):
     if args.ground_truth:
         gt = _load_ground_truth(args.ground_truth)
         pts = labels = heights = None
-        if args.cloud and gt.get("object_heights"):
+        if args.cloud:
+            if not gt.get("object_heights"):
+                raise InputError(f"{args.ground_truth}: no object_heights to "
+                                 f"compare the heights in --cloud with")
             pts, _, labels = io.load_ply(args.cloud)
             heights = gt["object_heights"]
         errors = truth_errors(
@@ -418,7 +413,7 @@ MANIFEST_KEYS = {
         "hidden": {"calib": _MATRIX, "scale": _NUMBER},
     },
     "calibrate": {"all_pairs": _BOOL},
-    "fields": {"epochs": _INT, "hidden_size": _INT, "learning_rate": _NUMBER},
+    "fields": {"epochs": _INT, "hidden_size": _INT},
 }
 
 
@@ -459,7 +454,7 @@ def cmd_run(args):
         if "synth" in manifest and inputs:
             raise InputError(f"manifest keys synth and {', '.join(inputs)}: "
                              "a run synthesizes its inputs or reads them, not both")
-        train_cfg = _field_config(manifest.get("fields", {}), seed)
+        train_cfg = TrainConfig(seed=seed, **manifest.get("fields", {}))
         if not inputs:
             stage = "synth"
             ds = _stage_synth(manifest.get("synth", {}), out / "synth", seed)
@@ -530,10 +525,11 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kwargs):
+    def add(name, fn, seeded=True, **kwargs):
         p = sub.add_parser(name, **kwargs)
         p.set_defaults(fn=fn)
-        p.add_argument("--seed", type=_seed, default=0)
+        if seeded:
+            p.add_argument("--seed", type=_seed, default=0)
         return p
 
     p = add("synth", cmd_synth, help="generate a synthetic dataset")
@@ -564,20 +560,19 @@ def build_parser():
     p.add_argument(
         "--kind", choices=["occupancy", "segmentation", "color"], required=True
     )
-    p.add_argument("--epochs", type=int, default=200,
-                   help="no effect, since every head is fitted by a solve; "
-                        "accepted so that existing scripts still run")
     p.add_argument("--out", required=True)
 
-    p = add("query", cmd_query, help="query a trained field at CSV points")
+    p = add("query", cmd_query, seeded=False,
+            help="query a trained field at CSV points")
     p.add_argument("--model", required=True)
     p.add_argument("--points", required=True, help="CSV of x,y,z rows")
     p.add_argument("--out", required=True)
 
-    p = add("eval", cmd_eval, help="report calibration quality")
+    p = add("eval", cmd_eval, seeded=False, help="report calibration quality")
     p.add_argument("--calibration", required=True)
     p.add_argument("--ground-truth")
-    p.add_argument("--cloud", help="PLY with labels, for height errors")
+    p.add_argument("--cloud", help="PLY with labels, for height errors; "
+                   "needs --ground-truth with object_heights")
     p.add_argument("--out")
 
     p = sub.add_parser("run", help="run the full pipeline from a manifest")

@@ -3,9 +3,9 @@
 A small fully connected network (one hidden ReLU layer) over sinusoidally
 encoded, box-normalized 3D coordinates. The encoding takes one sine and one
 cosine per coordinate and doubles the angle by recurrence for each further
-frequency; within MAX_FREQUENCIES its float64 error stays near 2^L machine
-epsilons (``PositionalEncoding.encode``); it is formed coordinate-major,
+frequency (``PositionalEncoding.encode``); it is formed coordinate-major,
 one contiguous row per feature, and transposed once into the features.
+Every field uses the one encoding, at fixed settings.
 The features end in a column of ones and W1 carries b1 as one more row, so
 the first layer is the one product ``feat @ [W1; b1]``, in the fits and in
 query alike. The training rows, occupancy's negatives among them, are
@@ -62,28 +62,17 @@ MAX_NEWTON_PASSES = 50
 RIDGE_LOGISTIC = 1e-4
 RIDGE_SQUARED = 1e-6
 BOUNDS_INFLATION = 0.2  # occupancy negatives: the cloud's box, 20% larger per axis
-# Most frequencies an encoding may have; see PositionalEncoding.encode.
-MAX_FREQUENCIES = 16
 
 
-@dataclass(frozen=True)
 class PositionalEncoding:
-    """Per-axis (sin, cos) lifting at frequencies 2^k pi, k = 0..L-1, with
-    L at most MAX_FREQUENCIES."""
+    """The coordinates, then per-axis (sin, cos) at frequencies 2^k pi,
+    k = 0..NUM_FREQUENCIES - 1. A model file records these settings as its
+    ``"encoding"`` block (``RECORD``), and reads no other."""
 
-    num_frequencies: int = 6
-    include_raw: bool = True
-
-    def __post_init__(self):
-        nf = self.num_frequencies
-        if (not isinstance(nf, (int, np.integer)) or isinstance(nf, bool)
-                or not 0 <= nf <= MAX_FREQUENCIES
-                or self.include_raw not in (True, False) or self.output_dim < 1):
-            raise InputError(f"unusable encoding {self}")
-
-    @property
-    def output_dim(self):
-        return 3 * self.include_raw + 6 * self.num_frequencies
+    NUM_FREQUENCIES = 6
+    INCLUDE_RAW = True
+    RECORD = {"num_frequencies": NUM_FREQUENCIES, "include_raw": INCLUDE_RAW}
+    output_dim = 3 * INCLUDE_RAW + 6 * NUM_FREQUENCIES
 
     def encode(self, x, out=None):
         """Encode (N, 3) coordinates already normalized to [-1, 1]^3.
@@ -98,10 +87,9 @@ class PositionalEncoding:
         ``2^k fl(pi x)`` equals ``fl(2^k pi x)`` exactly, so these are the
         angles of the per-frequency form; the recurrence's rounding error
         roughly doubles with each step, to about ``2^k`` machine epsilons at
-        frequency k (under 6e-15 at L = 6, 9e-14 at L = 10 and 6e-12 at
-        L = 16 on uniform points), which is what bounds L by
-        MAX_FREQUENCIES. In float32 that is below half an ulp of all but a
-        few values in a million, which then round one ulp away.
+        frequency k (under 6e-15 at L = 6 on uniform points). In float32
+        that is below half an ulp of all but a few values in a million,
+        which then round one ulp away.
 
         The features are formed coordinate-major, one contiguous row of N
         values per feature, so every ufunc runs over whole rows; one
@@ -110,20 +98,19 @@ class PositionalEncoding:
         same bits.
         """
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        n, L = len(x), self.num_frequencies
+        n, L = len(x), self.NUM_FREQUENCIES
         if out is None:
             out = np.empty((n, self.output_dim))
         buf = np.empty((self.output_dim, n))
-        if self.include_raw:
+        if self.INCLUDE_RAW:
             buf[:3] = x.T
         # trig[k, 0] and trig[k, 1]: the (3, N) sines and cosines at 2^k pi.
-        trig = buf[3 * self.include_raw :].reshape(L, 2, 3, n)
+        trig = buf[3 * self.INCLUDE_RAW :].reshape(L, 2, 3, n)
         diff = np.empty((3, n))
-        if L:
-            s, c = trig[0]
-            np.multiply(np.pi, x.T, out=s)
-            np.cos(s, out=c)
-            np.sin(s, out=s)
+        s, c = trig[0]
+        np.multiply(np.pi, x.T, out=s)
+        np.cos(s, out=c)
+        np.sin(s, out=s)
         for k in range(1, L):  # double the angle
             s, c = trig[k - 1]
             s2, c2 = trig[k]
@@ -144,7 +131,8 @@ class TrainConfig:
     ``seed`` and ``hidden_size`` apply to every head, and
     ``negatives_per_positive`` to occupancy alone. Every head is fitted by
     a solve, so ``learning_rate`` and ``epochs`` apply to none; they are
-    still checked and recorded, so that existing configs stay valid.
+    still checked and recorded because the benchmark (``perfbench/``) sets
+    them and reads ``epochs`` back from the model.
     """
 
     learning_rate: float = 1e-2
@@ -171,7 +159,6 @@ class TrainConfig:
 @dataclass
 class FieldModel:
     head: str
-    encoding: PositionalEncoding
     W1: np.ndarray
     b1: np.ndarray
     W2: np.ndarray
@@ -201,13 +188,14 @@ class FieldModel:
         the bias.
         """
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        d = self.encoding.output_dim
+        enc = PositionalEncoding()
+        d = enc.output_dim
         feat = np.empty((min(len(points), QUERY_CHUNK), d + 1), np.float32)
         feat[:, d] = 1.0
 
         def features(lo, hi):
             f = feat[: hi - lo]
-            self.encoding.encode(self.normalize(points[lo:hi]), out=f[:, :d])
+            enc.encode(self.normalize(points[lo:hi]), out=f[:, :d])
             return f
 
         return self._outputs(len(points), features)
@@ -235,10 +223,7 @@ class FieldModel:
 
         return {
             "head": self.head,
-            "encoding": {
-                "num_frequencies": self.encoding.num_frequencies,
-                "include_raw": self.encoding.include_raw,
-            },
+            "encoding": dict(PositionalEncoding.RECORD),
             "shapes": {
                 "W1": list(self.W1.shape),
                 "W2": list(self.W2.shape),
@@ -267,8 +252,9 @@ class FieldModel:
     @staticmethod
     def from_dict(d):
         """Inverse of ``to_dict``; a malformed or inconsistent dict raises
-        ``InputError``, as does a num_classes that is not an integer or a
-        loss that is not a number (NaN is one)."""
+        ``InputError``, as do an encoding other than
+        ``PositionalEncoding.RECORD``, a num_classes that is not an integer
+        and a loss that is not a number (NaN is one)."""
         def unblob(s, shape):
             a = np.frombuffer(base64.b64decode(s), dtype=np.float32)
             return a.reshape(shape).copy()
@@ -277,7 +263,9 @@ class FieldModel:
             if not (is_int(d["num_classes"]) and is_real(d["final_loss"])
                     and is_real(d["initial_loss"])):
                 raise InputError("num_classes must be an integer, losses numbers")
-            enc = PositionalEncoding(**d["encoding"])
+            if d["encoding"] != PositionalEncoding.RECORD:
+                raise InputError(f"encoding {d['encoding']!r}: jcr evaluates "
+                                 f"only {PositionalEncoding.RECORD}")
             w1_shape = d["shapes"]["W1"]
             w2_shape = d["shapes"]["W2"]
             cfg = d.get("train_config")
@@ -287,7 +275,6 @@ class FieldModel:
                 cfg = TrainConfig(**{k: v for k, v in cfg.items() if k in names})
             model = FieldModel(
                 head=d["head"],
-                encoding=enc,
                 W1=unblob(d["weights"]["W1"], w1_shape),
                 b1=unblob(d["weights"]["b1"], (w1_shape[1],)),
                 W2=unblob(d["weights"]["W2"], w2_shape),
@@ -321,7 +308,7 @@ class FieldModel:
         hidden = len(self.b1)
         if hidden < 1:
             raise InputError("model has no hidden units")
-        expect = {"W1": (self.encoding.output_dim, hidden), "b1": (hidden,),
+        expect = {"W1": (PositionalEncoding.output_dim, hidden), "b1": (hidden,),
                   "W2": (hidden, out_dim), "b2": (out_dim,)}
         for name, shape in expect.items():
             if getattr(self, name).shape != shape:
@@ -384,9 +371,10 @@ def _norm_box(points, inflation=0.0):
     return center, half
 
 
-def _features(enc, center, half, *parts):
+def _features(center, half, *parts):
     """The float32 features of the rows of ``parts``, stacked, each part
     encoded in one call, with a last column of ones."""
+    enc = PositionalEncoding()
     d = enc.output_dim
     feat = np.empty((sum(map(len, parts)), d + 1), np.float32)
     feat[:, d] = 1.0
@@ -456,11 +444,11 @@ def _fit_occupancy(cloud, cfg):
         raise DegenerateBounds(f"negative-sample box [{lo}, {hi}] is degenerate")
     n_neg = max(int(len(pos) * cfg.negatives_per_positive), 1)
     rng = np.random.default_rng(cfg.seed)
-    enc = PositionalEncoding()
     center, half = _norm_box(np.vstack([pos, lo, hi]), inflation=0.05)
-    W1, b1, _, _ = _init_params(rng, enc.output_dim, POOL * cfg.hidden_size, 1)
+    W1, b1, _, _ = _init_params(rng, PositionalEncoding.output_dim,
+                                POOL * cfg.hidden_size, 1)
     neg = rng.uniform(lo, hi, size=(n_neg, 3))
-    feat = _features(enc, center, half, pos, neg)
+    feat = _features(center, half, pos, neg)
     y = np.concatenate([np.ones(len(pos)), np.zeros(n_neg)])[:, None]
     pool = _sampled_layer(rng, feat, y, np.vstack([W1, b1]))
     chosen, readout = np.zeros(0, int), np.zeros((1, 1))
@@ -474,7 +462,7 @@ def _fit_occupancy(cloud, cfg):
             readout = np.vstack([readout[:-1], np.zeros((add, 1)), readout[-1:]])
             readout = _readout(feat, pool[:, chosen], y, True, readout,
                                None if k == ROUNDS else ROUND_PASSES)
-    return _fitted_model(HEAD_OCCUPANCY, enc, feat, y, pool[:, chosen], readout,
+    return _fitted_model(HEAD_OCCUPANCY, feat, y, pool[:, chosen], readout,
                          center, half, cfg)
 
 
@@ -658,8 +646,7 @@ def _readout(feat, Wb, y, logistic, w=None, passes=None):
     return w
 
 
-def _fitted_model(head, enc, feat, y, Wb, readout, center, half, cfg,
-                  **labels):
+def _fitted_model(head, feat, y, Wb, readout, center, half, cfg, **labels):
     """The model of a fitted head, with the loss of a zero readout and that
     of its float32 weights on the training rows, as ``query`` evaluates
     them; ``labels`` are segmentation's ``num_classes`` and
@@ -667,7 +654,6 @@ def _fitted_model(head, enc, feat, y, Wb, readout, center, half, cfg,
     readout = readout.astype(np.float32)
     model = FieldModel(
         head=head,
-        encoding=enc,
         W1=Wb[:-1].copy(),
         b1=Wb[-1].copy(),
         W2=readout[:-1].copy(),
@@ -720,12 +706,12 @@ def _fit_sampled(head, pts, y, cfg, **labels):
     """Color's or segmentation's fit of the rows ``pts`` to the targets
     ``y``, returning what ``_fitted_model`` returns."""
     rng = np.random.default_rng(cfg.seed)
-    enc = PositionalEncoding()
     center, half = _norm_box(pts, inflation=0.05)
-    W1, b1, _, _ = _init_params(rng, enc.output_dim, cfg.hidden_size, y.shape[1])
-    feat = _features(enc, center, half, pts)
+    W1, b1, _, _ = _init_params(rng, PositionalEncoding.output_dim,
+                                cfg.hidden_size, y.shape[1])
+    feat = _features(center, half, pts)
     Wb = _sampled_layer(rng, feat, y, np.vstack([W1, b1]))
-    return _fitted_model(head, enc, feat, y, Wb,
+    return _fitted_model(head, feat, y, Wb,
                          _readout(feat, Wb, y, head != HEAD_COLOR), center,
                          half, cfg, **labels)
 

@@ -1,5 +1,6 @@
 """End-to-end command-line interface checks."""
 
+import dataclasses
 import json
 import re
 import shutil
@@ -13,7 +14,6 @@ from jcr import cli, io
 from jcr.alignment import PairGraph, PairwisePrediction
 from jcr.cli import _check_manifest, main
 from jcr.fields import (
-    MAX_FREQUENCIES,
     FieldModel,
     TrainConfig,
     query,
@@ -104,7 +104,7 @@ class TestRun:
 
     @pytest.mark.parametrize("block, key", [
         ({"fields": {"epochs": 0}}, "epochs"),
-        ({"fields": {"learning_rate": 0.0}}, "learning_rate"),
+        ({"fields": {"learning_rate": 1e-2}}, "fields.learning_rate"),
         ({"fields": {"color_learning_rate": -1.0}}, "fields.color_learning_rate"),
         ({"synth": {"hidden": {"calib": np.eye(4).ravel().tolist(), "scale": 0}}},
          "scale"),
@@ -114,8 +114,8 @@ class TestRun:
     def test_bad_stage_setting_exit_2_before_synth(self, tmp_path, capsys,
                                                    block, key):
         """A value that the fields or the synth stage would refuse, or
-        fields.color_learning_rate, which jcr no longer reads, ends the run
-        before synth writes anything."""
+        fields.learning_rate or fields.color_learning_rate, which jcr no
+        longer reads, ends the run before synth writes anything."""
         manifest = {"seed": 3, "synth": {"num_poses": 4,
                                          "camera": {"width": 16, "height": 12}}}
         for name, values in block.items():
@@ -172,6 +172,45 @@ class TestRun:
         assert (out / "reconstruct" / "cloud.ply").exists()
         assert not list(out.glob("fields/field_*.json"))
 
+    def _unconverged_run(self, tmp_path, monkeypatch, *flags):
+        """``jcr run`` on the noiseless manifest with a calibration that
+        reads as not converged; returns the exit code and output folder."""
+        solve = cli.calibrate
+        monkeypatch.setattr(cli, "calibrate", lambda *args: dataclasses.replace(
+            solve(*args), converged=False))
+        out = tmp_path / "out"
+        code = main(["run", "--manifest", str(_noiseless_manifest(tmp_path)),
+                     "--out", str(out), *flags])
+        return code, out
+
+    def test_unconverged_calibration_exit_4_before_reconstruct(
+            self, tmp_path, capsys, monkeypatch):
+        """A calibration that did not converge stops the run in stage
+        reconstruct (exit 4), after the alignment and the calibration,
+        marked not converged, are written."""
+        code, out = self._unconverged_run(tmp_path, monkeypatch)
+        assert code == 4
+        assert ("error in stage reconstruct: calibration did not converge"
+                in capsys.readouterr().err)
+        assert (out / "align" / "alignment.json").exists()
+        assert io.load_json(out / "calibrate" / "calibration.json")[
+            "converged"] is False
+        assert not (out / "reconstruct" / "cloud.ply").exists()
+        assert not (out / "fields").exists()
+
+    def test_force_uncalibrated_run_writes_cloud_and_fields_exit_4(
+            self, tmp_path, capsys, monkeypatch):
+        """With --force-uncalibrated the run goes on to the cloud and every
+        field model, and still exits 4, saying that calibration did not
+        converge."""
+        code, out = self._unconverged_run(tmp_path, monkeypatch,
+                                          "--force-uncalibrated")
+        assert code == 4
+        assert capsys.readouterr().err == "calibration did not converge\n"
+        assert (out / "reconstruct" / "cloud.ply").exists()
+        for head in ("occupancy", "segmentation", "color"):
+            assert (out / "fields" / f"field_{head}.json").exists()
+
     def test_readme_manifest_is_valid(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         block = re.search(r"with a manifest such as:\s*```json\n(.*?)```",
@@ -192,6 +231,28 @@ class TestSeeds:
             main(argv)
         assert exc.value.code == 2
         assert "--seed: expected a non-negative integer" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestRemovedFlags:
+    """Flags that changed no output are gone: passing one is a usage error
+    (exit 2) that writes nothing."""
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["train-field", "--cloud", "c.ply", "--kind", "color",
+          "--out", "m.json", "--epochs", "5"], "--epochs 5"),
+        (["query", "--model", "m.json", "--points", "p.csv",
+          "--out", "q.csv", "--seed", "1"], "--seed 1"),
+        (["eval", "--calibration", "c.json", "--out", "r.json",
+          "--seed", "1"], "--seed 1"),
+    ], ids=["train-field-epochs", "query-seed", "eval-seed"])
+    def test_flag_is_a_usage_error(self, argv, flag, capsys, tmp_path,
+                                   monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
 
@@ -370,12 +431,11 @@ class TestQueryAndEval:
         cloud = pipeline / "reconstruct" / "cloud.ply"
         model_path = tmp_path / "seg.json"
         assert main(["train-field", "--cloud", str(cloud), "--kind",
-                     "segmentation", "--epochs", "3", "--out",
-                     str(model_path)]) == 0
+                     "segmentation", "--out", str(model_path)]) == 0
         points, _, labels = io.load_ply(cloud)
         model = train_segmentation(
             SimpleNamespace(points=points, segmentation=labels),
-            TrainConfig(seed=0, epochs=3))
+            TrainConfig(seed=0))
         q = np.vstack([points[:40], points[:40] + 0.05])
         pts = tmp_path / "pts.csv"
         np.savetxt(pts, q, delimiter=",", fmt="%.17g")
@@ -390,9 +450,10 @@ class TestQueryAndEval:
 
     def test_run_and_train_field_write_the_same_color_model(
             self, pipeline, tmp_path, monkeypatch):
-        """`jcr run` fits color under the TrainConfig of its other heads, so
-        for the same cloud, seed and hidden size (the default, 256) it
-        writes the model that `jcr train-field --kind color` writes. The
+        """`jcr run` fits color under the TrainConfig of its other heads,
+        built from the manifest's fields block over TrainConfig's defaults,
+        so for the same cloud and seed and no fields block it writes the
+        model that `jcr train-field --kind color` writes. The
         PLY rounds points to float32 and colors to 8 bits, so the run's
         reconstruct stage is given the cloud that the PLY holds."""
         ply = pipeline / "reconstruct" / "cloud.ply"
@@ -408,14 +469,12 @@ class TestQueryAndEval:
             "seed": 11,
             "synth": {"num_poses": 6, "noise": "zero",
                       "camera": {"width": 16, "height": 12}},
-            "fields": {"epochs": 5},
         }))
         out = tmp_path / "out"
         assert main(["run", "--manifest", str(manifest), "--out", str(out)]) == 0
         model_path = tmp_path / "color.json"
         assert main(["train-field", "--cloud", str(ply), "--kind", "color",
-                     "--epochs", "5", "--seed", "11",
-                     "--out", str(model_path)]) == 0
+                     "--seed", "11", "--out", str(model_path)]) == 0
         run_model = (out / "fields" / "field_color.json").read_text()
         assert run_model == model_path.read_text()
 
@@ -430,21 +489,30 @@ class TestQueryAndEval:
         model_path = tmp_path / "seg.json"
         assert main(["train-field", "--cloud",
                      str(pipeline / "reconstruct" / "cloud.ply"), "--kind",
-                     "segmentation", "--epochs", "2", "--out",
-                     str(model_path)]) == 4
+                     "segmentation", "--out", str(model_path)]) == 4
         assert "segmentation" in capsys.readouterr().err
         assert not model_path.exists()
 
-    def test_query_too_many_frequencies_exit_2(self, pipeline, tmp_path, capsys):
+    @pytest.mark.parametrize("encoding", [
+        {"num_frequencies": 10, "include_raw": True},
+        {"num_frequencies": 6, "include_raw": False},
+        {"num_frequencies": 6},
+    ], ids=["frequencies", "no-raw", "no-raw-key"])
+    def test_query_other_encoding_exit_2(self, pipeline, tmp_path, capsys,
+                                         encoding):
+        """Every field is saved with the one encoding; a model file with
+        any other is refused, naming it, and nothing is written."""
         model = io.load_json(pipeline / "fields" / "field_occupancy.json")
-        model["encoding"]["num_frequencies"] = MAX_FREQUENCIES + 1
+        assert model["encoding"] == {"num_frequencies": 6, "include_raw": True}
+        model["encoding"] = encoding
         path = tmp_path / "model.json"
         path.write_text(json.dumps(model))
         pts = tmp_path / "pts.csv"
         pts.write_text("0,0,0.05\n")
         assert main(["query", "--model", str(path), "--points", str(pts),
                      "--out", str(tmp_path / "q.csv")]) == 2
-        assert f"num_frequencies={MAX_FREQUENCIES + 1}" in capsys.readouterr().err
+        assert f"encoding {encoding!r}" in capsys.readouterr().err
+        assert not (tmp_path / "q.csv").exists()
 
     def test_query_malformed_model_exit_2(self, pipeline, tmp_path):
         model = io.load_json(pipeline / "fields" / "field_color.json")
@@ -479,6 +547,44 @@ class TestQueryAndEval:
             assert h["error_percent"] == 100 * abs(est - h["true_m"]) / h["true_m"]
         printed = capsys.readouterr().out
         assert "scale_error_percent" in printed
+
+    def test_eval_cloud_without_ground_truth_exit_2(self, pipeline, tmp_path,
+                                                    capsys):
+        """Heights in --cloud are compared with the ground truth's, so
+        --cloud without --ground-truth is refused, not ignored."""
+        report = tmp_path / "report.json"
+        assert main(
+            ["eval",
+             "--calibration", str(pipeline / "calibrate" / "calibration.json"),
+             "--cloud", str(pipeline / "reconstruct" / "cloud.ply"),
+             "--out", str(report)]
+        ) == 2
+        captured = capsys.readouterr()
+        assert "--cloud needs --ground-truth" in captured.err
+        assert captured.out == ""
+        assert not report.exists()
+
+    @pytest.mark.parametrize("heights", [None, {}], ids=["absent", "empty"])
+    def test_eval_cloud_without_object_heights_exit_2(self, pipeline, tmp_path,
+                                                      capsys, heights):
+        gt = io.load_json(pipeline / "synth" / "ground_truth.json")
+        gt.pop("object_heights")
+        if heights is not None:
+            gt["object_heights"] = heights
+        gt_path = tmp_path / "gt.json"
+        gt_path.write_text(json.dumps(gt))
+        report = tmp_path / "report.json"
+        assert main(
+            ["eval",
+             "--calibration", str(pipeline / "calibrate" / "calibration.json"),
+             "--ground-truth", str(gt_path),
+             "--cloud", str(pipeline / "reconstruct" / "cloud.ply"),
+             "--out", str(report)]
+        ) == 2
+        captured = capsys.readouterr()
+        assert f"{gt_path}: no object_heights" in captured.err
+        assert captured.out == ""
+        assert not report.exists()
 
     def test_eval_without_ground_truth(self, pipeline, capsys):
         assert main(

@@ -11,7 +11,6 @@ import pytest
 from jcr import fields
 from jcr.errors import DegenerateBounds, EmptyCloud, InputError, SingleClass
 from jcr.fields import (
-    MAX_FREQUENCIES,
     QUERY_CHUNK,
     FieldModel,
     PositionalEncoding,
@@ -26,7 +25,8 @@ from jcr.fields import (
 )
 from jcr.synth import sample_surface, tabletop_scene
 
-FAST = TrainConfig(epochs=60, hidden_size=64, seed=0)
+FAST = TrainConfig(hidden_size=64, seed=0)
+L = PositionalEncoding.NUM_FREQUENCIES
 
 
 class _Cloud:
@@ -42,40 +42,38 @@ class _Cloud:
 
 
 class TestPositionalEncoding:
-    def test_origin_single_frequency(self):
-        enc = PositionalEncoding(num_frequencies=1, include_raw=True)
-        got = enc.encode(np.zeros(3))[0]
-        assert np.allclose(got, [0, 0, 0, 0, 0, 0, 1, 1, 1])
+    def test_origin(self):
+        """At the origin every sine is 0 and every cosine 1."""
+        got = PositionalEncoding().encode(np.zeros(3))[0]
+        assert np.array_equal(got, [0, 0, 0] + [0, 0, 0, 1, 1, 1] * L)
 
     def test_output_length(self):
-        for L in (1, 4, 6):
-            enc = PositionalEncoding(num_frequencies=L)
-            assert enc.output_dim == 3 + 6 * L
-            x = np.random.default_rng(0).uniform(-1, 1, size=(5, 3))
-            assert enc.encode(x).shape == (5, 3 + 6 * L)
+        enc = PositionalEncoding()
+        assert enc.output_dim == 3 + 6 * L == 39
+        x = np.random.default_rng(0).uniform(-1, 1, size=(5, 3))
+        assert enc.encode(x).shape == (5, 39)
 
     def test_matches_scalar_evaluation(self):
+        """Each value at frequency k is within 2^k machine epsilons of
+        np.sin or np.cos of 2^k pi x."""
         rng = np.random.default_rng(1)
         x = rng.uniform(-1, 1, size=3)
-        enc = PositionalEncoding(num_frequencies=3)
-        got = enc.encode(x)[0]
-        expect = list(x)
-        for k in range(3):
+        got = PositionalEncoding().encode(x)[0]
+        expect, bound = list(x), [0.0] * 3
+        for k in range(L):
             expect += list(np.sin(2.0**k * np.pi * x))
             expect += list(np.cos(2.0**k * np.pi * x))
-        np.testing.assert_allclose(got, expect, rtol=0, atol=1e-15)
+            bound += [2.0**k * np.finfo(float).eps] * 6
+        assert (np.abs(got - expect) <= bound).all()
 
-    @pytest.mark.parametrize("L", range(11))
-    def test_matches_per_frequency_libm(self, L):
+    def test_matches_per_frequency_libm(self):
         """The angle-doubling recurrence stays within 1e-13 of np.sin and
-        np.cos at every frequency up to L = 10, random points and exact
-        fractions of pi alike."""
-        enc = PositionalEncoding(num_frequencies=L)
+        np.cos at every frequency, random points and exact fractions of pi
+        alike."""
         x = _encoder_points()
-        assert np.abs(enc.encode(x) - _libm_encode(x, L)).max() <= 1e-13
+        assert np.abs(PositionalEncoding().encode(x) - _libm_encode(x)).max() <= 1e-13
 
-    @pytest.mark.parametrize("L", [6, 10])
-    def test_float32_out_rounds_libm(self, L):
+    def test_float32_out_rounds_libm(self):
         """Rounded once to float32, all but a few values in 1e5 equal the
         libm features rounded to float32, and none is more than an ulp off.
         Random points only: at exact fractions of pi, both forms give a
@@ -83,30 +81,22 @@ class TestPositionalEncoding:
         arithmetic, equal to 1e-13 but not in float32's relative ulps."""
         x = np.random.default_rng(17).uniform(-1, 1, (20000, 3))
         out = np.full((len(x), 3 + 6 * L), np.nan, np.float32)
-        got = PositionalEncoding(num_frequencies=L).encode(x, out=out)
+        got = PositionalEncoding().encode(x, out=out)
         assert got is out
-        want = _libm_encode(x, L).astype(np.float32)
+        want = _libm_encode(x).astype(np.float32)
         off = got != want
         assert off.mean() <= 1e-5
         ulp = np.spacing(np.maximum(np.abs(got), np.abs(want)))
         assert (np.abs(got - want)[off] <= ulp[off]).all()
 
-    def test_frequency_limit(self):
-        PositionalEncoding(num_frequencies=MAX_FREQUENCIES)
-        with pytest.raises(InputError):
-            PositionalEncoding(num_frequencies=MAX_FREQUENCIES + 1)
-
-    @pytest.mark.parametrize("L, include_raw", [
-        (L, raw) for L in range(MAX_FREQUENCIES + 1) for raw in (True, False)
-        if raw or L])
-    def test_matches_row_major_form(self, L, include_raw):
+    def test_matches_row_major_form(self):
         """The coordinate-major encoding gives the row-major form's bits: in
         float64 without ``out``, and rounded once into a float32 ``out``
         that is a column slice, on one row and on QUERY_CHUNK + 1 rows."""
-        enc = PositionalEncoding(L, include_raw)
+        enc = PositionalEncoding()
         points = _encoder_points(QUERY_CHUNK - 7)
         for x in (points[:1], points):
-            want = _row_major_encode(x, L, include_raw)
+            want = _row_major_encode(x)
             got = enc.encode(x)
             assert got.dtype == np.float64
             assert np.array_equal(got, want)
@@ -117,12 +107,12 @@ class TestPositionalEncoding:
             assert (feat[:, -1] == 7.0).all()
 
 
-def _row_major_encode(x, num_frequencies, include_raw=True):
+def _row_major_encode(x):
     """The angle-doubling encoding formed row-major, one (N, 3) block of
     sines and one of cosines per frequency, in float64."""
-    cols = [x] if include_raw else []
+    cols = [x]
     s, c = np.sin(np.pi * x), np.cos(np.pi * x)
-    for k in range(num_frequencies):
+    for k in range(L):
         if k:
             s, c = s * c + s * c, (c + s) * (c - s)
         cols += [s, c]
@@ -136,11 +126,11 @@ def _encoder_points(n=1000):
     return np.vstack([np.random.default_rng(16).uniform(-1, 1, (n, 3)), rows])
 
 
-def _libm_encode(x, num_frequencies=6):
+def _libm_encode(x):
     """The per-frequency encoding in float64: the coordinates, then np.sin
     and np.cos of 2^k pi x for k = 0..L-1."""
     cols = [x]
-    for k in range(num_frequencies):
+    for k in range(L):
         ang = (2.0**k) * np.pi * x
         cols += [np.sin(ang), np.cos(ang)]
     return np.hstack(cols)
@@ -173,7 +163,7 @@ def box_model():
     """Occupancy field trained on a box surface, shared across tests."""
     rng = np.random.default_rng(2)
     pts = _box_surface(rng, 2000)
-    cfg = TrainConfig(epochs=200, hidden_size=128, seed=0)
+    cfg = TrainConfig(hidden_size=128, seed=0)
     return train_occupancy(_Cloud(pts[:1600]), cfg), pts
 
 
@@ -191,14 +181,14 @@ class TestOccupancy:
         assert acc >= 0.95
 
     def test_single_point_loss_decreases(self):
-        cfg = TrainConfig(epochs=30, hidden_size=8, seed=0)
+        cfg = TrainConfig(hidden_size=8, seed=0)
         model = train_occupancy(_Cloud(np.array([[0.1, 0.2, 0.3]])), cfg)
         assert model.final_loss <= model.initial_loss
 
     def test_seeded_determinism(self):
         rng = np.random.default_rng(3)
         pts = _box_surface(rng, 300)
-        cfg = TrainConfig(epochs=10, hidden_size=16, seed=5)
+        cfg = TrainConfig(hidden_size=16, seed=5)
         a = train_occupancy(_Cloud(pts), cfg)
         b = train_occupancy(_Cloud(pts), cfg)
         assert np.array_equal(a.W1, b.W1)
@@ -259,7 +249,8 @@ class TestOccupancy:
     @pytest.mark.parametrize("hidden", [1, 5, 64, 256])
     def test_tiny_clouds_fit_finite_weights(self, points, hidden):
         model = train_occupancy(_Cloud(points), TrainConfig(hidden_size=hidden))
-        assert model.W1.shape == (model.encoding.output_dim, hidden)
+        assert model.W1.shape == (PositionalEncoding.output_dim,
+                                  hidden)
         for a in (model.W1, model.b1, model.W2, model.b2):
             assert np.isfinite(a).all()
         assert model.final_loss <= model.initial_loss
@@ -296,7 +287,7 @@ def _logistic_stationarity(act, y, w):
 def _activations(model, rows):
     """The float64 hidden activations of ``model`` on ``rows``, from their
     float32 features, with a column of ones."""
-    feat = model.encoding.encode(model.normalize(rows))
+    feat = PositionalEncoding().encode(model.normalize(rows))
     feat = feat.astype(np.float32).astype(float)
     return np.hstack([np.maximum(feat @ model.W1 + model.b1, 0.0),
                       np.ones((len(rows), 1))])
@@ -308,9 +299,9 @@ def _occupancy_fit(monkeypatch, cloud, cfg):
     encodes."""
     parts, features = [], fields._features
 
-    def spy(enc, center, half, *xs):
+    def spy(center, half, *xs):
         parts.extend(xs)
-        return features(enc, center, half, *xs)
+        return features(center, half, *xs)
 
     monkeypatch.setattr(fields, "_features", spy)
     model = train_occupancy(cloud, cfg)
@@ -394,8 +385,8 @@ class TestSegmentation:
         cloud = _labeled_box(np.random.default_rng(36), 1500, [2, 5, 9])
         model = train_segmentation(cloud, TrainConfig(hidden_size=32))
         y = np.eye(3)[np.searchsorted([2, 5, 9], cloud.segmentation)]
-        feat = fields._features(model.encoding, model.norm_center,
-                                model.norm_half, cloud.points)
+        feat = fields._features(model.norm_center, model.norm_half,
+                                cloud.points)
         Wb = np.vstack([model.W1, model.b1])
         first = fields._readout(feat, Wb, y[:, :1], True)
         w = fields._readout(feat, Wb, y, True,
@@ -599,7 +590,7 @@ class TestQueryAndSerialization:
         rng = np.random.default_rng(11)
         model = train_occupancy(
             _Cloud(_box_surface(rng, 200)),
-            TrainConfig(epochs=5, hidden_size=8),
+            TrainConfig(hidden_size=8),
         )
         assert query(model, np.zeros((0, 3))).shape == (0,)
 
@@ -609,7 +600,7 @@ class TestQueryAndSerialization:
         labels = (pts[:, 0] > 0).astype(int)
         model = train_segmentation(
             _Cloud(pts, segmentation=labels),
-            TrainConfig(epochs=15, hidden_size=16),
+            TrainConfig(hidden_size=16),
         )
         back = FieldModel.from_dict(model.to_dict())
         q = rng.uniform(-0.2, 0.2, size=(50, 3))
@@ -624,7 +615,7 @@ class TestQueryAndSerialization:
         rng = np.random.default_rng(13)
         model = train_occupancy(
             _Cloud(_box_surface(rng, 200)),
-            TrainConfig(epochs=5, hidden_size=8),
+            TrainConfig(hidden_size=8),
         )
         back = FieldModel.from_dict(json.loads(json.dumps(model.to_dict())))
         q = rng.uniform(-0.2, 0.2, size=(20, 3))
@@ -637,7 +628,7 @@ class TestQueryAndSerialization:
         cloud = _Cloud(rng.uniform(-0.2, 0.2, (200, 3)),
                        colors=rng.uniform(0, 1, (200, 3)),
                        segmentation=rng.choice([0, 1, 2], 200))
-        cfg = TrainConfig(epochs=2, hidden_size=256)
+        cfg = TrainConfig(hidden_size=256)
         models = [train(cloud, cfg) for train in
                   (train_occupancy, train_segmentation, train_color)]
         q = np.random.default_rng(15).uniform(-0.3, 0.3, (2 * QUERY_CHUNK + 17, 3))
@@ -659,7 +650,7 @@ class TestQueryAndSerialization:
         float64, on the float32 features, within float32 rounding."""
         models, q = chunk_models
         for model in models:
-            feat = model.encoding.encode(model.normalize(q)).astype(np.float32)
+            feat = PositionalEncoding().encode(model.normalize(q)).astype(np.float32)
             h = feat.astype(float) @ model.W1 + model.b1
             want = np.maximum(h, 0.0) @ model.W2 + model.b2
             np.testing.assert_allclose(model.forward(q), want, rtol=1e-5,
@@ -678,7 +669,7 @@ class TestQueryAndSerialization:
         pts = _box_surface(rng, 600)
         cloud = _Cloud(pts, colors=rng.uniform(0, 1, (600, 3)),
                        segmentation=(pts[:, 0] > 0).astype(int))
-        model = train(cloud, TrainConfig(epochs=20, hidden_size=hidden))
+        model = train(cloud, TrainConfig(hidden_size=hidden))
         assert np.abs(model.b1).max() > 0.01
         wrong = [np.zeros_like(model.b1), np.roll(model.b1, 1), model.b1 + 1e-3]
         points = rng.uniform(-0.15, 0.15, (512, 3))
@@ -706,7 +697,7 @@ def _adds_bias(model, W1, b1, points):
     """Whether ``model``'s first layer on ``points`` is float64
     ``feat @ W1 + b1`` on its float32 features, within float32 rounding:
     1e-5 of the sum of the magnitudes of the terms."""
-    feat = model.encoding.encode(model.normalize(points))
+    feat = PositionalEncoding().encode(model.normalize(points))
     feat = feat.astype(np.float32).astype(float)
     want = feat @ W1 + b1
     scale = np.abs(feat) @ np.abs(W1) + np.abs(b1)
@@ -743,7 +734,7 @@ class TestTrainingLoop:
     def test_model_arrays_share_no_memory(self, cloud, train):
         """The model's weights are copies, not views of the fit's arrays:
         W1 and b1 of one stacked layer, W2 and b2 of one readout."""
-        model = train(cloud, TrainConfig(epochs=1, hidden_size=8))
+        model = train(cloud, TrainConfig(hidden_size=8))
         arrays = (model.W1, model.b1, model.W2, model.b2)
         for a, b in itertools.combinations(arrays, 2):
             assert not np.shares_memory(a, b)
@@ -767,7 +758,7 @@ class TestFloat32Training:
         monkeypatch.setattr(fields, "_readout", spy)
         pts = _box_surface(np.random.default_rng(23), len(labels))
         model = train_segmentation(_Cloud(pts, segmentation=labels),
-                                   TrainConfig(epochs=2, hidden_size=8))
+                                   TrainConfig(hidden_size=8))
         classes = [-2, 0, 7, 30]
         assert np.array_equal(model.class_values, classes)
         assert model.num_classes == 4
@@ -847,7 +838,7 @@ class TestModelDict:
         rng = np.random.default_rng(14)
         model = train_segmentation(
             _Cloud(_box_surface(rng, 100), segmentation=np.arange(100) % 3),
-            TrainConfig(epochs=2, hidden_size=8),
+            TrainConfig(hidden_size=8),
         )
         return model.to_dict()
 

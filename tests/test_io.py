@@ -376,12 +376,12 @@ class TestLoaderFuzz:
 def _model_dict(head):
     """A valid serialized field model with small random weights."""
     rng = np.random.default_rng(5)
-    enc = PositionalEncoding(num_frequencies=2)
     seg = head == "segmentation"
     out = 1 if head == "occupancy" else 3
     return FieldModel(
-        head=head, encoding=enc,
-        W1=rng.normal(size=(enc.output_dim, 4)), b1=rng.normal(size=4),
+        head=head,
+        W1=rng.normal(size=(PositionalEncoding.output_dim, 4)),
+        b1=rng.normal(size=4),
         W2=rng.normal(size=(4, out)), b2=rng.normal(size=out),
         norm_center=np.zeros(3), norm_half=np.ones(3),
         num_classes=out if seg else 1,
