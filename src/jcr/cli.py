@@ -83,11 +83,7 @@ def _stage_synth(cfg, out_dir, seed):
         )
     else:
         hidden = HiddenParams.random(np.random.default_rng(seed))
-    noise_cfg = cfg.get("noise", {})
-    if noise_cfg == "zero":
-        noise = NoiseProfile.zero()
-    else:
-        noise = NoiseProfile(**noise_cfg)
+    noise = NoiseProfile(**cfg.get("noise", {}))
     camera = CameraConfig(**cfg.get("camera", {}))
     out_dir.mkdir(parents=True, exist_ok=True)  # once every setting is checked
     ds = generate_dataset(
@@ -193,10 +189,6 @@ def _require_finite_loss(*models):
 
 def cmd_synth(args):
     cfg = _load_manifest(args.manifest).get("synth", {}) if args.manifest else {}
-    if args.num_poses is not None:
-        cfg["num_poses"] = args.num_poses
-    if args.zero_noise:
-        cfg["noise"] = "zero"
     _stage_synth(cfg, Path(args.out), args.seed)
     return EXIT_OK
 
@@ -396,8 +388,7 @@ _MATRIX = ("16 numbers (a 4x4 matrix)", lambda v: (
     isinstance(v, list) and len(v) == 16 and all(map(io.is_number, v))))
 
 # Every key that `jcr run` reads from a manifest, and what its value must
-# be; a dict is an object with keys of its own. synth.noise may also be
-# the string "zero".
+# be; a dict is an object with keys of its own.
 MANIFEST_KEYS = {
     "seed": _SEED,
     "out": _PATH,
@@ -428,8 +419,7 @@ def _check_manifest(block, keys=MANIFEST_KEYS, where=None):
             raise InputError(f"manifest key {path}: not read by jcr")
         want = keys[key]
         if isinstance(want, dict):
-            if not (path == "synth.noise" and value == "zero"):
-                _check_manifest(value, want, path)
+            _check_manifest(value, want, path)
         elif not want[1](value):
             raise InputError(
                 f"manifest key {path}: expected {want[0]}, got {value!r}"
@@ -534,9 +524,7 @@ def build_parser():
 
     p = add("synth", cmd_synth, help="generate a synthetic dataset")
     p.add_argument("--out", required=True)
-    p.add_argument("--manifest")
-    p.add_argument("--num-poses", type=int)
-    p.add_argument("--zero-noise", action="store_true")
+    p.add_argument("--manifest", help="reads its synth block, as jcr run does")
 
     p = add("align", cmd_align, help="globally align pairwise pointmaps")
     p.add_argument("--pointmaps", required=True, help="pair manifest JSON")

@@ -62,9 +62,8 @@ def transform_to_base(
     if cloud.frame == ROBOT_BASE:
         raise InputError("cloud is already in the robot base frame")
     if not calib.converged and not force:
-        raise UncalibratedInput(
-            "calibration did not converge; pass force=True to override"
-        )
+        raise UncalibratedInput("calibration did not converge; pass force=True "
+                                "(jcr: --force-uncalibrated) to override")
     X = calib.pose
     out = np.empty_like(cloud.points)
     for v in np.unique(cloud.views):

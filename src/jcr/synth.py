@@ -6,6 +6,13 @@ scale) pair, plus the pairwise pointmap/confidence structure a 3D
 foundation model would emit. Noiseless datasets drive the exact-recovery
 tests; a noise profile produces realistic degradation.
 
+Each primitive class (box, cylinder, plane) holds its own geometry, in
+its local frame: ``hit(o, d)`` intersects rays o + t d and returns the
+ray parameter t (inf for a miss) and the local normal at the hit, and
+``sample(density, rng)`` returns surface points. ``ray_cast`` and
+``sample_surface`` map between that frame and the base frame through the
+primitive's ``pose``, so a new kind of primitive needs only its class.
+
 Frame conventions (shared with the rest of the package):
     * scene primitives and trajectories live in the robot base frame,
     * a trajectory yields camera-to-base poses C_n,
@@ -52,6 +59,44 @@ class BoxPrimitive:
         )
         return float(self.pose.apply(corners)[:, 2].max())
 
+    def hit(self, o, d):
+        h = np.asarray(self.size, dtype=float) / 2.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t1 = (-h - o) / d
+            t2 = (h - o) / d
+        t_lo = np.minimum(t1, t2)
+        t_hi = np.maximum(t1, t2)
+        # Parallel rays miss the slab unless the origin is inside it.
+        parallel = np.abs(d) < 1e-12
+        inside = np.abs(o) <= h
+        t_lo = np.where(parallel, np.where(inside, -np.inf, np.inf), t_lo)
+        t_hi = np.where(parallel, np.where(inside, np.inf, -np.inf), t_hi)
+        tmin = t_lo.max(axis=1)
+        tmax = t_hi.min(axis=1)
+        hit = (tmax >= tmin) & (tmin > 1e-9) & np.isfinite(tmin)
+        t = np.where(hit, tmin, _FAR)
+        axis = np.argmax(t_lo, axis=1)
+        normals = np.zeros_like(o)
+        rows = np.arange(len(o))
+        normals[rows, axis] = -np.sign(d[rows, axis])
+        return t, normals
+
+    def sample(self, density, rng):
+        sx, sy, sz = self.size
+        faces = [
+            (sx * sy, 2), (sx * sy, 2),   # z faces
+            (sx * sz, 1), (sx * sz, 1),   # y faces
+            (sy * sz, 0), (sy * sz, 0),   # x faces
+        ]
+        pts = []
+        half = np.array([sx, sy, sz]) / 2.0
+        for k, (area, axis) in enumerate(faces):
+            n = max(int(area * density), 1)
+            p = rng.uniform(-half, half, size=(n, 3))
+            p[:, axis] = half[axis] if k % 2 == 0 else -half[axis]
+            pts.append(p)
+        return np.vstack(pts)
+
 
 @dataclass(frozen=True)
 class CylinderPrimitive:
@@ -72,6 +117,63 @@ class CylinderPrimitive:
         )
         return float(self.pose.apply(rim)[:, 2].max())
 
+    def hit(self, o, d):
+        t = np.full(len(o), _FAR)
+        normals = np.zeros_like(o)
+
+        # Side surface: quadratic in the xy-plane.
+        a = d[:, 0] ** 2 + d[:, 1] ** 2
+        b = 2.0 * (o[:, 0] * d[:, 0] + o[:, 1] * d[:, 1])
+        c = o[:, 0] ** 2 + o[:, 1] ** 2 - self.radius**2
+        disc = b**2 - 4 * a * c
+        ok = (disc >= 0) & (a > 1e-14)
+        sq = np.sqrt(np.where(ok, disc, 0.0))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for sign in (-1.0, 1.0):
+                ts = np.where(ok, (-b + sign * sq) / (2 * a), _FAR)
+                z = o[:, 2] + ts * d[:, 2]
+                valid = (ok & (ts > 1e-9) & (z >= 0) & (z <= self.height)
+                         & (ts < t))
+                if valid.any():
+                    p = o[valid] + ts[valid, None] * d[valid]
+                    n = np.zeros_like(p)
+                    n[:, :2] = p[:, :2] / self.radius
+                    t[valid] = ts[valid]
+                    normals[valid] = n
+
+        # Caps at z = 0 and z = height.
+        for z0, nz in ((0.0, -1.0), (self.height, 1.0)):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ts = (z0 - o[:, 2]) / d[:, 2]
+            p_xy = o[:, :2] + ts[:, None] * d[:, :2]
+            valid = (
+                (np.abs(d[:, 2]) > 1e-12)
+                & (ts > 1e-9)
+                & ((p_xy**2).sum(axis=1) <= self.radius**2)
+                & (ts < t)
+            )
+            t[valid] = ts[valid]
+            normals[valid] = np.array([0.0, 0.0, nz])
+        return t, normals
+
+    def sample(self, density, rng):
+        side_area = 2 * np.pi * self.radius * self.height
+        cap_area = np.pi * self.radius**2
+        n_side = max(int(side_area * density), 1)
+        theta = rng.uniform(0, 2 * np.pi, n_side)
+        z = rng.uniform(0, self.height, n_side)
+        side = np.column_stack(
+            [self.radius * np.cos(theta), self.radius * np.sin(theta), z]
+        )
+        pts = [side]
+        for z0 in (0.0, self.height):
+            n_cap = max(int(cap_area * density), 1)
+            r = self.radius * np.sqrt(rng.uniform(0, 1, n_cap))
+            th = rng.uniform(0, 2 * np.pi, n_cap)
+            pts.append(np.column_stack(
+                [r * np.cos(th), r * np.sin(th), np.full(n_cap, z0)]))
+        return np.vstack(pts)
+
 
 @dataclass(frozen=True)
 class PlanePrimitive:
@@ -82,6 +184,33 @@ class PlanePrimitive:
 
     def top_z(self):
         return float(self.pose.translation[2])
+
+    def hit(self, o, d):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ts = -o[:, 2] / d[:, 2]
+        p_xy = o[:, :2] + ts[:, None] * d[:, :2]
+        ex, ey = self.extent
+        valid = (
+            (np.abs(d[:, 2]) > 1e-12)
+            & (ts > 1e-9)
+            & (np.abs(p_xy[:, 0]) <= ex / 2)
+            & (np.abs(p_xy[:, 1]) <= ey / 2)
+        )
+        t = np.where(valid, ts, _FAR)
+        normals = np.zeros_like(o)
+        normals[:, 2] = -np.sign(d[:, 2])
+        return t, normals
+
+    def sample(self, density, rng):
+        ex, ey = self.extent
+        n = max(int(ex * ey * density), 1)
+        return np.column_stack(
+            [
+                rng.uniform(-ex / 2, ex / 2, n),
+                rng.uniform(-ey / 2, ey / 2, n),
+                np.zeros(n),
+            ]
+        )
 
 
 WORKSPACE = ((-1.0, -1.0, -0.2), (1.0, 1.0, 1.0))  # holds primitive centres
@@ -135,103 +264,6 @@ def tabletop_scene():
 # Ray casting
 
 
-def _ray_box(origins, dirs, box: BoxPrimitive):
-    inv = box.pose.inverse()
-    o = inv.apply(origins)
-    d = dirs @ inv.rotation.T
-    h = np.asarray(box.size, dtype=float) / 2.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t1 = (-h - o) / d
-        t2 = (h - o) / d
-    t_lo = np.minimum(t1, t2)
-    t_hi = np.maximum(t1, t2)
-    # Parallel rays miss the slab unless the origin is inside it.
-    parallel = np.abs(d) < 1e-12
-    inside = np.abs(o) <= h
-    t_lo = np.where(parallel, np.where(inside, -np.inf, np.inf), t_lo)
-    t_hi = np.where(parallel, np.where(inside, np.inf, -np.inf), t_hi)
-    tmin = t_lo.max(axis=1)
-    tmax = t_hi.min(axis=1)
-    hit = (tmax >= tmin) & (tmin > 1e-9) & np.isfinite(tmin)
-    t = np.where(hit, tmin, _FAR)
-    axis = np.argmax(t_lo, axis=1)
-    normal_local = np.zeros_like(o)
-    rows = np.arange(len(o))
-    normal_local[rows, axis] = -np.sign(d[rows, axis])
-    normals = normal_local @ box.pose.rotation.T
-    return t, normals
-
-
-def _ray_cylinder(origins, dirs, cyl: CylinderPrimitive):
-    inv = cyl.pose.inverse()
-    o = inv.apply(origins)
-    d = dirs @ inv.rotation.T
-    t = np.full(len(o), _FAR)
-    normals = np.zeros_like(o)
-
-    # Side surface: quadratic in the xy-plane.
-    a = d[:, 0] ** 2 + d[:, 1] ** 2
-    b = 2.0 * (o[:, 0] * d[:, 0] + o[:, 1] * d[:, 1])
-    c = o[:, 0] ** 2 + o[:, 1] ** 2 - cyl.radius**2
-    disc = b**2 - 4 * a * c
-    ok = (disc >= 0) & (a > 1e-14)
-    sq = np.sqrt(np.where(ok, disc, 0.0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for sign in (-1.0, 1.0):
-            ts = np.where(ok, (-b + sign * sq) / (2 * a), _FAR)
-            z = o[:, 2] + ts * d[:, 2]
-            valid = ok & (ts > 1e-9) & (z >= 0) & (z <= cyl.height) & (ts < t)
-            if valid.any():
-                p = o[valid] + ts[valid, None] * d[valid]
-                n = np.zeros_like(p)
-                n[:, :2] = p[:, :2] / cyl.radius
-                t[valid] = ts[valid]
-                normals[valid] = n
-
-    # Caps at z = 0 and z = height.
-    for z0, nz in ((0.0, -1.0), (cyl.height, 1.0)):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ts = (z0 - o[:, 2]) / d[:, 2]
-        p_xy = o[:, :2] + ts[:, None] * d[:, :2]
-        valid = (
-            (np.abs(d[:, 2]) > 1e-12)
-            & (ts > 1e-9)
-            & ((p_xy**2).sum(axis=1) <= cyl.radius**2)
-            & (ts < t)
-        )
-        t[valid] = ts[valid]
-        normals[valid] = np.array([0.0, 0.0, nz])
-
-    return t, normals @ cyl.pose.rotation.T
-
-
-def _ray_rect(origins, dirs, plane: PlanePrimitive):
-    inv = plane.pose.inverse()
-    o = inv.apply(origins)
-    d = dirs @ inv.rotation.T
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ts = -o[:, 2] / d[:, 2]
-    p_xy = o[:, :2] + ts[:, None] * d[:, :2]
-    ex, ey = plane.extent
-    valid = (
-        (np.abs(d[:, 2]) > 1e-12)
-        & (ts > 1e-9)
-        & (np.abs(p_xy[:, 0]) <= ex / 2)
-        & (np.abs(p_xy[:, 1]) <= ey / 2)
-    )
-    t = np.where(valid, ts, _FAR)
-    normal_local = np.zeros_like(o)
-    normal_local[:, 2] = -np.sign(d[:, 2])
-    return t, normal_local @ plane.pose.rotation.T
-
-
-_INTERSECTORS = {
-    BoxPrimitive: _ray_box,
-    CylinderPrimitive: _ray_cylinder,
-    PlanePrimitive: _ray_rect,
-}
-
-
 @dataclass(frozen=True)
 class CameraConfig:
     width: int = 32
@@ -278,7 +310,9 @@ def ray_cast(scene: SceneSpec, camera_pose: Pose, camera: CameraConfig):
     best_label = np.full(len(dirs), -1, dtype=int)
     best_color = np.zeros_like(dirs)
     for prim in scene.primitives:
-        t, normals = _INTERSECTORS[type(prim)](origins, dirs, prim)
+        inv = prim.pose.inverse()
+        t, normals = prim.hit(inv.apply(origins), dirs @ inv.rotation.T)
+        normals = normals @ prim.pose.rotation.T
         closer = t < best_t
         best_t[closer] = t[closer]
         best_normal[closer] = normals[closer]
@@ -316,6 +350,10 @@ MIN_AXIS_ANGLE_DEG = 5.0            # rotation-diversity requirement
 @dataclass(frozen=True)
 class TrajectoryConfig:
     num_poses: int = 10
+
+    def __post_init__(self):
+        if self.num_poses < 3:
+            raise InputError(f"need at least 3 poses, got {self.num_poses}")
 
 
 def _look_at(position, target, roll):
@@ -477,8 +515,6 @@ def generate_dataset(
     (metric divided by the hidden scale), one prediction per edge of
     ``default_pair_graph`` that pair dropout keeps.
     """
-    if trajectory.num_poses < 3:
-        raise InputError("need at least 3 poses")
     rng = np.random.default_rng(seed)
     cam_to_base = view_sphere_trajectory(trajectory, rng)
     X = hidden.calib
@@ -577,69 +613,12 @@ def generate_dataset(
 # Surface sampling (training data for field tests)
 
 
-def _sample_box(box: BoxPrimitive, density, rng):
-    sx, sy, sz = box.size
-    faces = [
-        (sx * sy, 2), (sx * sy, 2),   # z faces
-        (sx * sz, 1), (sx * sz, 1),   # y faces
-        (sy * sz, 0), (sy * sz, 0),   # x faces
-    ]
-    pts = []
-    half = np.array([sx, sy, sz]) / 2.0
-    for k, (area, axis) in enumerate(faces):
-        n = max(int(area * density), 1)
-        p = rng.uniform(-half, half, size=(n, 3))
-        p[:, axis] = half[axis] if k % 2 == 0 else -half[axis]
-        pts.append(p)
-    return box.pose.apply(np.vstack(pts))
-
-
-def _sample_cylinder(cyl: CylinderPrimitive, density, rng):
-    side_area = 2 * np.pi * cyl.radius * cyl.height
-    cap_area = np.pi * cyl.radius**2
-    n_side = max(int(side_area * density), 1)
-    theta = rng.uniform(0, 2 * np.pi, n_side)
-    z = rng.uniform(0, cyl.height, n_side)
-    side = np.column_stack(
-        [cyl.radius * np.cos(theta), cyl.radius * np.sin(theta), z]
-    )
-    pts = [side]
-    for z0 in (0.0, cyl.height):
-        n_cap = max(int(cap_area * density), 1)
-        r = cyl.radius * np.sqrt(rng.uniform(0, 1, n_cap))
-        th = rng.uniform(0, 2 * np.pi, n_cap)
-        pts.append(
-            np.column_stack([r * np.cos(th), r * np.sin(th), np.full(n_cap, z0)])
-        )
-    return cyl.pose.apply(np.vstack(pts))
-
-
-def _sample_plane(plane: PlanePrimitive, density, rng):
-    ex, ey = plane.extent
-    n = max(int(ex * ey * density), 1)
-    p = np.column_stack(
-        [
-            rng.uniform(-ex / 2, ex / 2, n),
-            rng.uniform(-ey / 2, ey / 2, n),
-            np.zeros(n),
-        ]
-    )
-    return plane.pose.apply(p)
-
-
-_SAMPLERS = {
-    BoxPrimitive: _sample_box,
-    CylinderPrimitive: _sample_cylinder,
-    PlanePrimitive: _sample_plane,
-}
-
-
 def sample_surface(scene: SceneSpec, rng):
     """Random surface points with colors and class labels, base frame, at
     SURFACE_DENSITY points per m^2."""
     pts, colors, labels = [], [], []
     for prim in scene.primitives:
-        p = _SAMPLERS[type(prim)](prim, SURFACE_DENSITY, rng)
+        p = prim.pose.apply(prim.sample(SURFACE_DENSITY, rng))
         pts.append(p)
         colors.append(np.tile(np.asarray(prim.color), (len(p), 1)))
         labels.append(np.full(len(p), prim.class_id))

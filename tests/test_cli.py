@@ -26,12 +26,15 @@ from util import (pose_dataset, split_confidence_of_view,
                   zero_confidence_of_view)
 
 
+ZERO_NOISE = {"sigma_rot": 0.0, "sigma_trans": 0.0, "sigma_point": 0.0}
+
+
 def _noiseless_manifest(tmp_path, num_poses=6):
     manifest = {
         "seed": 11,
         "synth": {
             "num_poses": num_poses,
-            "noise": "zero",
+            "noise": ZERO_NOISE,
             "camera": {"width": 16, "height": 12},
         },
         "fields": {"epochs": 5, "hidden_size": 16},
@@ -78,6 +81,7 @@ class TestRun:
         ({"synth": {"num_poses": 4, "noise": {"dropout": -0.2}}}, "dropout"),
         ({"synth": {"num_poses": 4, "noise": {"pair_scale_jitter": -0.1}}},
          "pair_scale_jitter"),
+        ({"synth": {"noise": "zero"}}, "synth.noise"),
     ])
     def test_bad_manifest_exit_2(self, tmp_path, capsys, manifest, key):
         path = tmp_path / "manifest.json"
@@ -110,6 +114,9 @@ class TestRun:
          "scale"),
         ({"synth": {"hidden": {"calib": np.eye(4).ravel().tolist(),
                                "scale": -1.0}}}, "scale"),
+        ({"synth": {"num_poses": 0}}, "need at least 3 poses"),
+        ({"synth": {"num_poses": -1}}, "need at least 3 poses"),
+        ({"synth": {"num_poses": 2}}, "need at least 3 poses"),
     ])
     def test_bad_stage_setting_exit_2_before_synth(self, tmp_path, capsys,
                                                    block, key):
@@ -190,8 +197,9 @@ class TestRun:
         marked not converged, are written."""
         code, out = self._unconverged_run(tmp_path, monkeypatch)
         assert code == 4
-        assert ("error in stage reconstruct: calibration did not converge"
-                in capsys.readouterr().err)
+        err = capsys.readouterr().err
+        assert "error in stage reconstruct: calibration did not converge" in err
+        assert "--force-uncalibrated" in err
         assert (out / "align" / "alignment.json").exists()
         assert io.load_json(out / "calibrate" / "calibration.json")[
             "converged"] is False
@@ -235,8 +243,8 @@ class TestSeeds:
 
 
 class TestRemovedFlags:
-    """Flags that changed no output are gone: passing one is a usage error
-    (exit 2) that writes nothing."""
+    """Flags that changed no output, or that repeated a manifest key, are
+    gone: passing one is a usage error (exit 2) that writes nothing."""
 
     @pytest.mark.parametrize("argv, flag", [
         (["train-field", "--cloud", "c.ply", "--kind", "color",
@@ -245,7 +253,10 @@ class TestRemovedFlags:
           "--out", "q.csv", "--seed", "1"], "--seed 1"),
         (["eval", "--calibration", "c.json", "--out", "r.json",
           "--seed", "1"], "--seed 1"),
-    ], ids=["train-field-epochs", "query-seed", "eval-seed"])
+        (["synth", "--out", "s", "--num-poses", "5"], "--num-poses 5"),
+        (["synth", "--out", "s", "--zero-noise"], "--zero-noise"),
+    ], ids=["train-field-epochs", "query-seed", "eval-seed",
+            "synth-num-poses", "synth-zero-noise"])
     def test_flag_is_a_usage_error(self, argv, flag, capsys, tmp_path,
                                    monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -358,19 +369,24 @@ class TestStages:
         assert "views [1]: " in capsys.readouterr().err
         assert not (tmp_path / "align").exists()
 
-    @pytest.mark.parametrize("num_poses", ["0", "-1", "2"])
+    @pytest.mark.parametrize("num_poses", [0, -1, 2])
     def test_synth_too_few_poses_exit_2(self, tmp_path, capsys, num_poses):
-        code = main(["synth", "--out", str(tmp_path / "synth"),
-                     "--num-poses", num_poses])
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"synth": {"num_poses": num_poses}}))
+        code = main(["synth", "--manifest", str(manifest),
+                     "--out", str(tmp_path / "synth")])
         assert code == 2
         assert "need at least 3 poses" in capsys.readouterr().err
-        assert not (tmp_path / "synth" / "ee_poses.json").exists()
+        assert not (tmp_path / "synth").exists()
 
     def test_synth_then_align_then_calibrate(self, tmp_path):
         synth_dir = tmp_path / "synth"
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(
+            {"synth": {"num_poses": 5, "noise": ZERO_NOISE}}))
         assert main(
-            ["synth", "--out", str(synth_dir), "--seed", "12",
-             "--num-poses", "5", "--zero-noise"]
+            ["synth", "--manifest", str(manifest), "--out", str(synth_dir),
+             "--seed", "12"]
         ) == 0
         align_dir = tmp_path / "align"
         assert main(
@@ -467,7 +483,7 @@ class TestQueryAndEval:
         manifest = tmp_path / "manifest.json"
         manifest.write_text(json.dumps({
             "seed": 11,
-            "synth": {"num_poses": 6, "noise": "zero",
+            "synth": {"num_poses": 6, "noise": ZERO_NOISE,
                       "camera": {"width": 16, "height": 12}},
         }))
         out = tmp_path / "out"
@@ -759,7 +775,7 @@ class TestBadFilesExit2:
 
 
 class TestReconstructFlags:
-    def test_force_uncalibrated(self, tmp_path):
+    def test_force_uncalibrated(self, tmp_path, capsys):
         manifest = _noiseless_manifest(tmp_path)
         out = tmp_path / "out"
         assert main(["run", "--manifest", str(manifest), "--out", str(out)]) == 0
@@ -776,4 +792,5 @@ class TestReconstructFlags:
             "--out", str(out / "recon2"),
         ]
         assert main(args) == 4
+        assert "--force-uncalibrated" in capsys.readouterr().err
         assert main(args + ["--force-uncalibrated"]) == 0

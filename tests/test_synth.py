@@ -5,10 +5,11 @@ import pytest
 
 from jcr.calibration import calibrate
 from jcr.errors import InputError, InsufficientDiversity
-from jcr.geometry import Pose
+from jcr.geometry import Pose, exp_map
 from jcr.synth import (
     BoxPrimitive,
     CameraConfig,
+    CylinderPrimitive,
     HiddenParams,
     NoiseProfile,
     PlanePrimitive,
@@ -213,3 +214,80 @@ class TestSampleSurface:
         pts, _, _ = sample_surface(scene, rng)
         lo, hi = np.asarray(WORKSPACE[0]), np.asarray(WORKSPACE[1])
         assert (pts >= lo - 1e-9).all() and (pts <= hi + 1e-9).all()
+
+
+def _rotated_scene():
+    """A plane, a box and a cylinder, each turned about a different axis and
+    moved off the base origin."""
+    return SceneSpec(primitives=(
+        PlanePrimitive(Pose(exp_map([0.10, -0.15, 0.40]), [0.02, -0.01, -0.03]),
+                       extent=(1.0, 0.8), class_id=0),
+        BoxPrimitive(Pose(exp_map([0.35, -0.50, 0.70]), [0.10, -0.06, 0.08]),
+                     size=(0.14, 0.10, 0.12), class_id=1),
+        CylinderPrimitive(Pose(exp_map([-0.45, 0.25, 0.10]), [-0.12, 0.10, 0.03]),
+                          radius=0.05, height=0.16, class_id=2),
+    ))
+
+
+def _surface_normals(prim, p, tol=1e-9):
+    """Outward local normals of local points ``p``; asserts that every point
+    lies on the primitive's surface within ``tol``."""
+    n = np.zeros_like(p)
+    if isinstance(prim, BoxPrimitive):
+        h = np.asarray(prim.size) / 2.0
+        gap = np.abs(np.abs(p) - h)
+        assert (np.abs(p) <= h + tol).all()
+        assert (gap.min(axis=1) <= tol).all()
+        axis = gap.argmin(axis=1)
+        rows = np.arange(len(p))
+        n[rows, axis] = np.sign(p[rows, axis])
+    elif isinstance(prim, CylinderPrimitive):
+        r = np.linalg.norm(p[:, :2], axis=1)
+        side = (np.abs(r - prim.radius) <= tol) & (p[:, 2] >= -tol) & (
+            p[:, 2] <= prim.height + tol)
+        bottom = (np.abs(p[:, 2]) <= tol) & (r <= prim.radius + tol)
+        top = (np.abs(p[:, 2] - prim.height) <= tol) & (r <= prim.radius + tol)
+        assert (side | bottom | top).all()
+        n[side, :2] = p[side, :2] / r[side, None]
+        n[bottom & ~side, 2] = -1.0
+        n[top & ~side, 2] = 1.0
+    else:
+        ex, ey = prim.extent
+        assert (np.abs(p[:, 2]) <= tol).all()
+        assert (np.abs(p[:, 0]) <= ex / 2 + tol).all()
+        assert (np.abs(p[:, 1]) <= ey / 2 + tol).all()
+        n[:, 2] = 1.0
+    return n
+
+
+class TestRotatedPrimitives:
+    """Primitives whose local frame is not the base frame: hits and samples
+    map back onto each primitive's surface, and the incidence at a hit is
+    taken with the base-frame normal."""
+
+    def test_ray_cast_hits_lie_on_surface_with_base_normals(self):
+        scene = _rotated_scene()
+        poses = view_sphere_trajectory(TrajectoryConfig(num_poses=6),
+                                       np.random.default_rng(5))
+        counts = np.zeros(3, dtype=int)
+        for C in poses:
+            cast = ray_cast(scene, C, CameraConfig(width=48, height=36))
+            for prim in scene.primitives:
+                mask = cast.labels == prim.class_id
+                counts[prim.class_id] += mask.sum()
+                base = C.apply(cast.points[mask])
+                local = prim.pose.inverse().apply(base)
+                normals = _surface_normals(prim, local) @ prim.pose.rotation.T
+                rays = base - C.translation
+                rays /= np.linalg.norm(rays, axis=1, keepdims=True)
+                want = np.abs((rays * normals).sum(axis=1))
+                assert np.abs(cast.incidence[mask] - want).max() < 1e-9
+        assert (counts > 100).all(), counts
+
+    def test_sample_surface_points_lie_on_surface(self):
+        scene = _rotated_scene()
+        pts, _, labels = sample_surface(scene, np.random.default_rng(3))
+        for prim in scene.primitives:
+            mask = labels == prim.class_id
+            assert mask.sum() > 10
+            _surface_normals(prim, prim.pose.inverse().apply(pts[mask]))
